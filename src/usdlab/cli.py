@@ -14,16 +14,7 @@ import sys
 
 from . import jsonio
 from .errors import CapExceededError, ConfigError
-from .experiments import run, validate_config
-
-SUBCOMMAND_KINDS = {
-    "usd-search": "usd_search",
-    "usd-verify": "usd_verify",
-    "entropy": "entropy_profile",
-    "er-rate": "er_rate",
-    "recover": "recovery_rate",
-    "fit": "fit",
-}
+from .experiments import KINDS, run, validate_config
 
 THREADS_ENV = "USDLAB_THREADS"
 
@@ -40,8 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and certification, entropy profiles, error-rate sweeps, "
                     "sparse recovery, and rate fitting.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, kind in SUBCOMMAND_KINDS.items():
-        sp = sub.add_parser(name, help=f"run a {kind} experiment")
+    for kind, spec in KINDS.items():
+        sp = sub.add_parser(spec.subcommand, help=f"run a {kind} experiment")
+        sp.set_defaults(kind=kind)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config seed (u64)")
@@ -62,10 +54,9 @@ def _load_config(args):
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    expected = SUBCOMMAND_KINDS[args.command]
-    if raw.get("kind") != expected:
+    if raw.get("kind") != args.kind:
         raise ConfigError(
-            f"kind: subcommand {args.command!r} expects kind {expected!r}, "
+            f"kind: subcommand {args.command!r} expects kind {args.kind!r}, "
             f"config has {raw.get('kind')!r}", path="kind")
     if args.seed is not None:
         raw["seed"] = args.seed

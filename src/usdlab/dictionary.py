@@ -2,9 +2,8 @@
 
 A ``Dictionary`` keeps an ordered element list plus the constants that the
 discretization and recovery machinery consumes: a uniform bound on the
-elements, an optional l2 Riesz-type constant K (coefficient l2 dominated by
-``sqrt(K)`` times the function L2 norm), and optional Nikol'skii pairs
-(q, H) with ``||f||_inf <= H ||f||_q`` on the span.
+elements and an optional l2 Riesz-type constant K (coefficient l2 dominated
+by ``sqrt(K)`` times the function L2 norm).
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, NormBudgetError
-from .frequencies import FrequencySet, hyperbolic_cross
+from .frequencies import FrequencySet
 from .points import PointSet
 from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm, sup_norm
 
@@ -23,7 +22,7 @@ class Dictionary:
     """Ordered system of trigonometric polynomials with recorded constants."""
 
     def __init__(self, elements, uniform_bound, riesz_constant=None,
-                 nikolskii=None, check_bound=True):
+                 check_bound=True):
         elements = list(elements)
         if not elements:
             raise ValueError("a dictionary needs at least one element")
@@ -41,7 +40,6 @@ class Dictionary:
         self.elements = elements
         self.uniform_bound = float(uniform_bound)
         self.riesz_constant = None if riesz_constant is None else float(riesz_constant)
-        self.nikolskii = list(nikolskii) if nikolskii else None
         self.dimension = d
 
     def __len__(self):
@@ -68,10 +66,6 @@ class Dictionary:
             raise ValueError("empty frequency band")
         return cls.exponentials(
             FrequencySet.from_indices([(k,) for k in range(lo, hi + 1)]))
-
-    @classmethod
-    def hyperbolic_cross_exponentials(cls, n_param: int, d: int) -> "Dictionary":
-        return cls.exponentials(hyperbolic_cross(n_param, d))
 
     def values_at(self, points) -> np.ndarray:
         """Matrix of element values, one column per element."""

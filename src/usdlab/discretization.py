@@ -75,6 +75,11 @@ class SubspaceRatios:
     max_vector: np.ndarray | None = None
 
 
+def _check_exponent(p):
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
+
+
 def _continuous_gram_checked(dictionary: Dictionary, subset):
     gram = dictionary.continuous_gram(subset)
     gram = 0.5 * (gram + gram.conj().T)
@@ -216,6 +221,7 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     warm-started from the p = 2 extremal coefficient vectors and flagged
     heuristic.
     """
+    _check_exponent(p)
     opts = opts or RatioOptions()
     subset = tuple(int(i) for i in subset)
     values = dictionary.values_at(xi)[:, subset]
@@ -311,6 +317,9 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     constant ``max_J min_ratio(J)^(-1/p)`` that converts the lower window
     side into a norm domination statement.
     """
+    _check_exponent(p)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     opts = opts or RatioOptions()
     count = coll.count()
     if count > subset_cap:
@@ -384,6 +393,8 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
     """
     if m < 1:
         raise ValueError("need at least one sample point")
+    if max_trials < 1:
+        raise ValueError("need at least one trial")
     opts = opts or RatioOptions()
     d = coll.dictionary.dimension
     best = None

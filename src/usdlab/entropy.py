@@ -22,9 +22,6 @@ from .dictionary import Dictionary
 from .errors import ProfileTooShortError
 from .points import PointSet
 
-BISECTION_TOL = 1e-4
-BISECTION_MAX_ITERS = 40
-
 
 class SampledClass:
     """Finite sample of a function class on a shared evaluation grid."""
@@ -123,7 +120,7 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     The greedy selection order does not depend on any target radius, so
     this single traversal answers every cover-size query; results are
     cached on the sample.  Distances run in single precision on squared
-    moduli (error near 1e-7, far below the bisection tolerance).
+    moduli (relative error near 1e-7).
     """
     t_max = min(int(t_max), sampled.count)
     if sampled._radii is not None and len(sampled._radii) >= t_max:
@@ -207,36 +204,20 @@ class EntropyProfile:
         return cls(np.asarray(eps, dtype=float), zero_from, dict(metadata or {}))
 
 
-def _eps_for_budget(sampled, budget, bisect_tol, max_bisect):
-    """Bisect the radius until the greedy cover size is at most ``budget``."""
+def _eps_for_budget(sampled, budget):
+    """Covering radius of the greedy cover with at most ``budget`` centers."""
     if budget >= sampled.count:
         return 0.0
-    radii = farthest_point_radii(sampled, budget)
-    target = radii[budget - 1]
-    if target <= 0.0:
-        return 0.0
-    lo, hi = 0.0, float(radii[0])
-    for _ in range(max_bisect):
-        if hi - lo <= bisect_tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if target <= mid:  # greedy cover at radius mid needs <= budget centers
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(farthest_point_radii(sampled, budget)[budget - 1])
 
 
-def entropy_numbers(sampled: SampledClass, n_max: int,
-                    bisect_tol: float = BISECTION_TOL,
-                    max_bisect: int = BISECTION_MAX_ITERS) -> EntropyProfile:
-    """Estimate eps_n for n = 0..n_max by bisection over greedy cover sizes.
+def entropy_numbers(sampled: SampledClass, n_max: int) -> EntropyProfile:
+    """Estimate eps_n for n = 0..n_max as greedy covering radii.
 
-    For each n the radius is bisected until the greedy cover needs at most
-    ``2^n`` centers; the cover-size queries are answered from one cached
-    farthest-point traversal, which is exactly the greedy cover run at
-    every radius simultaneously.  Budgets of at least the sample size give
-    radius zero outright.
+    ``eps_n`` is the covering radius after ``2^n`` farthest-point centers,
+    read off one cached traversal, which is exactly the greedy cover run
+    at every radius simultaneously.  Budgets of at least the sample size
+    give radius zero outright.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -244,13 +225,10 @@ def entropy_numbers(sampled: SampledClass, n_max: int,
     finite = [2 ** k for k in range(n_max + 1) if 2 ** k < n_reps]
     if finite:
         farthest_point_radii(sampled, max(finite))  # one traversal, cached
-    eps = np.array([_eps_for_budget(sampled, 2 ** n, bisect_tol, max_bisect)
-                    for n in range(n_max + 1)])
-    eps = np.minimum.accumulate(eps)
+    eps = np.array([_eps_for_budget(sampled, 2 ** n) for n in range(n_max + 1)])
     zero_from = math.ceil(math.log2(n_reps)) if n_reps > 1 else 0
     meta = dict(sampled.metadata)
-    meta.update({"estimator": "greedy-cover bisection",
-                 "bisect_tol": bisect_tol, "n_max": int(n_max)})
+    meta.update({"estimator": "greedy farthest-point radii", "n_max": int(n_max)})
     return EntropyProfile(eps, zero_from, meta)
 
 
@@ -305,10 +283,8 @@ def finite_dim_decay_check(sampled: SampledClass, dim: int, k0: int, k: int,
     if profile is not None:
         lhs, base = profile.e_at(k), profile.e_at(k0)
     else:
-        lhs = _eps_for_budget(sampled, 2 ** (2 ** k), BISECTION_TOL,
-                              BISECTION_MAX_ITERS)
-        base = _eps_for_budget(sampled, 2 ** (2 ** k0), BISECTION_TOL,
-                               BISECTION_MAX_ITERS)
+        lhs = _eps_for_budget(sampled, 2 ** (2 ** k))
+        base = _eps_for_budget(sampled, 2 ** (2 ** k0))
     rhs = 3.0 * 2.0 ** (2 ** k0 / dim) * base * 2.0 ** (-(2 ** k) / dim)
     return lhs <= rhs + 1e-12
 

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import functools
+import json
 import math
 import os
 from dataclasses import dataclass, field
+from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.stats
+from scipy.special import stdtrit
 
 from . import jsonio
 from .dictionary import Dictionary
@@ -30,25 +34,6 @@ from .recovery import block_greedy_approximant
 from .smoothness import SmoothnessBudget, level_budget_element
 from .trigpoly import lp_norm
 
-EXPERIMENT_KINDS = ("usd_search", "usd_verify", "entropy_profile", "er_rate",
-                    "recovery_rate", "chaining_compare", "fit")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["kind", "seed", "out", "params"],
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": list(EXPERIMENT_KINDS)},
-        "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "out": {"type": "string"},
-        "threads": {"type": "integer", "minimum": 1},
-        "svg": {"type": "boolean"},
-        "params": {"type": "object"},
-        "assertions": {"type": "object"},
-    },
-}
-
-
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -59,55 +44,49 @@ class ExperimentConfig:
     svg: bool = False
     threads: int = 1
 
-    @classmethod
-    def from_dict(cls, obj) -> "ExperimentConfig":
-        return validate_config(obj)
-
     def to_dict(self):
         return {"kind": self.kind, "seed": self.seed, "out": self.out,
                 "params": self.params, "assertions": self.assertions,
                 "svg": self.svg, "threads": self.threads}
 
 
-def validate_config(obj) -> ExperimentConfig:
-    """Schema plus kind-specific validation; errors carry field paths."""
+@functools.cache
+def _schema():
+    """The shipped config schema, compiled once per process.
+
+    Also returns each kind's sweep params, those whose schema is
+    ``$defs/sweep``: that a sweep strictly increases is the one rule JSON
+    Schema cannot state.
+    """
     import jsonschema
-    try:
-        jsonschema.validate(obj, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path)
-        raise ConfigError(f"{path or '<root>'}: {exc.message}", path=path) from None
-    cfg = ExperimentConfig(
+    schema = json.loads(resources.files(__package__).joinpath(
+        "config_schema.json").read_text(encoding="utf-8"))
+    sweeps = {}
+    for block in schema["allOf"]:
+        params = block["then"]["properties"]["params"]["properties"]
+        sweeps[block["if"]["properties"]["kind"]["const"]] = [
+            name for name, spec in params.items()
+            if spec.get("$ref") == "#/$defs/sweep"]
+    return jsonschema.Draft202012Validator(schema), sweeps
+
+
+def validate_config(obj) -> ExperimentConfig:
+    """Validate against ``config_schema.json``; errors carry field paths."""
+    from jsonschema.exceptions import best_match
+    validator, sweeps = _schema()
+    error = best_match(validator.iter_errors(obj))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path)
+        raise ConfigError(f"{path or '<root>'}: {error.message}", path=path)
+    for name in sweeps[obj["kind"]]:
+        sweep = obj["params"].get(name, [])
+        if any(b <= a for a, b in zip(sweep, sweep[1:])):
+            raise ConfigError(f"params.{name}: sweep must be strictly increasing",
+                              path=f"params.{name}")
+    return ExperimentConfig(
         kind=obj["kind"], seed=int(obj["seed"]), out=obj["out"],
         params=dict(obj["params"]), assertions=dict(obj.get("assertions", {})),
         svg=bool(obj.get("svg", False)), threads=int(obj.get("threads", 1)))
-    _KIND_VALIDATORS[cfg.kind](cfg)
-    return cfg
-
-
-def _need(cfg, name, kinds=None):
-    if name not in cfg.params:
-        raise ConfigError(f"params.{name}: required for kind {cfg.kind}",
-                          path=f"params.{name}")
-    value = cfg.params[name]
-    if kinds is not None and not isinstance(value, kinds):
-        raise ConfigError(f"params.{name}: unexpected type {type(value).__name__}",
-                          path=f"params.{name}")
-    return value
-
-
-def _check_sweep(cfg, name):
-    sweep = _need(cfg, name, list)
-    if not sweep:
-        raise ConfigError(f"params.{name}: sweep must be nonempty",
-                          path=f"params.{name}")
-    if any(not isinstance(v, int) or v < 1 for v in sweep):
-        raise ConfigError(f"params.{name}: entries must be positive integers",
-                          path=f"params.{name}")
-    if any(b <= a for a, b in zip(sweep, sweep[1:])):
-        raise ConfigError(f"params.{name}: sweep must be strictly increasing",
-                          path=f"params.{name}")
-    return sweep
 
 
 def _band_dictionary(params) -> Dictionary:
@@ -118,73 +97,8 @@ def _band_dictionary(params) -> Dictionary:
     return Dictionary.exponential_band(-max_abs, max_abs)
 
 
-_RATIO_OPT_KEYS = ("starts", "grad_tol", "max_iters", "backtracks", "grid_level")
-
-
 def _ratio_options(cfg) -> RatioOptions:
-    raw = dict(cfg.params.get("opts", {}))
-    unknown = set(raw) - set(_RATIO_OPT_KEYS)
-    if unknown:
-        raise ConfigError(f"params.opts: unknown keys {sorted(unknown)}",
-                          path="params.opts")
-    return RatioOptions(seed=cfg.seed, **raw)
-
-
-def _validate_usd_search(cfg):
-    _need(cfg, "v", int)
-    _need(cfg, "p", (int, float))
-    _need(cfg, "m", int)
-    _need(cfg, "max_trials", int)
-
-
-def _validate_usd_verify(cfg):
-    _need(cfg, "points", dict)
-    _need(cfg, "v", int)
-    _need(cfg, "p", (int, float))
-
-
-def _validate_entropy(cfg):
-    _need(cfg, "n_representatives", int)
-    _need(cfg, "grid_level", int)
-    _need(cfg, "n_max", int)
-
-
-def _validate_er_rate(cfg):
-    _check_sweep(cfg, "m_sweep")
-    _need(cfg, "mc_trials", int)
-    _need(cfg, "n_functions", int)
-    _need(cfg, "p", (int, float))
-
-
-def _validate_recovery_rate(cfg):
-    _check_sweep(cfg, "n_sweep")
-    a_values = _need(cfg, "a_values", list)
-    if not a_values:
-        raise ConfigError("params.a_values: must be nonempty", path="params.a_values")
-
-
-def _validate_chaining(cfg):
-    _check_sweep(cfg, "m_sweep")
-    _need(cfg, "mc_trials", int)
-    _need(cfg, "n_functions", int)
-    _need(cfg, "p", (int, float))
-
-
-def _validate_fit(cfg):
-    _need(cfg, "input_csv", str)
-    _need(cfg, "x_column", str)
-    _need(cfg, "y_column", str)
-
-
-_KIND_VALIDATORS = {
-    "usd_search": _validate_usd_search,
-    "usd_verify": _validate_usd_verify,
-    "entropy_profile": _validate_entropy,
-    "er_rate": _validate_er_rate,
-    "recovery_rate": _validate_recovery_rate,
-    "chaining_compare": _validate_chaining,
-    "fit": _validate_fit,
-}
+    return RatioOptions(seed=cfg.seed, **cfg.params.get("opts", {}))
 
 
 # -- rate fitting -----------------------------------------------------------
@@ -222,7 +136,7 @@ def fit_rate(points) -> RateFit:
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     s2 = float(np.sum(resid ** 2) / (n - 2)) if n > 2 else 0.0
     se = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    half = float(scipy.stats.t.ppf(0.975, n - 2) * se) if n > 2 else math.inf
+    half = float(stdtrit(n - 2, 0.975) * se) if n > 2 else math.inf
     return RateFit(float(slope), float(intercept), rms, half, n)
 
 
@@ -386,14 +300,11 @@ def _points_from_config(spec, dimension, seed):
         return PointSet.random_uniform(int(s["m"]), dimension,
                                        int(s.get("seed", seed)),
                                        int(s.get("draw_index", 0)))
-    if "file" in spec:
-        try:
-            return PointSet.load(spec["file"])
-        except FileNotFoundError:
-            raise ConfigError(f"params.points.file: no such file {spec['file']}",
-                              path="params.points.file") from None
-    raise ConfigError("params.points: expected equispaced, seeded, or file",
-                      path="params.points")
+    try:
+        return PointSet.load(spec["file"])
+    except FileNotFoundError:
+        raise ConfigError(f"params.points.file: no such file {spec['file']}",
+                          path="params.points.file") from None
 
 
 def _run_usd_verify(cfg: ExperimentConfig):
@@ -654,27 +565,6 @@ def _summarize_fit(cfg, header, rows, strict):
     return results, checks
 
 
-_RUNNERS = {
-    "usd_search": _run_usd_search,
-    "usd_verify": _run_usd_verify,
-    "entropy_profile": _run_entropy,
-    "er_rate": _run_er_rate,
-    "recovery_rate": _run_recovery_rate,
-    "chaining_compare": _run_chaining_compare,
-    "fit": _run_fit,
-}
-
-_SUMMARIZERS = {
-    "usd_search": _summarize_usd_search,
-    "usd_verify": _summarize_usd_verify,
-    "entropy_profile": _summarize_entropy,
-    "er_rate": _summarize_er_rate,
-    "recovery_rate": _summarize_recovery_rate,
-    "chaining_compare": _summarize_chaining_compare,
-    "fit": _summarize_fit,
-}
-
-
 def _maybe_parallel(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -682,17 +572,41 @@ def _maybe_parallel(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _svg_series(kind, header, rows, summary):
-    if kind == "er_rate":
-        means = summary["results"].get("means") or []
-        return ([e["m"] for e in means], [e["mean"] for e in means])
-    if kind == "entropy_profile":
-        pts = [(n, e) for n, e in rows if n > 0 and e > 0]
-        return ([n for n, _ in pts], [e for _, e in pts])
-    if kind == "fit":
-        pts = [(x, y) for x, y in rows if x > 0 and y > 0]
-        return ([x for x, _ in pts], [y for _, y in pts])
-    return None
+def _svg_mean_by_m(rows, summary):
+    means = summary["results"].get("means") or []
+    return ([e["m"] for e in means], [e["mean"] for e in means])
+
+
+def _svg_positive_pairs(rows, summary):
+    pts = [(x, y) for x, y in rows if x > 0 and y > 0]
+    return ([x for x, _ in pts], [y for _, y in pts])
+
+
+class Kind(NamedTuple):
+    """One experiment kind: CLI subcommand, runner, summarizer, SVG series.
+
+    The runner produces CSV rows and artifacts, the summarizer is pure in
+    the rows, and the optional series maps (rows, summary) to the (xs, ys)
+    of the SVG chart.
+    """
+
+    subcommand: str
+    run: Callable
+    summarize: Callable
+    svg_series: Callable | None = None
+
+
+KINDS = {
+    "usd_search": Kind("usd-search", _run_usd_search, _summarize_usd_search),
+    "usd_verify": Kind("usd-verify", _run_usd_verify, _summarize_usd_verify),
+    "entropy_profile": Kind("entropy", _run_entropy, _summarize_entropy,
+                            _svg_positive_pairs),
+    "er_rate": Kind("er-rate", _run_er_rate, _summarize_er_rate, _svg_mean_by_m),
+    "recovery_rate": Kind("recover", _run_recovery_rate, _summarize_recovery_rate),
+    "chaining_compare": Kind("chaining-compare", _run_chaining_compare,
+                             _summarize_chaining_compare),
+    "fit": Kind("fit", _run_fit, _summarize_fit, _svg_positive_pairs),
+}
 
 
 @dataclass
@@ -711,8 +625,9 @@ def run(config, strict: bool = False) -> RunOutcome:
     if not isinstance(config, ExperimentConfig):
         config = validate_config(config)
     os.makedirs(config.out, exist_ok=True)
-    header, rows, artifacts = _RUNNERS[config.kind](config)
-    results, checks = _SUMMARIZERS[config.kind](config, header, rows, strict)
+    spec = KINDS[config.kind]
+    header, rows, artifacts = spec.run(config)
+    results, checks = spec.summarize(config, header, rows, strict)
     passed = all(c["passed"] for c in checks)
     summary = {
         "kind": config.kind,
@@ -728,9 +643,9 @@ def run(config, strict: bool = False) -> RunOutcome:
         jsonio.dump_path(payload, os.path.join(config.out, name))
     summary_path = os.path.join(config.out, "summary.json")
     jsonio.dump_path(summary, summary_path)
-    if config.svg:
-        series = _svg_series(config.kind, header, rows, summary)
-        if series and len(series[0]) >= 2:
+    if config.svg and spec.svg_series is not None:
+        series = spec.svg_series(rows, summary)
+        if len(series[0]) >= 2:
             fit = None
             fit_json = (results.get("fit") if isinstance(results.get("fit"), dict)
                         else None)
@@ -748,7 +663,7 @@ def resummarize(csv_path, config, strict: bool = False) -> dict:
     if not isinstance(config, ExperimentConfig):
         config = validate_config(config)
     header, rows = read_csv(csv_path)
-    results, checks = _SUMMARIZERS[config.kind](config, header, rows, strict)
+    results, checks = KINDS[config.kind].summarize(config, header, rows, strict)
     return {
         "kind": config.kind,
         "seed": config.seed,

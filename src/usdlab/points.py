@@ -29,6 +29,8 @@ class PointSet:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("a point set needs at least one point")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("point coordinates must be finite")
         self.points = np.mod(arr, TWO_PI)
 
     @property

@@ -519,7 +519,9 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
 
     continuous_error = lp_norm(f - approx_poly, p, grid_level)
     sigma_discrete = None
-    if compute_sigma_discrete and math.comb(inst.n_elements, v) <= oracle_cap:
+    if kind == "oracle" and compute_sigma_discrete:
+        sigma_discrete = discrete_residual  # the oracle above is sigma_v itself
+    elif compute_sigma_discrete and math.comb(inst.n_elements, v) <= oracle_cap:
         sigma_discrete = best_v_term_oracle(inst, v, cap=oracle_cap).residual_norm
     sigma_blended = None
     if compute_sigma_blended:

@@ -312,3 +312,23 @@ def test_find_usd_points_heuristic_exponent():
     assert res.passed
     assert res.certificate.heuristic
     assert res.certificate.method["kind"] == "multistart"
+
+
+def _band_collection():
+    return SubspaceCollection.all_subsets(Dictionary.exponential_band(-2, 2), 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_usd(PointSet.equispaced(16), _band_collection(), 0.5),
+    lambda: check_usd(PointSet.equispaced(16), _band_collection(), 0.0),
+    lambda: check_usd(PointSet.equispaced(16), _band_collection(), float("nan")),
+    lambda: check_usd(PointSet.equispaced(16), _band_collection(), 2, epsilon=2),
+    lambda: subspace_ratio_bounds((0, 1), Dictionary.exponential_band(-2, 2),
+                                  PointSet.equispaced(16), 0.5),
+    lambda: find_usd_points(_band_collection(), 2, m=16, max_trials=0),
+    lambda: PointSet([0.1, float("nan")]),
+], ids=["p_half", "p_zero", "p_nan", "epsilon_two", "ratio_p_half",
+        "no_trials", "nan_point"])
+def test_bad_input_rejected_at_the_boundary(call):
+    with pytest.raises(ValueError):
+        call()

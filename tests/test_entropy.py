@@ -106,7 +106,7 @@ def test_entropy_numbers_match_traversal_radii():
     radii = farthest_point_radii(s, 32)
     for n in range(6):
         if 2 ** n < 50:
-            assert abs(profile.eps[n] - radii[2 ** n - 1]) <= 1e-4
+            assert profile.eps[n] == radii[2 ** n - 1]
 
 
 def test_entropy_profile_e_k_bookkeeping():

@@ -1,15 +1,19 @@
+import glob
 import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from usdlab.cli import main
+from usdlab.cli import build_parser, main
 from usdlab.errors import ConfigError
-from usdlab.experiments import (fit_rate, read_csv, resummarize, run,
+from usdlab.experiments import (KINDS, fit_rate, read_csv, resummarize, run,
                                 validate_config, write_csv)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_fit_rate_exact_power_law():
@@ -299,3 +303,69 @@ def test_usd_verify_with_explicit_subsets(tmp_path):
     header, rows = read_csv(tmp_path / "subsets" / "usd_verify.csv")
     assert len(rows) == 3
     assert rows[0][1] == "0|6"
+
+
+def shipped_schema():
+    text = resources.files("usdlab").joinpath("config_schema.json").read_text()
+    return json.loads(text)
+
+
+def test_config_schema_is_a_valid_draft_2020_12_schema():
+    import jsonschema
+    jsonschema.Draft202012Validator.check_schema(shipped_schema())
+
+
+def test_kind_enum_schema_blocks_table_and_subcommands_agree():
+    schema = shipped_schema()
+    enum = set(schema["properties"]["kind"]["enum"])
+    blocks = {b["if"]["properties"]["kind"]["const"] for b in schema["allOf"]}
+    subparsers = next(a for a in build_parser()._actions
+                      if a.dest == "command").choices
+    cli_kinds = {sp.get_default("kind") for sp in subparsers.values()}
+    assert enum == blocks == set(KINDS) == cli_kinds
+    assert set(subparsers) == {spec.subcommand for spec in KINDS.values()}
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))),
+                         ids=os.path.basename)
+def test_shipped_configs_validate(path):
+    with open(path) as fh:
+        raw = json.load(fh)
+    assert validate_config(raw).kind == raw["kind"]
+
+
+def test_cli_chaining_compare_subcommand(tmp_path):
+    cfg = {
+        "kind": "chaining_compare", "seed": 9, "out": str(tmp_path / "cc"),
+        "params": {"band": [-4, 4], "n_functions": 4, "p": 2,
+                   "m_sweep": [16, 64], "mc_trials": 6,
+                   "n_representatives": 64, "grid_level": 7, "n_max": 8},
+    }
+    assert main(["chaining-compare", "--config", write_config(tmp_path, cfg)]) == 0
+    assert os.path.exists(tmp_path / "cc" / "chaining_compare.csv")
+
+
+def verify_config(out):
+    return {"kind": "usd_verify", "seed": 1, "out": str(out),
+            "params": {"max_abs_freq": 2, "v": 2, "p": 2,
+                       "points": {"equispaced": 16}}}
+
+
+@pytest.mark.parametrize("subcommand, config, key, value", [
+    ("usd-verify", verify_config, "p", 0.5),
+    ("usd-verify", verify_config, "epsilon", 2),
+    ("usd-verify", verify_config, "points", {"grid": 4}),
+    ("er-rate", er_config, "mc_trials", True),
+], ids=["p_half", "epsilon_two", "unknown_points", "bool_trials"])
+def test_cli_rejects_out_of_schema_params(tmp_path, subcommand, config, key, value):
+    cfg = config(tmp_path / "out")
+    cfg["params"][key] = value
+    assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, usdlab; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -301,6 +301,22 @@ def test_pipeline_exact_sparse_oracle_recovery():
     assert "uncertified_points" in report.flags
 
 
+def test_pipeline_oracle_runs_once_and_reuses_its_residual(monkeypatch):
+    import usdlab.recovery as recovery
+    calls = []
+
+    def counting_oracle(*args, **kwargs):
+        calls.append(1)
+        return best_v_term_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "best_v_term_oracle", counting_oracle)
+    d, f, _, _, _ = make_instance(seed=3, band=3, p=4.0, m=48)
+    xi = PointSet.equispaced(48, 1)
+    report = recovery_pipeline(f, d, xi, v=2, p=4.0, method=("oracle", {}))
+    assert len(calls) == 1
+    assert report.sigma_discrete == report.discrete_residual
+
+
 def test_pipeline_embeds_certificate_and_flags():
     d = Dictionary.exponential_band(-3, 3)
     coll = SubspaceCollection.all_subsets(d, 2)
