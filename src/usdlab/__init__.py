@@ -7,8 +7,7 @@ profiles of function classes, and for sparse approximation and sampling
 recovery with greedy algorithms in discrete Lp norms.
 """
 
-from .dictionary import (Dictionary, SubspaceCollection, combine,
-                         nikolskii_ratio_estimate)
+from .dictionary import Dictionary, SubspaceCollection, nikolskii_ratio_estimate
 from .discretization import (RatioOptions, UsdCertificate, UsdSearchResult,
                              blended_lp_norm, check_usd, discrete_lp_norm,
                              discretization_error_finite,
@@ -38,7 +37,6 @@ from .smoothness import (SmoothnessBudget, bernoulli_kernel,
                          kernel_coefficient, level_a_norms,
                          level_budget_element, mixed_difference_seminorm,
                          mixed_smoothness_element)
-from .trigpoly import (TrigPolynomial, evaluate, lp_norm, sup_norm,
-                       sup_norm_info)
+from .trigpoly import TrigPolynomial, lp_norm, sup_norm, sup_norm_info
 
 __version__ = "0.1.0"

@@ -87,9 +87,5 @@ def main(argv=None) -> int:
     return EXIT_OK if outcome.passed else EXIT_ASSERTION
 
 
-def console_entry():
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

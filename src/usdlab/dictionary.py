@@ -13,7 +13,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NormBudgetError
 from .frequencies import FrequencySet
 from .points import PointSet
-from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm, sup_norm
+from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _union_coefficients,
+                       lp_norm, sup_norm)
 
 _BOUND_CHECK_GRID_LEVEL = 8
 
@@ -76,13 +77,8 @@ class Dictionary:
 
     def continuous_gram(self, indices=None) -> np.ndarray:
         """Exact L2 Gram of the selected elements, from the coefficients."""
-        idx = list(range(self.size)) if indices is None else list(indices)
-        freqs = sorted({k for i in idx for k in self.elements[i].coeffs})
-        pos = {k: row for row, k in enumerate(freqs)}
-        b = np.zeros((len(freqs), len(idx)), dtype=complex)
-        for col, i in enumerate(idx):
-            for k, c in self.elements[i].coeffs.items():
-                b[pos[k], col] = c
+        idx = range(self.size) if indices is None else indices
+        _, b = _union_coefficients([self.elements[i] for i in idx], self.dimension)
         return b.conj().T @ b
 
     def combine(self, coefficients, indices=None) -> TrigPolynomial:
@@ -105,10 +101,6 @@ class Dictionary:
             for k, a in self.elements[i].coeffs.items():
                 rhs[col] += np.conj(a) * f.coeffs.get(k, 0.0)
         return np.linalg.solve(gram, rhs)
-
-
-def combine(dictionary: Dictionary, coefficients, indices=None) -> TrigPolynomial:
-    return dictionary.combine(coefficients, indices)
 
 
 class SubspaceCollection:

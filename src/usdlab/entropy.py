@@ -23,6 +23,22 @@ from .errors import ProfileTooShortError
 from .points import PointSet
 
 
+def l1_ball_draws(n: int, count: int, seed: int, sparse_supports: bool = True):
+    """Yield ``count`` seeded (support, coefficients) pairs of unit l1 mass.
+
+    Each draw takes a random support of the n indices (all of them when
+    ``sparse_supports`` is false), Dirichlet weights on it and uniform
+    phases.
+    """
+    rng = np.random.default_rng([int(seed), 0])
+    for _ in range(count):
+        size = int(rng.integers(1, n + 1)) if sparse_supports else n
+        support = np.sort(rng.choice(n, size=size, replace=False))
+        weights = rng.dirichlet(np.ones(size))
+        phases = np.exp(2j * np.pi * rng.random(size))
+        yield support, weights * phases
+
+
 class SampledClass:
     """Finite sample of a function class on a shared evaluation grid."""
 
@@ -48,9 +64,6 @@ class SampledClass:
         """Uniform-metric distances from representative i to all others."""
         return np.abs(self.values - self.values[i]).max(axis=1)
 
-    def distance(self, i: int, j: int) -> float:
-        return float(np.abs(self.values[i] - self.values[j]).max())
-
     @classmethod
     def from_l1_ball(cls, dictionary: Dictionary, n_representatives: int = 4096,
                      grid_level: int = 10, seed: int = 0,
@@ -67,14 +80,10 @@ class SampledClass:
         n = dictionary.size
         grid = PointSet.equispaced(2 ** grid_level, dictionary.dimension)
         basis = dictionary.values_at(grid)
-        rng = np.random.default_rng([int(seed), 0])
         coeff = np.zeros((n, n_representatives), dtype=complex)
-        for j in range(1, n_representatives):
-            size = int(rng.integers(1, n + 1)) if sparse_supports else n
-            support = np.sort(rng.choice(n, size=size, replace=False))
-            weights = rng.dirichlet(np.ones(size))
-            phases = np.exp(2j * np.pi * rng.random(size))
-            coeff[support, j] = weights * phases
+        draws = l1_ball_draws(n, n_representatives - 1, seed, sparse_supports)
+        for j, (support, c) in enumerate(draws, start=1):
+            coeff[support, j] = c
         values = (basis @ coeff).T
         meta = {
             "source": "l1_coefficient_ball",

@@ -11,6 +11,7 @@ changing a trial count never perturbs earlier trials.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import functools
 import json
@@ -26,8 +27,9 @@ from scipy.special import stdtrit
 from . import jsonio
 from .dictionary import Dictionary
 from .discretization import (RatioOptions, SubspaceCollection, check_usd,
-                             discretization_error_trials, usd_sample_budget)
-from .entropy import SampledClass, chaining_bound, entropy_numbers
+                             discretization_error_trials, find_usd_points)
+from .entropy import (SampledClass, chaining_bound, entropy_numbers,
+                      l1_ball_draws)
 from .errors import ConfigError
 from .points import PointSet
 from .recovery import block_greedy_approximant
@@ -43,11 +45,6 @@ class ExperimentConfig:
     assertions: dict = field(default_factory=dict)
     svg: bool = False
     threads: int = 1
-
-    def to_dict(self):
-        return {"kind": self.kind, "seed": self.seed, "out": self.out,
-                "params": self.params, "assertions": self.assertions,
-                "svg": self.svg, "threads": self.threads}
 
 
 @functools.cache
@@ -89,10 +86,20 @@ def validate_config(obj) -> ExperimentConfig:
         svg=bool(obj.get("svg", False)), threads=int(obj.get("threads", 1)))
 
 
+@contextlib.contextmanager
+def _building(name):
+    """Report a ValueError raised while building ``params.<name>`` as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"params.{name}: {exc}", path=f"params.{name}") from None
+
+
 def _band_dictionary(params) -> Dictionary:
     band = params.get("band")
     if band is not None:
-        return Dictionary.exponential_band(int(band[0]), int(band[1]))
+        with _building("band"):
+            return Dictionary.exponential_band(int(band[0]), int(band[1]))
     max_abs = int(params.get("max_abs_freq", 4))
     return Dictionary.exponential_band(-max_abs, max_abs)
 
@@ -144,16 +151,8 @@ def fit_rate(points) -> RateFit:
 
 def random_l1_ball_elements(dictionary: Dictionary, count: int, seed: int):
     """Random expansions with unit coefficient l1 mass, as polynomials."""
-    rng = np.random.default_rng([int(seed), 0])
-    n = dictionary.size
-    out = []
-    for _ in range(count):
-        size = int(rng.integers(1, n + 1))
-        support = np.sort(rng.choice(n, size=size, replace=False))
-        weights = rng.dirichlet(np.ones(size))
-        phases = np.exp(2j * np.pi * rng.random(size))
-        out.append(dictionary.combine(weights * phases, support))
-    return out
+    return [dictionary.combine(c, support)
+            for support, c in l1_ball_draws(dictionary.size, count, seed)]
 
 
 def _format_cell(v):
@@ -251,27 +250,20 @@ def _column(header, rows, name):
 def _run_usd_search(cfg: ExperimentConfig):
     p = cfg.params
     dictionary = _band_dictionary(p)
-    coll = SubspaceCollection.all_subsets(dictionary, int(p["v"]))
-    opts = _ratio_options(cfg)
-    epsilon = float(p.get("epsilon", 0.5))
+    with _building("v"):
+        coll = SubspaceCollection.all_subsets(dictionary, int(p["v"]))
+    res = find_usd_points(coll, float(p["p"]), int(p["m"]), int(p["max_trials"]),
+                          cfg.seed, _ratio_options(cfg),
+                          float(p.get("epsilon", 0.5)))
     header = ["trial", "passed", "worst_min_ratio", "worst_max_ratio", "violation"]
-    rows = []
+    rows = [(draw, cert.passed, min(cert.min_ratios), max(cert.max_ratios),
+             cert.worst_violation()) for draw, cert in enumerate(res.draws)]
     artifacts = {}
-    for draw in range(int(p["max_trials"])):
-        xi = PointSet.random_uniform(int(p["m"]), dictionary.dimension,
-                                     cfg.seed, draw_index=draw)
-        cert = check_usd(xi, coll, float(p["p"]), opts, epsilon,
-                         _seed_prefix=[cfg.seed, draw])
-        rows.append((draw, cert.passed, min(cert.min_ratios),
-                     max(cert.max_ratios), cert.worst_violation()))
-        if cert.passed:
-            artifacts["points.json"] = xi.to_json()
-            artifacts["certificate.json"] = cert.to_json()
-            break
-    artifacts.setdefault("reference_budget.json", {
-        "reference_budget": usd_sample_budget(coll.v, dictionary.size),
-        "m": int(p["m"]),
-    })
+    if res.passed:
+        artifacts["points.json"] = res.points.to_json()
+        artifacts["certificate.json"] = res.certificate.to_json()
+    artifacts["reference_budget.json"] = {
+        "reference_budget": res.reference_budget, "m": int(p["m"])}
     return header, rows, artifacts
 
 
@@ -311,13 +303,15 @@ def _run_usd_verify(cfg: ExperimentConfig):
     p = cfg.params
     dictionary = _band_dictionary(p)
     if "subsets" in p:
-        coll = SubspaceCollection.from_subsets(dictionary, p["subsets"])
+        with _building("subsets"):
+            coll = SubspaceCollection.from_subsets(dictionary, p["subsets"])
     else:
-        coll = SubspaceCollection.all_subsets(dictionary, int(p["v"]))
-    xi = _points_from_config(p["points"], dictionary.dimension, cfg.seed)
-    opts = _ratio_options(cfg)
-    cert = check_usd(xi, coll, float(p["p"]), opts, float(p.get("epsilon", 0.5)),
-                     _seed_prefix=[cfg.seed])
+        with _building("v"):
+            coll = SubspaceCollection.all_subsets(dictionary, int(p["v"]))
+    with _building("points"):
+        xi = _points_from_config(p["points"], dictionary.dimension, cfg.seed)
+    cert = check_usd(xi, coll, float(p["p"]), _ratio_options(cfg),
+                     float(p.get("epsilon", 0.5)))
     header = ["subset_index", "subset", "min_ratio", "max_ratio", "within_window"]
     lo, hi = cert.window
     rows = [(i, "|".join(str(j) for j in s), a, b, lo <= a and b <= hi)
@@ -620,49 +614,7 @@ class RunOutcome:
     summary_path: str
 
 
-def run(config, strict: bool = False) -> RunOutcome:
-    """Execute one experiment: CSV rows, artifacts, summary, verdict."""
-    if not isinstance(config, ExperimentConfig):
-        config = validate_config(config)
-    os.makedirs(config.out, exist_ok=True)
-    spec = KINDS[config.kind]
-    header, rows, artifacts = spec.run(config)
-    results, checks = spec.summarize(config, header, rows, strict)
-    passed = all(c["passed"] for c in checks)
-    summary = {
-        "kind": config.kind,
-        "seed": config.seed,
-        "params": config.params,
-        "results": results,
-        "assertions": checks,
-        "passed": passed,
-    }
-    csv_path = os.path.join(config.out, f"{config.kind}.csv")
-    write_csv(csv_path, header, rows)
-    for name, payload in artifacts.items():
-        jsonio.dump_path(payload, os.path.join(config.out, name))
-    summary_path = os.path.join(config.out, "summary.json")
-    jsonio.dump_path(summary, summary_path)
-    if config.svg and spec.svg_series is not None:
-        series = spec.svg_series(rows, summary)
-        if len(series[0]) >= 2:
-            fit = None
-            fit_json = (results.get("fit") if isinstance(results.get("fit"), dict)
-                        else None)
-            if fit_json:
-                fit = RateFit(fit_json["slope"], fit_json["intercept"],
-                              fit_json["residual_rms"], fit_json["half_width"],
-                              fit_json["n_points"])
-            write_svg_loglog(os.path.join(config.out, f"{config.kind}.svg"),
-                             series[0], series[1], fit, title=config.kind)
-    return RunOutcome(config, header, rows, summary, passed, csv_path, summary_path)
-
-
-def resummarize(csv_path, config, strict: bool = False) -> dict:
-    """Recompute the summary verdict from an existing CSV; pure in the rows."""
-    if not isinstance(config, ExperimentConfig):
-        config = validate_config(config)
-    header, rows = read_csv(csv_path)
+def _summary(config: ExperimentConfig, header, rows, strict) -> dict:
     results, checks = KINDS[config.kind].summarize(config, header, rows, strict)
     return {
         "kind": config.kind,
@@ -672,3 +624,35 @@ def resummarize(csv_path, config, strict: bool = False) -> dict:
         "assertions": checks,
         "passed": all(c["passed"] for c in checks),
     }
+
+
+def run(config, strict: bool = False) -> RunOutcome:
+    """Execute one experiment: CSV rows, artifacts, summary, verdict."""
+    if not isinstance(config, ExperimentConfig):
+        config = validate_config(config)
+    spec = KINDS[config.kind]
+    header, rows, artifacts = spec.run(config)
+    summary = _summary(config, header, rows, strict)
+    os.makedirs(config.out, exist_ok=True)
+    csv_path = os.path.join(config.out, f"{config.kind}.csv")
+    write_csv(csv_path, header, rows)
+    for name, payload in artifacts.items():
+        jsonio.dump_path(payload, os.path.join(config.out, name))
+    summary_path = os.path.join(config.out, "summary.json")
+    jsonio.dump_path(summary, summary_path)
+    if config.svg and spec.svg_series is not None:
+        series = spec.svg_series(rows, summary)
+        if len(series[0]) >= 2:
+            fit_json = summary["results"].get("fit")
+            fit = RateFit(**fit_json) if isinstance(fit_json, dict) else None
+            write_svg_loglog(os.path.join(config.out, f"{config.kind}.svg"),
+                             series[0], series[1], fit, title=config.kind)
+    return RunOutcome(config, header, rows, summary, summary["passed"], csv_path,
+                      summary_path)
+
+
+def resummarize(csv_path, config, strict: bool = False) -> dict:
+    """Recompute the summary verdict from an existing CSV; pure in the rows."""
+    if not isinstance(config, ExperimentConfig):
+        config = validate_config(config)
+    return _summary(config, *read_csv(csv_path), strict)

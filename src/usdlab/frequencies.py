@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import CapExceededError, DimensionMismatchError
 
 DEFAULT_FREQUENCY_CAP = 10**7
@@ -62,11 +60,6 @@ class FrequencySet:
         if isinstance(k, int):
             k = (k,)
         return tuple(k) in set(self.indices)
-
-    def as_array(self):
-        if not self.indices:
-            return np.zeros((0, self.dimension), dtype=np.int64)
-        return np.asarray(self.indices, dtype=np.int64)
 
     def to_json(self):
         return {

@@ -29,18 +29,19 @@ def dumps(obj, indent=2):
     return "".join(out)
 
 
-def loads(text):
-    return json.loads(text)
-
-
 def dump_path(obj, path, indent=2):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj, indent=indent))
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token} is not JSON")
+
+
 def load_path(path):
+    """Read JSON, refusing the NaN/Infinity tokens Python's reader allows."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _atomic(v):

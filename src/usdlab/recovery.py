@@ -59,8 +59,9 @@ class DiscreteInstance:
         n = self.dict_values.shape[0]
         if self.f_values.shape != (n,) or self.weights.shape != (n,):
             raise ValueError("value and weight lengths must match the node count")
-        if self.p <= 1:
-            raise ValueError("p must be > 1 for the projection machinery")
+        if not (math.isfinite(self.p) and self.p > 1):
+            raise ValueError(
+                f"p must be finite and > 1 for the projection machinery, got {self.p}")
 
     @property
     def n_elements(self) -> int:

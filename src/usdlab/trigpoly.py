@@ -12,6 +12,7 @@ torus [0, 2*pi)^d, so the L2 norm equals the l2 norm of the coefficients
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,11 +75,6 @@ class TrigPolynomial:
         k, _ = self.as_arrays()
         return int(np.abs(k).max()) if k.size else 0
 
-    def a_norm(self) -> float:
-        """Sum of coefficient moduli (the Wiener norm)."""
-        _, c = self.as_arrays()
-        return float(np.abs(c).sum())
-
     def coefficient_l2(self) -> float:
         _, c = self.as_arrays()
         return float(np.linalg.norm(c))
@@ -140,21 +136,40 @@ class TrigPolynomial:
         return cls(coeffs, dimension=obj["dimension"])
 
 
-def evaluate(f: TrigPolynomial, points):
-    return f.evaluate(points)
+def _check_exponent(p):
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
+
+
+def _union_coefficients(polys, dimension):
+    """Sorted union frequencies (F, d) and the (F, len(polys)) coefficient matrix."""
+    freqs = sorted({k for f in polys for k in f.coeffs})
+    pos = {k: i for i, k in enumerate(freqs)}
+    coeff = np.zeros((len(freqs), len(polys)), dtype=complex)
+    for j, f in enumerate(polys):
+        for k, c in f.coeffs.items():
+            coeff[pos[k], j] = c
+    karr = (np.asarray(freqs, dtype=np.int64).reshape(len(freqs), dimension)
+            if freqs else np.zeros((0, dimension), dtype=np.int64))
+    return karr, coeff
 
 
 def _values_on(points, freq_array, coeff_array):
-    """Chunked direct summation; fixed chunk size keeps runs bit-stable."""
+    """Chunked direct summation; fixed chunk size keeps runs bit-stable.
+
+    A 2-D coefficient array gives one column of values per column.
+    """
     m = points.shape[0]
+    shape = (m,) + coeff_array.shape[1:]
     if freq_array.shape[0] == 0:
-        return np.zeros(m, dtype=complex)
-    out = np.empty(m, dtype=complex)
+        return np.zeros(shape, dtype=complex)
     kt = freq_array.T.astype(float)
+    if m <= _EVAL_CHUNK:
+        return np.exp(1j * (points @ kt)) @ coeff_array
+    out = np.empty(shape, dtype=complex)
     for lo in range(0, m, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, m)
-        phases = points[lo:hi] @ kt
-        out[lo:hi] = np.exp(1j * phases) @ coeff_array
+        np.matmul(np.exp(1j * (points[lo:hi] @ kt)), coeff_array, out=out[lo:hi])
     return out
 
 
@@ -190,8 +205,7 @@ def lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_GRID_LEVEL) -
     ``max(2*maxfreq + 1, 2**grid_level)`` points per dimension, which is
     exact for p = 2 and spectrally accurate otherwise.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_exponent(p)
     if p == 2:
         return f.coefficient_l2()
     return _quadrature_lp_norm(f, p, grid_level)

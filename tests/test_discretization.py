@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (RatioOptions, UsdCertificate,
@@ -12,6 +14,7 @@ from usdlab.discretization import (RatioOptions, UsdCertificate,
                                    subspace_ratio_bounds, usd_sample_budget)
 from usdlab.errors import CapExceededError, RankDeficiencyError
 from usdlab.points import PointSet
+from usdlab.recovery import DiscreteInstance
 from usdlab.trigpoly import TrigPolynomial, lp_norm
 
 
@@ -275,13 +278,15 @@ def test_expected_sup_deterministic_and_decaying():
 
 
 def test_certificate_with_infinite_constant_roundtrips_through_text():
+    import json
+
     from usdlab import jsonio
     d = Dictionary.exponential_band(0, 1)
     coll = SubspaceCollection.all_subsets(d, 2)
     cert = check_usd(PointSet.explicit(np.zeros((2, 1))), coll, 2)
     assert math.isinf(cert.one_sided_constant)
     text = jsonio.dumps(cert.to_json())
-    again = UsdCertificate.from_json(jsonio.loads(text))
+    again = UsdCertificate.from_json(json.loads(text))
     assert math.isinf(again.one_sided_constant)
     assert again.min_ratios == pytest.approx(cert.min_ratios)
 
@@ -332,3 +337,68 @@ def _band_collection():
 def test_bad_input_rejected_at_the_boundary(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5],
+                         ids=["nan", "inf", "half"])
+@pytest.mark.parametrize("call", [
+    lambda p: discrete_lp_norm([1.0, 2.0], p),
+    lambda p: lp_norm(TrigPolynomial({(1,): 1.0}), p),
+    lambda p: check_usd(PointSet.equispaced(16), _band_collection(), p),
+    lambda p: subspace_ratio_bounds((0, 1), Dictionary.exponential_band(-2, 2),
+                                    PointSet.equispaced(16), p),
+    lambda p: DiscreteInstance.from_function(
+        TrigPolynomial({(1,): 1.0}), Dictionary.exponential_band(-2, 2),
+        PointSet.equispaced(16), p),
+], ids=["discrete_lp_norm", "lp_norm", "check_usd", "subspace_ratio_bounds",
+        "discrete_instance"])
+def test_every_exponent_boundary_rejects_bad_p(call, p):
+    with pytest.raises(ValueError):
+        call(p)
+
+
+def test_check_usd_evaluates_the_dictionary_once_per_certificate(monkeypatch):
+    calls = []
+    values_at = Dictionary.values_at
+
+    def counting(self, points):
+        calls.append(points)
+        return values_at(self, points)
+
+    monkeypatch.setattr(Dictionary, "values_at", counting)
+    coll = SubspaceCollection.all_subsets(Dictionary.exponential_band(-3, 3), 3)
+    cert = check_usd(PointSet.random_uniform(64, 1, seed=2), coll, 2)
+    assert len(cert.subsets) == 35
+    assert len(calls) == 1
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(lo=st.integers(-3, 1), width=st.integers(1, 4), v=st.integers(1, 2),
+       m=st.integers(3, 24), p=st.sampled_from([2, 3, 4]),
+       seed=st.integers(0, 2 ** 16))
+def test_check_usd_ratios_equal_the_per_subset_reference(lo, width, v, m, p, seed):
+    d = Dictionary.exponential_band(lo, lo + width)
+    coll = SubspaceCollection.all_subsets(d, v)
+    xi = PointSet.random_uniform(m, 1, seed)
+    opts = RatioOptions(starts=3, max_iters=25, seed=seed % 5)
+    cert = check_usd(xi, coll, p, opts)
+    for i, subset in enumerate(coll.iter_subsets()):
+        ref = subspace_ratio_bounds(subset, d, xi, p, opts,
+                                    seed_key=[opts.seed, i])
+        assert cert.subsets[i] == subset
+        assert (cert.min_ratios[i], cert.max_ratios[i]) == (ref.min_ratio,
+                                                            ref.max_ratio)
+        assert cert.method == ref.method
+
+
+def test_find_usd_points_keeps_every_draw():
+    coll = _band_collection()
+    found = find_usd_points(coll, 2, m=10, max_trials=6, rng_seed=5,
+                            opts=RatioOptions(seed=5))
+    assert found.passed and found.draw_index == 2
+    failed = find_usd_points(coll, 2, m=2, max_trials=3, rng_seed=5)
+    assert not failed.passed
+    for res in (found, failed):
+        assert len(res.draws) == res.trials_run
+        assert res.certificate is res.draws[res.draw_index]
+        assert "draws" not in res.to_json()

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from usdlab.cli import build_parser, main
+from usdlab.dictionary import Dictionary, SubspaceCollection
+from usdlab.discretization import RatioOptions, find_usd_points
 from usdlab.errors import ConfigError
 from usdlab.experiments import (KINDS, fit_rate, read_csv, resummarize, run,
                                 validate_config, write_csv)
@@ -122,6 +124,21 @@ def test_usd_search_writes_certificate(tmp_path):
     cert = json.load(open(os.path.join(cfg["out"], "certificate.json")))
     assert cert["passed"]
     assert len(cert["min_ratios"]) == 10  # C(5, 2) subsets
+
+
+def test_usd_search_rows_are_the_draws_of_find_usd_points(tmp_path):
+    cfg = {
+        "kind": "usd_search", "seed": 5, "out": str(tmp_path / "s"),
+        "params": {"max_abs_freq": 2, "v": 2, "p": 2, "m": 10,
+                   "max_trials": 6},
+    }
+    run(cfg)
+    coll = SubspaceCollection.all_subsets(Dictionary.exponential_band(-2, 2), 2)
+    res = find_usd_points(coll, 2.0, 10, 6, rng_seed=5, opts=RatioOptions(seed=5))
+    assert len(res.draws) == res.trials_run == 3
+    _, rows = read_csv(os.path.join(cfg["out"], "usd_search.csv"))
+    assert rows == [(i, c.passed, min(c.min_ratios), max(c.max_ratios),
+                     c.worst_violation()) for i, c in enumerate(res.draws)]
 
 
 def test_entropy_profile_kind(tmp_path):
@@ -356,7 +373,11 @@ def verify_config(out):
     ("usd-verify", verify_config, "epsilon", 2),
     ("usd-verify", verify_config, "points", {"grid": 4}),
     ("er-rate", er_config, "mc_trials", True),
-], ids=["p_half", "epsilon_two", "unknown_points", "bool_trials"])
+    ("usd-verify", verify_config, "band", [3, -3]),
+    ("usd-verify", verify_config, "subsets", [[0, 9]]),
+    ("usd-verify", verify_config, "p", float("nan")),
+], ids=["p_half", "epsilon_two", "unknown_points", "bool_trials",
+        "reversed_band", "subset_outside_band", "p_nan"])
 def test_cli_rejects_out_of_schema_params(tmp_path, subcommand, config, key, value):
     cfg = config(tmp_path / "out")
     cfg["params"][key] = value

@@ -7,7 +7,7 @@ import scipy.integrate
 from usdlab.errors import DimensionMismatchError, GridTooCoarseError
 from usdlab.jsonio import dumps
 from usdlab.points import PointSet
-from usdlab.trigpoly import (TrigPolynomial, _quadrature_lp_norm, evaluate,
+from usdlab.trigpoly import (TrigPolynomial, _quadrature_lp_norm, _values_on,
                              lp_norm, sup_norm, sup_norm_info)
 
 
@@ -150,12 +150,6 @@ def test_json_roundtrip_and_17_digit_floats():
     assert "-2.7182818284590451" in text
 
 
-def test_module_level_evaluate_alias():
-    f = TrigPolynomial({1: 1.0})
-    pts = PointSet.explicit(np.array([0.0, np.pi]))
-    assert np.allclose(evaluate(f, pts), f.evaluate(pts))
-
-
 def test_pointset_reduction_and_equispaced():
     ps = PointSet.explicit(np.array([-0.5, 7.0]))
     assert np.all(ps.points >= 0) and np.all(ps.points < 2 * np.pi)
@@ -182,3 +176,19 @@ def test_evaluate_chunking_consistency_on_large_point_sets():
     direct = [complex(sum(c * np.exp(1j * k[0] * x) for k, c in f.coeffs.items()))
               for x in pts[:3]]
     assert np.allclose(whole[:3], direct, atol=1e-12)
+
+
+def test_values_on_takes_a_coefficient_matrix():
+    # a 2-D coefficient array gives one value column per coefficient column,
+    # bit-equal to the unchunked product across the chunk boundary
+    rng = np.random.default_rng(34)
+    k = np.array([[-2], [0], [3]])
+    coeff = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    pts = rng.uniform(0, 2 * np.pi, size=(9000, 1))  # more than one chunk
+    both = _values_on(pts, k, coeff)
+    assert np.array_equal(both, np.exp(1j * (pts @ k.T.astype(float))) @ coeff)
+    for j in range(4):
+        assert np.allclose(both[:, j], _values_on(pts, k, coeff[:, j]),
+                           rtol=0, atol=1e-13)
+    assert np.array_equal(_values_on(pts, k[:0], coeff[:0]),
+                          np.zeros((9000, 4), dtype=complex))
