@@ -164,8 +164,6 @@ def _values_on(points, freq_array, coeff_array):
     if freq_array.shape[0] == 0:
         return np.zeros(shape, dtype=complex)
     kt = freq_array.T.astype(float)
-    if m <= _EVAL_CHUNK:
-        return np.exp(1j * (points @ kt)) @ coeff_array
     out = np.empty(shape, dtype=complex)
     for lo in range(0, m, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, m)

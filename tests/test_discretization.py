@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (RatioOptions, UsdCertificate,
@@ -370,25 +368,6 @@ def test_check_usd_evaluates_the_dictionary_once_per_certificate(monkeypatch):
     cert = check_usd(PointSet.random_uniform(64, 1, seed=2), coll, 2)
     assert len(cert.subsets) == 35
     assert len(calls) == 1
-
-
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(lo=st.integers(-3, 1), width=st.integers(1, 4), v=st.integers(1, 2),
-       m=st.integers(3, 24), p=st.sampled_from([2, 3, 4]),
-       seed=st.integers(0, 2 ** 16))
-def test_check_usd_ratios_equal_the_per_subset_reference(lo, width, v, m, p, seed):
-    d = Dictionary.exponential_band(lo, lo + width)
-    coll = SubspaceCollection.all_subsets(d, v)
-    xi = PointSet.random_uniform(m, 1, seed)
-    opts = RatioOptions(starts=3, max_iters=25, seed=seed % 5)
-    cert = check_usd(xi, coll, p, opts)
-    for i, subset in enumerate(coll.iter_subsets()):
-        ref = subspace_ratio_bounds(subset, d, xi, p, opts,
-                                    seed_key=[opts.seed, i])
-        assert cert.subsets[i] == subset
-        assert (cert.min_ratios[i], cert.max_ratios[i]) == (ref.min_ratio,
-                                                            ref.max_ratio)
-        assert cert.method == ref.method
 
 
 def test_find_usd_points_keeps_every_draw():
