@@ -22,6 +22,10 @@ from .dictionary import Dictionary
 from .errors import ProfileTooShortError
 from .points import PointSet
 
+# Filter width and refine-chunk size of the farthest-point traversal.
+_SUBGRID_POINTS = 64
+_REFINE_ELEMS = 1 << 16
+
 
 def l1_ball_draws(n: int, count: int, seed: int, sparse_supports: bool = True):
     """Yield ``count`` seeded (support, coefficients) pairs of unit l1 mass.
@@ -123,35 +127,67 @@ def greedy_cover(sampled: SampledClass, eps: float) -> list:
     return centers
 
 
+def _squared_moduli(re, im, c_re, c_im, out, scratch):
+    """Write ``(re - c_re)^2 + (im - c_im)^2`` into ``out``; ``scratch`` is clobbered."""
+    np.subtract(re, c_re, out=out)
+    np.multiply(out, out, out=out)
+    np.subtract(im, c_im, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    out += scratch
+    return out
+
+
 def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     """Covering radius after t greedy centers, for t = 1..t_max.
 
     The greedy selection order does not depend on any target radius, so
     this single traversal answers every cover-size query; results are
     cached on the sample.  Distances run in single precision on squared
-    moduli (relative error near 1e-7).
+    moduli (relative error near 1e-7), so the values must be finite in
+    single precision.
+
+    Each new center first updates every row on a fixed strided subgrid of
+    about ``_SUBGRID_POINTS`` columns (filter); only the rows that survive
+    are recomputed on the full grid, in chunks of at most
+    ``_REFINE_ELEMS`` values (refine).  The subgrid values are the very
+    float32 squared moduli the full row holds, so their maximum cannot
+    exceed the full-row maximum: a row whose subgrid distance already
+    reaches its current ``dmin2`` keeps ``dmin2`` unchanged, which is what
+    the full update would give.  Radii, center order and the lowest-index
+    tie rule are therefore bit-identical to an unpruned traversal.
     """
     t_max = min(int(t_max), sampled.count)
     if sampled._radii is not None and len(sampled._radii) >= t_max:
         return sampled._radii[:t_max]
     if sampled._dist32 is None:
-        v32 = sampled.values.astype(np.complex64)
-        sampled._dist32 = (np.ascontiguousarray(v32.real),
-                           np.ascontiguousarray(v32.imag))
-    re, im = sampled._dist32
-    n = sampled.count
+        with np.errstate(over="ignore"):  # overflow is rejected just below
+            v32 = sampled.values.astype(np.complex64)
+        re, im = np.ascontiguousarray(v32.real), np.ascontiguousarray(v32.imag)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("sample values must be finite in single precision")
+        stride = max(1, sampled.grid_size // _SUBGRID_POINTS)
+        sampled._dist32 = (re, im, np.ascontiguousarray(re[:, ::stride]),
+                           np.ascontiguousarray(im[:, ::stride]))
+    re, im, sub_re, sub_im = sampled._dist32
+    n, g = re.shape
     dmin2 = np.full(n, np.inf, dtype=np.float32)
     radii2 = np.empty(t_max, dtype=np.float32)
-    buf_a = np.empty_like(re)
-    buf_b = np.empty_like(re)
+    sub_a, sub_b = np.empty_like(sub_re), np.empty_like(sub_im)
+    chunk = min(n, max(1, _REFINE_ELEMS // g))
+    ref_a = np.empty((chunk, g), dtype=np.float32)
+    ref_b = np.empty((chunk, g), dtype=np.float32)
     for t in range(t_max):
         c = int(np.argmax(dmin2))
-        np.subtract(re, re[c], out=buf_a)
-        np.multiply(buf_a, buf_a, out=buf_a)
-        np.subtract(im, im[c], out=buf_b)
-        np.multiply(buf_b, buf_b, out=buf_b)
-        buf_a += buf_b
-        np.minimum(dmin2, buf_a.max(axis=1), out=dmin2)
+        sub = _squared_moduli(sub_re, sub_im, sub_re[c], sub_im[c], sub_a, sub_b)
+        live = np.flatnonzero(sub.max(axis=1) < dmin2)
+        for lo in range(0, live.size, chunk):
+            rows = live[lo:lo + chunk]
+            a, b = ref_a[:rows.size], ref_b[:rows.size]
+            # "clip": rows are in range, and "raise" would copy through a buffer
+            np.take(re, rows, axis=0, out=a, mode="clip")
+            np.take(im, rows, axis=0, out=b, mode="clip")
+            full = _squared_moduli(a, b, re[c], im[c], a, b)
+            dmin2[rows] = np.minimum(dmin2[rows], full.max(axis=1))
         radii2[t] = dmin2.max()
     radii = np.sqrt(radii2.astype(float))
     sampled._radii = radii

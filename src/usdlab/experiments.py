@@ -67,9 +67,34 @@ def _schema():
     return jsonschema.Draft202012Validator(schema), sweeps
 
 
+def _non_finite_path(obj, path=()):
+    """Path to the first NaN or infinite number in ``obj``, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite_path(value, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(obj) -> ExperimentConfig:
-    """Validate against ``config_schema.json``; errors carry field paths."""
+    """Validate against ``config_schema.json``; errors carry field paths.
+
+    Numbers must be finite anywhere in the config: JSON Schema bounds
+    compare false against NaN, so the schema alone would let it through.
+    """
     from jsonschema.exceptions import best_match
+    bad = _non_finite_path(obj)
+    if bad is not None:
+        path = ".".join(str(p) for p in bad)
+        raise ConfigError(f"{path or '<root>'}: must be a finite number", path=path)
     validator, sweeps = _schema()
     error = best_match(validator.iter_errors(obj))
     if error is not None:

@@ -80,6 +80,37 @@ def test_farthest_point_radii_monotone_and_consistent():
         assert len(centers) <= t
 
 
+def unpruned_radii(values, t_max):
+    """Reference traversal: every row is updated on the full grid per center."""
+    v32 = np.asarray(values).astype(np.complex64)
+    re, im = v32.real, v32.imag
+    dmin2 = np.full(len(v32), np.inf, dtype=np.float32)
+    radii2 = np.empty(t_max, dtype=np.float32)
+    for t in range(t_max):
+        c = int(np.argmax(dmin2))
+        d2 = (re - re[c]) ** 2 + (im - im[c]) ** 2
+        dmin2 = np.minimum(dmin2, d2.max(axis=1))
+        radii2[t] = dmin2.max()
+    return np.sqrt(radii2.astype(float))
+
+
+def test_farthest_point_radii_equal_the_unpruned_traversal():
+    # 1024 grid columns: the filter sees 64 of them, so most rows are pruned
+    d = Dictionary.exponential_band(-16, 15)
+    s = SampledClass.from_l1_ball(d, n_representatives=1024, grid_level=10, seed=17)
+    ref = unpruned_radii(s.values, 256)
+    assert np.array_equal(farthest_point_radii(s, 32), ref[:32])
+    assert np.array_equal(farthest_point_radii(s, 256), ref)  # longer than the cache
+    assert np.array_equal(farthest_point_radii(s, 100), ref[:100])  # from the cache
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+def test_farthest_point_radii_rejects_values_not_finite_in_single_precision(bad):
+    s = cls_from_rows([[0.0, 1.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        farthest_point_radii(s, 2)
+
+
 def test_entropy_numbers_singleton_all_zero():
     s = cls_from_rows([[1.0, 2.0, 3.0]])
     profile = entropy_numbers(s, 5)

@@ -1,0 +1,35 @@
+"""Property check: the pruned farthest-point traversal equals the unpruned reference."""
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import usdlab.entropy as entropy
+from test_entropy import unpruned_radii
+
+
+@st.composite
+def traversals(draw):
+    count = draw(st.integers(1, 40))
+    first = draw(st.integers(1, count))
+    return (count, draw(st.integers(1, 200)), draw(st.integers(0, 3)), first,
+            draw(st.integers(first, count)))
+
+
+# Small integer entries make many exact ties; widths below 64 leave the
+# subgrid equal to the full grid; small refine chunks cross chunk edges.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=traversals(), refine_elems=st.integers(1, 1 << 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_radii_equal_the_unpruned_reference(case, refine_elems, seed):
+    count, width, spread, first, t_max = case
+    rng = np.random.default_rng(seed)
+    values = (rng.integers(-spread, spread + 1, size=(count, width))
+              + 1j * rng.integers(-spread, spread + 1, size=(count, width)))
+    ref = unpruned_radii(values, t_max)
+    sampled = entropy.SampledClass(values)
+    with mock.patch.object(entropy, "_REFINE_ELEMS", refine_elems):
+        assert np.array_equal(entropy.farthest_point_radii(sampled, first),
+                              ref[:first])
+        assert np.array_equal(entropy.farthest_point_radii(sampled, t_max), ref)

@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,21 @@ def test_validate_config_rejects_nonmonotone_sweep():
         validate_config({"kind": "er_rate", "seed": 1, "out": "x",
                          "params": {"m_sweep": [16, 8], "mc_trials": 4,
                                     "n_functions": 2, "p": 2}})
+
+
+@pytest.mark.parametrize("key,value", [("p", math.nan), ("epsilon", math.nan),
+                                       ("p", math.inf)])
+def test_non_finite_numbers_are_config_errors(tmp_path, key, value):
+    cfg = {"kind": "usd_verify", "seed": 1, "out": str(tmp_path / "v"),
+           "params": {"max_abs_freq": 2, "v": 2, "p": 2, "epsilon": 0.5,
+                      "points": {"equispaced": 16}}}
+    cfg["params"][key] = value
+    for call in (validate_config, run):
+        with pytest.raises(ConfigError) as exc:
+            call(cfg)
+        assert exc.value.path == f"params.{key}"
+        assert "finite" in str(exc.value)
+    assert not os.path.exists(cfg["out"])
 
 
 def er_config(out, seed=5):
