@@ -22,8 +22,9 @@ from .errors import (CapExceededError, ConfigError, DimensionMismatchError,
                      RankDeficiencyError, UsdlabError, ZeroResidualError)
 from .experiments import ExperimentConfig, RateFit, fit_rate, run
 from .frequencies import (FrequencySet, dyadic_block, dyadic_level_index,
-                          hyperbolic_cross, hyperbolic_cross_size,
-                          level_frequencies, level_of)
+                          frequency_levels, hyperbolic_cross,
+                          hyperbolic_cross_size, level_frequencies, level_of,
+                          level_size, unrank_level)
 from .points import PointSet
 from .recovery import (BlockGreedyResult, DiscreteInstance, RecoveryReport,
                        SparseApproximant, best_v_term_error_blended,

@@ -42,6 +42,13 @@ class Dictionary:
         self.uniform_bound = float(uniform_bound)
         self.riesz_constant = None if riesz_constant is None else float(riesz_constant)
         self.dimension = d
+        # distinct unit monomials e^{i<k,x>} are orthonormal in L2
+        monomials = [next(iter(g.coeffs.items())) for g in elements
+                     if len(g.coeffs) == 1]
+        self.orthonormal_monomials = (
+            len(monomials) == len(elements)
+            and all(c == 1 for _, c in monomials)
+            and len({k for k, _ in monomials}) == len(elements))
 
     def __len__(self):
         return len(self.elements)
@@ -75,9 +82,18 @@ class Dictionary:
         cols = [g.evaluate(points) for g in self.elements]
         return np.stack(cols, axis=1)
 
+    def has_identity_gram(self, indices) -> bool:
+        """Whether the selected elements are distinct orthonormal monomials."""
+        return self.orthonormal_monomials and len(set(indices)) == len(indices)
+
     def continuous_gram(self, indices=None) -> np.ndarray:
-        """Exact L2 Gram of the selected elements, from the coefficients."""
+        """Exact L2 Gram of the selected elements, from the coefficients.
+
+        Distinct orthonormal monomials give the identity without a build.
+        """
         idx = range(self.size) if indices is None else indices
+        if self.has_identity_gram(idx):
+            return np.eye(len(idx), dtype=complex)
         _, b = _union_coefficients([self.elements[i] for i in idx], self.dimension)
         return b.conj().T @ b
 

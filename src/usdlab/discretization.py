@@ -77,6 +77,8 @@ class SubspaceRatios:
 
 def _continuous_gram_checked(dictionary: Dictionary, subset):
     gram = dictionary.continuous_gram(subset)
+    if dictionary.has_identity_gram(subset):
+        return gram
     gram = 0.5 * (gram + gram.conj().T)
     w = np.linalg.eigvalsh(gram)
     if w[0] <= 1e-12 * max(w[-1], 1.0):

@@ -11,6 +11,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CapExceededError, DimensionMismatchError
 
 DEFAULT_FREQUENCY_CAP = 10**7
@@ -152,33 +154,85 @@ def level_of(k) -> int:
     return sum(dyadic_level_index(k))
 
 
-def compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+@lru_cache(maxsize=None)
+def level_size(j: int, d: int) -> int:
+    """Cardinality of the level ``{k in Z^d : level_of(k) = j}``.
+
+    ``size(j, d) = size(j, d-1) + sum_{s=1..j} 2^s size(j-s, d-1)``: the
+    first coordinate lies in annulus s (2^s values for s >= 1, one for
+    s = 0) and the tail is a level ``j - s`` frequency in dimension d - 1.
+    """
+    if j < 0 or d < 0:
+        raise ValueError("level and dimension must be >= 0")
+    if d == 0:
+        return 1 if j == 0 else 0
+    return level_size(j, d - 1) + sum(2 ** s * level_size(j - s, d - 1)
+                                      for s in range(1, j + 1))
 
 
-def level_frequencies(j: int, d: int, cap: int = DEFAULT_FREQUENCY_CAP) -> FrequencySet:
-    """Union of the dyadic blocks with ``|s|_1 = j`` in dimension ``d``."""
+def _checked_level_size(j: int, d: int, cap: int = DEFAULT_FREQUENCY_CAP) -> int:
     if j < 0 or d < 1:
         raise ValueError("level must be >= 0 and d >= 1")
-    size = 0
-    comps = list(compositions(j, d))
-    for s in comps:
-        block = 1
-        for v in s:
-            block *= 1 if v == 0 else 2 ** v
-        size += block
+    size = level_size(j, d)
     if size > cap:
         raise CapExceededError(
             f"level {j} in dimension {d} holds {size} indices, above the cap {cap}",
             predicted=size, cap=cap)
-    indices = []
-    for s in comps:
-        indices.extend(dyadic_block(s, cap=cap).indices)
-    indices.sort()
-    return FrequencySet(tuple(indices), d)
+    return size
+
+
+def unrank_level(j: int, d: int, ranks) -> np.ndarray:
+    """Level-j frequencies at the given lexicographic positions, as (n, d) int64.
+
+    The first coordinate runs through the segments of negative annuli
+    ``s = j..1``, then 0, then positive annuli ``s = 1..j``; every value in
+    segment s carries ``level_size(j - s, d - 1)`` tails in lexicographic
+    order, so a search over the segment offsets fixes the first coordinate
+    and the remainder of the rank is unranked on the tail.  Ranks must lie
+    in ``[0, level_size(j, d))``.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    out = np.empty((ranks.size, d), dtype=np.int64)
+    if d == 0 or ranks.size == 0:
+        return out
+    seg_s = np.array(list(range(j, 0, -1)) + list(range(j + 1)), dtype=np.int64)
+    seg_sign = np.array([-1] * j + [1] * (j + 1), dtype=np.int64)
+    width = 2 ** np.maximum(seg_s - 1, 0)
+    # smallest value of each segment: -(2^s - 1) below zero, 2^(s-1) above
+    lowest = np.where(seg_sign < 0, 1 - 2 ** seg_s, width * (seg_s > 0))
+    tails = np.array([level_size(j - s, d - 1) for s in seg_s.tolist()],
+                     dtype=np.int64)
+    ends = np.cumsum(width * tails)
+    seg = np.searchsorted(ends, ranks, side="right")
+    local = ranks - (ends[seg] - width[seg] * tails[seg])
+    step, tail_rank = np.divmod(local, tails[seg])
+    out[:, 0] = lowest[seg] + step
+    if d > 1:
+        tail_level = j - seg_s[seg]
+        for t in np.unique(tail_level).tolist():
+            rows = tail_level == t
+            out[rows, 1:] = unrank_level(t, d - 1, tail_rank[rows])
+    return out
+
+
+def frequency_levels(freq_array) -> np.ndarray:
+    """The level of every row of an (n, d) integer frequency array.
+
+    ``np.frexp`` returns for a nonzero x the exponent e with
+    ``2^(e-1) <= |x| < 2^e``, which for an integer below 2^53 in modulus
+    (exactly representable as a float) is its ``bit_length``, and 0 for 0.
+    Frequencies beyond 2^53 are outside the package anyway: ``_values_on``
+    already holds them as floats.
+    """
+    return np.frexp(np.abs(np.asarray(freq_array, dtype=np.int64)))[1].sum(axis=1)
+
+
+def level_frequencies(j: int, d: int, cap: int = DEFAULT_FREQUENCY_CAP) -> FrequencySet:
+    """Union of the dyadic blocks with ``|s|_1 = j`` in dimension ``d``.
+
+    Every rank of the level is unranked by :func:`unrank_level`, the one
+    source of the level's lexicographic order.
+    """
+    size = _checked_level_size(j, d, cap)
+    indices = unrank_level(j, d, np.arange(size)).tolist()
+    return FrequencySet(tuple(map(tuple, indices)), d)

@@ -28,7 +28,7 @@ import numpy as np
 from .dictionary import Dictionary
 from .discretization import UsdCertificate
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
-from .frequencies import level_of
+from .frequencies import frequency_levels
 from .points import PointSet
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm, sup_norm,
                        tensor_grid_points)
@@ -413,8 +413,8 @@ def block_greedy_approximant(f: TrigPolynomial, n: int, beta: float,
     d = f.dimension
     keep = {}
     blocks: dict = {}
-    for k, c in f.coeffs.items():
-        j = level_of(k)
+    levels = frequency_levels(f.as_arrays()[0]).tolist()
+    for (k, c), j in zip(f.coeffs.items(), levels):
         if j < n:
             keep[k] = c
         else:

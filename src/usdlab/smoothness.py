@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NormBudgetError
-from .frequencies import level_frequencies, level_of
+from .frequencies import (_checked_level_size, level_frequencies, level_of,
+                          unrank_level)
 from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm
 
 DEFAULT_KERNEL_TRUNCATION = 4096
@@ -111,28 +113,31 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
     """Random element whose level blocks saturate their Wiener budgets.
 
     ``support_rule`` selects the frequencies used within each level:
-    ``None`` keeps the whole level, an integer keeps that many chosen
-    uniformly at random, and a callable ``rule(candidates, level, rng)``
-    returns the list to keep.  Magnitudes are scaled so the sum of
-    coefficient moduli on every level equals the level budget exactly;
-    phases are uniform.  A level whose selected support is empty is
-    reported through a warning and skipped.
+    ``None`` keeps the whole level, a nonnegative integer keeps that many
+    chosen uniformly at random, and a callable ``rule(candidates, level,
+    rng)`` returns the list to keep.  An integer rule never builds a level:
+    it draws lexicographic ranks below :func:`level_size` and unranks only
+    those.  Magnitudes are scaled so the sum of coefficient moduli on every
+    level equals the level budget exactly; phases are uniform.  A level
+    whose selected support is empty is reported through a warning and
+    skipped.
     """
+    if not (support_rule is None or callable(support_rule)
+            or (isinstance(support_rule, numbers.Integral)
+                and not isinstance(support_rule, bool) and support_rule >= 0)):
+        raise ValueError("support_rule must be None, a callable or an "
+                         f"integer >= 0, got {support_rule!r}")
     coeffs = {}
     for j in range(budget.max_level + 1):
-        candidates = list(level_frequencies(j, budget.d))
         rng = np.random.default_rng([int(rng_seed), j])
-        if support_rule is None:
-            selected = candidates
-        elif callable(support_rule):
-            selected = list(support_rule(candidates, j, rng))
+        if support_rule is None or callable(support_rule):
+            candidates = list(level_frequencies(j, budget.d))
+            selected = (candidates if support_rule is None
+                        else list(support_rule(candidates, j, rng)))
         else:
-            take = min(int(support_rule), len(candidates))
-            if take > 0:
-                pick = rng.choice(len(candidates), size=take, replace=False)
-                selected = [candidates[i] for i in sorted(pick)]
-            else:
-                selected = []
+            size = _checked_level_size(j, budget.d)
+            pick = rng.choice(size, size=min(support_rule, size), replace=False)
+            selected = list(map(tuple, unrank_level(j, budget.d, np.sort(pick)).tolist()))
         if not selected:
             warnings.warn(f"level {j} has an empty support; level skipped")
             continue

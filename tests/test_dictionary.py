@@ -8,7 +8,7 @@ from usdlab.dictionary import (Dictionary, SubspaceCollection,
 from usdlab.errors import NormBudgetError
 from usdlab.frequencies import hyperbolic_cross
 from usdlab.points import PointSet
-from usdlab.trigpoly import TrigPolynomial
+from usdlab.trigpoly import TrigPolynomial, _union_coefficients
 
 
 def test_exponential_band_basics():
@@ -40,6 +40,37 @@ def test_continuous_gram_orthonormal_identity():
     d = Dictionary.exponential_band(-4, 4)
     gram = d.continuous_gram([0, 3, 8])
     assert np.allclose(gram, np.eye(3), atol=1e-15)
+
+
+def coefficient_gram(d, indices):
+    """Reference: the Gram built from the coefficient matrix."""
+    _, b = _union_coefficients([d.elements[i] for i in indices], d.dimension)
+    return b.conj().T @ b
+
+
+def test_identity_gram_equals_the_coefficient_gram():
+    for d in (Dictionary.exponential_band(-4, 4),
+              Dictionary.exponentials(hyperbolic_cross(3, 2))):
+        assert d.orthonormal_monomials
+        for idx in ([0, 3, 8], [5], list(range(d.size)), [8, 2, 6]):
+            gram = d.continuous_gram(idx)
+            assert gram.dtype == complex
+            assert np.array_equal(gram, coefficient_gram(d, idx))
+        assert np.array_equal(d.continuous_gram(), np.eye(d.size))
+
+
+def test_only_distinct_unit_monomials_get_the_identity():
+    e = [TrigPolynomial({(k,): 1.0}) for k in (0, 1, 2)]
+    assert not Dictionary(e + [TrigPolynomial({(1,): 1.0})], 1.0).orthonormal_monomials
+    assert not Dictionary(e + [TrigPolynomial({(3,): 1j})], 1.0).orthonormal_monomials
+    assert not Dictionary(e + [TrigPolynomial({(3,): 0.5})], 1.0).orthonormal_monomials
+    two = TrigPolynomial({(3,): 0.5, (4,): 0.5})
+    assert not Dictionary(e + [two], 1.0).orthonormal_monomials
+    d = Dictionary(e, 1.0)
+    assert d.orthonormal_monomials
+    # a repeated index is dependent: the Gram comes from the coefficients
+    gram = d.continuous_gram([1, 1])
+    assert np.array_equal(gram, np.ones((2, 2)))
 
 
 def test_continuous_gram_general_elements():

@@ -129,6 +129,13 @@ def test_rank_deficiency_detected():
         subspace_ratio_bounds([0, 1], d, xi, 2)
 
 
+def test_rank_check_still_runs_for_a_repeated_monomial():
+    d = Dictionary.exponential_band(-2, 2)
+    xi = PointSet.random_uniform(8, 1, seed=0)
+    with pytest.raises(RankDeficiencyError):
+        subspace_ratio_bounds([1, 1], d, xi, 2)
+
+
 def test_check_usd_equispaced_full_pass():
     d = Dictionary.exponential_band(-4, 4)
     coll = SubspaceCollection.all_subsets(d, 9)  # the full space only

@@ -1,12 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from usdlab.errors import CapExceededError
 from usdlab.frequencies import (FrequencySet, dyadic_annulus, dyadic_block,
-                                dyadic_level_index, hyperbolic_cross,
-                                hyperbolic_cross_size, level_frequencies,
-                                level_of)
+                                dyadic_level_index, frequency_levels,
+                                hyperbolic_cross, hyperbolic_cross_size,
+                                level_frequencies, level_of, level_size,
+                                unrank_level)
 
 
 def brute_force_cross(n_param, d):
@@ -110,6 +112,73 @@ def test_level_frequencies_union():
         expected |= set(dyadic_block(s).indices)
     assert set(lvl.indices) == expected
     assert list(lvl) == sorted(lvl)
+
+
+def reference_level(j, d):
+    """Independent oracle: sorted union of the blocks with |s|_1 = j."""
+    out = []
+    for s in itertools.product(range(j + 1), repeat=d):
+        if sum(s) == j:
+            out.extend(dyadic_block(s).indices)
+    return sorted(out)
+
+
+SMALL_LEVELS = [(j, d) for d in (1, 2, 3) for j in range(13)
+                if level_size(j, d) <= 5000]
+
+
+def test_small_levels_cover_every_dimension():
+    assert {d for _, d in SMALL_LEVELS} == {1, 2, 3}
+    assert max(j for j, d in SMALL_LEVELS if d == 1) == 12
+    assert max(level_size(j, d) for j, d in SMALL_LEVELS) > 4000
+
+
+@pytest.mark.parametrize("j, d", SMALL_LEVELS)
+def test_unrank_every_rank_matches_the_block_union(j, d):
+    ref = reference_level(j, d)
+    assert level_size(j, d) == len(ref)
+    got = unrank_level(j, d, np.arange(len(ref)))
+    assert got.dtype == np.int64 and got.shape == (len(ref), d)
+    assert list(map(tuple, got.tolist())) == ref
+    assert list(level_frequencies(j, d)) == ref
+
+
+def test_level_size_recursion_base_and_d1():
+    assert level_size(0, 0) == 1
+    assert level_size(3, 0) == 0
+    assert level_size(0, 4) == 1
+    for j in range(1, 30):
+        assert level_size(j, 1) == 2 ** j
+
+
+def test_unrank_empty_and_subset_ranks():
+    assert unrank_level(5, 2, np.zeros(0, dtype=np.int64)).shape == (0, 2)
+    ref = reference_level(6, 2)
+    ranks = np.array([0, 7, 100, len(ref) - 1])
+    assert list(map(tuple, unrank_level(6, 2, ranks).tolist())) == [
+        ref[r] for r in ranks]
+
+
+def test_level_frequencies_cap_uses_the_closed_form_size():
+    with pytest.raises(CapExceededError) as exc:
+        level_frequencies(24, 1)
+    assert exc.value.predicted == 2 ** 24
+    with pytest.raises(CapExceededError):
+        level_frequencies(10, 3, cap=level_size(10, 3) - 1)
+    with pytest.raises(ValueError):
+        level_frequencies(-1, 2)
+
+
+def test_frequency_levels_match_level_of():
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        k = rng.integers(-2 ** 40, 2 ** 40, size=(500, d))
+        k[::7] = 0
+        k[1::11, 0] = -1
+        k[2::13, -1] = 2 ** 52 - 1
+        assert frequency_levels(k).tolist() == [
+            level_of(tuple(row)) for row in k.tolist()]
+    assert frequency_levels(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
 
 
 def test_frequency_set_rejects_duplicates_and_mixed_dims():

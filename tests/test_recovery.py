@@ -7,6 +7,7 @@ from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import check_usd
 from usdlab.errors import (CapExceededError, RankDeficiencyError,
                            ZeroResidualError)
+from usdlab.frequencies import level_of
 from usdlab.points import PointSet
 from usdlab.recovery import (DiscreteInstance, best_v_term_error_blended,
                              best_v_term_oracle, block_greedy_approximant,
@@ -281,6 +282,24 @@ def test_block_greedy_thresholding_keeps_largest():
     g = TrigPolynomial({**coeffs, (2,): 9.0})  # level 2 survives the cut
     res2 = block_greedy_approximant(g, n=3, beta=0.5)
     assert (2,) in res2.approximant.coeffs
+
+
+def test_block_greedy_keeps_the_per_key_level_thresholding():
+    budget = SmoothnessBudget(0.5, 1.0, 2, 8)
+    f = level_budget_element(budget, support_rule=24, rng_seed=9)
+    n, beta = 3, 0.5
+    keep, blocks = {}, {}
+    for k, c in f.coeffs.items():
+        if level_of(k) < n:
+            keep[k] = c
+        else:
+            blocks.setdefault(level_of(k), []).append((k, c))
+    for j, count in block_term_schedule(n, beta, 2):
+        entries = sorted(blocks.get(j, []), key=lambda kc: (-abs(kc[1]), kc[0]))
+        keep.update(entries[:count])
+    res = block_greedy_approximant(f, n, beta)
+    assert list(res.approximant.coeffs.items()) == list(
+        TrigPolynomial(keep, 2).coeffs.items())
 
 
 def test_wcga_iteration_budget_formula():

@@ -1,11 +1,13 @@
 import cmath
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from usdlab.errors import NormBudgetError
-from usdlab.frequencies import level_of
+from usdlab.errors import CapExceededError, NormBudgetError
+from usdlab.frequencies import level_frequencies, level_of
 from usdlab.smoothness import (SmoothnessBudget, bernoulli_kernel,
                                bernoulli_kernel_tail_bound, dyadic_blocks,
                                kernel_coefficient, level_a_norms,
@@ -132,6 +134,67 @@ def test_budget_element_empty_support_warns_and_skips():
     with pytest.warns(UserWarning, match="level 1"):
         f = level_budget_element(budget, support_rule=rule, rng_seed=0)
     assert 1 not in level_a_norms(f)
+
+
+def materialized_budget_element(budget, take_rule, rng_seed):
+    """Reference body: build every level, then pick positions in it."""
+    coeffs = {}
+    for j in range(budget.max_level + 1):
+        candidates = list(level_frequencies(j, budget.d))
+        rng = np.random.default_rng([int(rng_seed), j])
+        take = min(take_rule, len(candidates))
+        pick = rng.choice(len(candidates), size=take, replace=False)
+        selected = [candidates[i] for i in sorted(pick)]
+        mags = rng.uniform(0.5, 1.5, size=len(selected))
+        mags *= budget.level_budget(j) / mags.sum()
+        phases = np.exp(2j * np.pi * rng.random(len(selected)))
+        for k, m, ph in zip(selected, mags, phases):
+            coeffs[k] = m * ph
+    return TrigPolynomial(coeffs, budget.d)
+
+
+@pytest.mark.parametrize("budget, rule, seed", [
+    (SmoothnessBudget(1.0, 0.0, 1, 14), 256, 3),
+    (SmoothnessBudget(0.75, 1.0, 2, 9), 64, 8),
+    (SmoothnessBudget(0.5, 0.5, 3, 6), 40, 21),
+])
+def test_integer_rule_equals_the_materialized_reference(budget, rule, seed):
+    f = level_budget_element(budget, support_rule=rule, rng_seed=seed)
+    ref = materialized_budget_element(budget, rule, seed)
+    assert list(f.coeffs) == list(ref.coeffs)
+    assert np.array_equal(f.as_arrays()[1], ref.as_arrays()[1])
+
+
+def test_integer_rule_digest_is_pinned():
+    # recorded from the level-materializing implementation
+    budget = SmoothnessBudget(1.0, 0.0, 1, 20)
+    f = level_budget_element(budget, support_rule=4096, rng_seed=909)
+    k, c = f.as_arrays()
+    digest = hashlib.sha256(k.tobytes() + c.tobytes()).hexdigest()
+    assert len(f.coeffs) == 40959
+    assert digest == ("2a3e31f99c729df363d1ccf396cd5f09"
+                      "bdf11e64c9ab36d4e3784304529a6297")
+
+
+@pytest.mark.parametrize("rule", [-3, -1, 2.7, 3.0, True, False, "5"])
+def test_budget_element_rejects_bad_integer_rules(rule):
+    budget = SmoothnessBudget(1.0, 0.0, 1, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="support_rule"):
+            level_budget_element(budget, support_rule=rule)
+
+
+def test_budget_element_accepts_numpy_integer_rules():
+    budget = SmoothnessBudget(1.0, 0.0, 2, 4)
+    f = level_budget_element(budget, support_rule=np.int64(3), rng_seed=6)
+    assert f.coeffs == level_budget_element(budget, support_rule=3,
+                                            rng_seed=6).coeffs
+
+
+def test_budget_element_level_cap_still_applies_to_integer_rules():
+    with pytest.raises(CapExceededError):
+        level_budget_element(SmoothnessBudget(1.0, 0.0, 1, 24), support_rule=8)
 
 
 def test_dyadic_blocks_reassemble():
