@@ -88,9 +88,13 @@ def _continuous_gram_checked(dictionary: Dictionary, subset):
     return gram
 
 
-def _pencil_extremes(g_emp, g_cont):
-    """Eigen extremes of c^H g_emp c / c^H g_cont c via Cholesky reduction."""
-    if np.allclose(g_cont, np.eye(g_cont.shape[0]), atol=1e-13):
+def _pencil_extremes(g_emp, g_cont, identity):
+    """Eigen extremes of c^H g_emp c / c^H g_cont c via Cholesky reduction.
+
+    ``identity`` states that g_cont is known to be the identity; other
+    Grams are tested numerically.
+    """
+    if identity or np.allclose(g_cont, np.eye(g_cont.shape[0]), atol=1e-13):
         w, u = np.linalg.eigh(0.5 * (g_emp + g_emp.conj().T))
         return float(w[0]), float(w[-1]), u[:, 0], u[:, -1]
     chol = np.linalg.cholesky(g_cont)
@@ -223,7 +227,8 @@ def _subset_ratios(values, subset, dictionary: Dictionary, p: float,
     m = values.shape[0]
     g_emp = values.conj().T @ values / m
     g_cont = _continuous_gram_checked(dictionary, subset)
-    lo2, hi2, vec_lo, vec_hi = _pencil_extremes(g_emp, g_cont)
+    lo2, hi2, vec_lo, vec_hi = _pencil_extremes(
+        g_emp, g_cont, dictionary.has_identity_gram(subset))
     if p == 2:
         return SubspaceRatios(lo2, hi2, _method(p, opts), False, True,
                               vec_lo, vec_hi)

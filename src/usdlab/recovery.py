@@ -8,9 +8,17 @@ half-continuous norm used in recovery bounds mixes a dense quadrature grid
 
 Solvers: weighted least squares at p = 2, damped IRLS otherwise, the weak
 Chebyshev greedy algorithm (near-maximal norming-functional selection plus
-full re-projection), the exhaustive best-v-term oracle, and the block
-greedy method that keeps a full low-level partial sum and thresholds each
-higher dyadic level to a scheduled term count.
+full re-projection), the best-v-term oracle, and the block greedy method
+that keeps a full low-level partial sum and thresholds each higher dyadic
+level to a scheduled term count.
+
+The oracle is an exact pruned search over all C(N, v) subsets.  A subset's
+weighted least-squares residual r2 is w-orthogonal to its columns, so by
+Hoelder's inequality (1/p + 1/p' = 1) every residual from that subset has
+norm at least ``||r2||_{2,w}^2 / ||r2||_{p',w}``.  Subsets are projected in
+order of this bound until it exceeds the best residual found; the result is
+the one projecting every subset gives, ties going to the lexicographically
+first subset.
 
 Best-term errors are always reported for the concrete node set at hand;
 the supremum of those errors over all possible node sets is not a
@@ -37,6 +45,7 @@ ORACLE_SUBSET_CAP = 10**6
 IRLS_WEIGHT_FLOOR = 1e-12
 IRLS_REL_TOL = 1e-10
 IRLS_MAX_ITERS = 200
+_BOUND_CHUNK_VALUES = 1 << 18
 
 
 @dataclass
@@ -126,8 +135,7 @@ def chebyshev_projection(inst: DiscreteInstance, subset, init=None,
     a = inst.dict_values[:, subset]
     coeffs, rank = _weighted_lstsq(a, b, inst.weights)
     if rank < len(subset):
-        raise RankDeficiencyError(
-            f"columns {subset} are rank deficient at the given nodes")
+        raise _rank_deficiency(subset)
     if inst.p == 2:
         r = b - a @ coeffs
         return ProjectionResult(coeffs, r, inst.norm(r), True, 1)
@@ -267,12 +275,73 @@ def wcga_iteration_budget(v: int, one_sided_constant: float,
     return c * big_v ** 2 * math.log(max(big_v * v, 2.0)) * v
 
 
+def _rank_deficiency(subset) -> RankDeficiencyError:
+    return RankDeficiencyError(
+        f"columns {tuple(subset)} are rank deficient at the given nodes")
+
+
+def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
+    """Hoelder-duality lower bounds on every subset's best residual norm.
+
+    For the weighted least-squares residual r2 of a subset S, which is
+    w-orthogonal to the columns of A_S, every c satisfies
+    ``||b - A_S c||_{p,w} >= <b - A_S c, r2>_w / ||r2||_{p',w}
+    = ||r2||_{2,w}^2 / ||r2||_{p',w}`` with 1/p + 1/p' = 1 (0 when r2 = 0).
+    Each bound is returned less a rounding slack, so it stays below the
+    subset's projection residual.  The (S, m, v) column stack is taken in
+    chunks of at most ``_BOUND_CHUNK_VALUES`` values.
+
+    Raises ``RankDeficiencyError`` for the lexicographically first subset
+    that fails the rank rule of ``np.linalg.lstsq`` (singular values of the
+    scaled columns at most ``eps * max(m, v) * s_max``), as the projection
+    of that subset would.
+    """
+    m = inst.dict_values.shape[0]
+    v = subsets.shape[1]
+    sw = np.sqrt(inst.weights)
+    scaled = sw[:, None] * inst.dict_values
+    sb = sw * inst.f_values
+    q = inst.p / (inst.p - 1.0)
+    b_norm = inst.norm(inst.f_values)
+    tol = np.finfo(float).eps * max(m, v)
+    out = np.empty(subsets.shape[0])
+    step = max(1, _BOUND_CHUNK_VALUES // (m * v))
+    for lo in range(0, subsets.shape[0], step):
+        chunk = subsets[lo:lo + step]
+        stack = np.moveaxis(scaled[:, chunk], 0, 1)           # (S, m, v)
+        u, s, _ = np.linalg.svd(stack, full_matrices=False)
+        bad = np.flatnonzero(s[:, -1] <= tol * s[:, 0])
+        if bad.size:
+            raise _rank_deficiency(chunk[bad[0]].tolist())
+        ars = np.abs(sb - np.matmul(u, np.matmul(sb, u.conj())[:, :, None])[:, :, 0])
+        r2 = np.divide(ars, sw, out=np.zeros(ars.shape), where=sw > 0)
+        top = r2.max(axis=1)
+        top[top == 0] = 1.0
+        dual = top * ((inst.weights * (r2 / top[:, None]) ** q).sum(axis=1)) ** (1.0 / q)
+        bound = np.divide((ars * ars).sum(axis=1), dual,
+                          out=np.zeros(len(chunk)), where=dual > 0)
+        # rounding moves the computed bound by a few ulps relative to it,
+        # which the oracle's relative 1e-9 covers, and by the leakage of the
+        # computed r2 into the span, which scales with ||b|| times the
+        # condition number s_max / s_min; this absolute slack dominates that
+        out[lo:lo + step] = bound - 1e-12 * b_norm * (s[:, 0] / s[:, -1])
+    return out
+
+
 def best_v_term_oracle(inst: DiscreteInstance, v: int,
                        cap: int = ORACLE_SUBSET_CAP) -> SparseApproximant:
-    """Exhaustive best v-term approximation in the instance norm.
+    """Best v-term approximation in the instance norm by exact pruned search.
 
-    Ties go to the lexicographically first subset.  Refuses when the
-    subset count C(N, v) exceeds the cap.
+    Every subset gets a Hoelder-duality lower bound on its residual norm
+    from its weighted least-squares residual r2 (one batched pass, no
+    IRLS): ``||r2||_{2,w}^2 / ||r2||_{p',w}``.  Subsets are projected in
+    order of increasing bound, and the search stops at the first bound
+    above the best residual found (with a rounding slack), since no later
+    subset can then tie it.  The result is that of projecting every
+    subset: the smallest residual, ties to the lexicographically first
+    subset.  A rank-deficient subset raises ``RankDeficiencyError`` for
+    the lexicographically first one, whether or not it could win.
+    Refuses when the subset count C(N, v) exceeds the cap.
     """
     n = inst.n_elements
     if v < 0 or v > n:
@@ -286,15 +355,24 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int,
         raise CapExceededError(
             f"exhaustive search over {count} subsets exceeds the cap {cap}",
             predicted=count, cap=cap)
-    best = None
-    best_subset = None
-    for subset in itertools.combinations(range(n), v):
-        res = chebyshev_projection(inst, subset)
-        if best is None or res.residual_norm < best.residual_norm:
-            best, best_subset = res, subset
-    return SparseApproximant(best_subset, best.coefficients,
-                             best.residual_norm, [], best.converged,
-                             f"exhaustive(v={v})")
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), v)),
+        dtype=np.intp, count=count * v).reshape(count, v)
+    bounds = _subset_lower_bounds(inst, subsets)
+    best, best_index = None, count
+    # a stable sort keeps equal bounds in lexicographic order; the relative
+    # 1e-9 dominates the bounds' relative rounding error (their absolute
+    # slack is already subtracted), so no subset past the stop can tie
+    for i in np.argsort(bounds, kind="stable"):
+        if best is not None and bounds[i] > best.residual_norm * (1.0 + 1e-9):
+            break
+        res = chebyshev_projection(inst, subsets[i])
+        if best is None or res.residual_norm < best.residual_norm or (
+                res.residual_norm == best.residual_norm and i < best_index):
+            best, best_index = res, i
+    return SparseApproximant(tuple(subsets[best_index].tolist()),
+                             best.coefficients, best.residual_norm, [],
+                             best.converged, f"exhaustive(v={v})")
 
 
 def best_v_term_error_blended(f: TrigPolynomial, dictionary: Dictionary,
@@ -314,6 +392,12 @@ def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
     Substitutes the continuous-L2 projection for the true uniform-norm
     projection on every subset; each candidate is feasible, so the minimum
     over subsets upper-bounds the true uniform best v-term error.
+
+    The sup-norm grid has at least 2 * maxfreq + 1 points per dimension,
+    so its rectangle rule is exact for |g|^2 and the grid maximum of |g| is
+    at least the L2 norm of g.  A candidate whose L2 residual exceeds the
+    best grid maximum found so far (with a rounding slack) cannot lower
+    the minimum, and its grid maximum is skipped.
     """
     n = dictionary.size
     if v == 0:
@@ -324,10 +408,13 @@ def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
             f"exhaustive search over {count} subsets exceeds the cap {cap}",
             predicted=count, cap=cap)
     best = math.inf
+    slack = 1e-12 * f.coefficient_l2()
     for subset in itertools.combinations(range(n), v):
         coeffs = dictionary.l2_project(f, subset)
-        approx = dictionary.combine(coeffs, subset)
-        best = min(best, sup_norm(f - approx, grid_level))
+        diff = f - dictionary.combine(coeffs, subset)
+        if diff.coefficient_l2() > best * (1.0 + 1e-9) + slack:
+            continue
+        best = min(best, sup_norm(diff, grid_level))
     return best
 
 
@@ -483,7 +570,7 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
 
     Reports the discrete residual, the continuous Lp recovery error, the
     one-sided constant of the certificate (when given; a missing or
-    heuristic certificate is flagged, not fatal), and the exhaustive
+    heuristic certificate is flagged, not fatal), and the exact
     best-v-term errors in the sampled and half-continuous norms when the
     subset count is affordable.
     """

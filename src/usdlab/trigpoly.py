@@ -81,20 +81,43 @@ class TrigPolynomial:
 
     # -- algebra ----------------------------------------------------------
 
+    @classmethod
+    def _from_sorted(cls, coeffs, dimension, arrays=None):
+        """Wrap an already normalized, lexicographically sorted coefficient dict."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        out.dimension = dimension
+        out._arrays = arrays
+        return out
+
     def __add__(self, other):
+        """Sum by merging the sorted arrays; a key only in ``other`` gets 0.0 + c."""
         if other.dimension != self.dimension:
             raise DimensionMismatchError("cannot add polynomials of different dimension")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return TrigPolynomial(out, self.dimension)
+        (ka, ca), (kb, cb) = self.as_arrays(), other.as_arrays()
+        keys = np.concatenate([ka, kb])
+        vals = np.concatenate([ca, cb])
+        order = np.lexsort(keys.T[::-1])   # stable: of two equal keys, self's first
+        keys, vals = keys[order], vals[order]
+        same = (keys[1:] == keys[:-1]).all(axis=1)
+        pairs = np.flatnonzero(same)
+        vals[pairs] = vals[pairs] + vals[pairs + 1]
+        keep = np.ones(len(keys), dtype=bool)
+        keep[pairs + 1] = False
+        only_other = keep & (order >= len(ka))
+        vals[only_other] = 0.0 + vals[only_other]
+        keys, vals = keys[keep], vals[keep]
+        key_objects = [*self.coeffs, *other.coeffs]
+        coeffs = dict(zip([key_objects[i] for i in order[keep].tolist()],
+                          vals.tolist()))
+        return TrigPolynomial._from_sorted(coeffs, self.dimension, (keys, vals))
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, factor):
-        return TrigPolynomial({k: factor * c for k, c in self.coeffs.items()},
-                              self.dimension)
+        return TrigPolynomial._from_sorted(
+            {k: complex(factor * c) for k, c in self.coeffs.items()}, self.dimension)
 
     def __neg__(self):
         return self.scale(-1.0)
