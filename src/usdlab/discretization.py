@@ -76,9 +76,10 @@ class SubspaceRatios:
 
 
 def _continuous_gram_checked(dictionary: Dictionary, subset):
-    gram = dictionary.continuous_gram(subset)
+    """The subset's L2 Gram after a rank check; None when it is the identity."""
     if dictionary.has_identity_gram(subset):
-        return gram
+        return None
+    gram = dictionary.continuous_gram(subset)
     gram = 0.5 * (gram + gram.conj().T)
     w = np.linalg.eigvalsh(gram)
     if w[0] <= 1e-12 * max(w[-1], 1.0):
@@ -88,13 +89,13 @@ def _continuous_gram_checked(dictionary: Dictionary, subset):
     return gram
 
 
-def _pencil_extremes(g_emp, g_cont, identity):
+def _pencil_extremes(g_emp, g_cont):
     """Eigen extremes of c^H g_emp c / c^H g_cont c via Cholesky reduction.
 
-    ``identity`` states that g_cont is known to be the identity; other
-    Grams are tested numerically.
+    ``g_cont`` None stands for the identity; other Grams are tested
+    numerically.
     """
-    if identity or np.allclose(g_cont, np.eye(g_cont.shape[0]), atol=1e-13):
+    if g_cont is None or np.allclose(g_cont, np.eye(g_cont.shape[0]), atol=1e-13):
         w, u = np.linalg.eigh(0.5 * (g_emp + g_emp.conj().T))
         return float(w[0]), float(w[-1]), u[:, 0], u[:, -1]
     chol = np.linalg.cholesky(g_cont)
@@ -227,8 +228,7 @@ def _subset_ratios(values, subset, dictionary: Dictionary, p: float,
     m = values.shape[0]
     g_emp = values.conj().T @ values / m
     g_cont = _continuous_gram_checked(dictionary, subset)
-    lo2, hi2, vec_lo, vec_hi = _pencil_extremes(
-        g_emp, g_cont, dictionary.has_identity_gram(subset))
+    lo2, hi2, vec_lo, vec_hi = _pencil_extremes(g_emp, g_cont)
     if p == 2:
         return SubspaceRatios(lo2, hi2, _method(p, opts), False, True,
                               vec_lo, vec_hi)

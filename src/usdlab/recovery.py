@@ -292,9 +292,10 @@ def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
     chunks of at most ``_BOUND_CHUNK_VALUES`` values.
 
     Raises ``RankDeficiencyError`` for the lexicographically first subset
-    that fails the rank rule of ``np.linalg.lstsq`` (singular values of the
-    scaled columns at most ``eps * max(m, v) * s_max``), as the projection
-    of that subset would.
+    that fails the rank rule of ``np.linalg.lstsq`` (fewer than v singular
+    values of the scaled columns above ``eps * max(m, v) * s_max``, so
+    every subset fails when m < v), as the projection of that subset
+    would.
     """
     m = inst.dict_values.shape[0]
     v = subsets.shape[1]
@@ -310,7 +311,7 @@ def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
         chunk = subsets[lo:lo + step]
         stack = np.moveaxis(scaled[:, chunk], 0, 1)           # (S, m, v)
         u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        bad = np.flatnonzero(s[:, -1] <= tol * s[:, 0])
+        bad = np.flatnonzero((s > tol * s[:, :1]).sum(axis=1) < v)
         if bad.size:
             raise _rank_deficiency(chunk[bad[0]].tolist())
         ars = np.abs(sb - np.matmul(u, np.matmul(sb, u.conj())[:, :, None])[:, :, 0])
@@ -392,12 +393,6 @@ def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
     Substitutes the continuous-L2 projection for the true uniform-norm
     projection on every subset; each candidate is feasible, so the minimum
     over subsets upper-bounds the true uniform best v-term error.
-
-    The sup-norm grid has at least 2 * maxfreq + 1 points per dimension,
-    so its rectangle rule is exact for |g|^2 and the grid maximum of |g| is
-    at least the L2 norm of g.  A candidate whose L2 residual exceeds the
-    best grid maximum found so far (with a rounding slack) cannot lower
-    the minimum, and its grid maximum is skipped.
     """
     n = dictionary.size
     if v == 0:
@@ -408,13 +403,10 @@ def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
             f"exhaustive search over {count} subsets exceeds the cap {cap}",
             predicted=count, cap=cap)
     best = math.inf
-    slack = 1e-12 * f.coefficient_l2()
     for subset in itertools.combinations(range(n), v):
         coeffs = dictionary.l2_project(f, subset)
-        diff = f - dictionary.combine(coeffs, subset)
-        if diff.coefficient_l2() > best * (1.0 + 1e-9) + slack:
-            continue
-        best = min(best, sup_norm(diff, grid_level))
+        approx = dictionary.combine(coeffs, subset)
+        best = min(best, sup_norm(f - approx, grid_level))
     return best
 
 

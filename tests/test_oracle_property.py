@@ -1,4 +1,4 @@
-"""Property checks: the pruned best-v-term searches equal their unpruned references."""
+"""Property checks: the pruned best-v-term oracle equals the exhaustive loop."""
 import itertools
 
 import numpy as np
@@ -11,8 +11,8 @@ from usdlab.dictionary import Dictionary
 from usdlab.errors import RankDeficiencyError
 from usdlab.points import PointSet
 from usdlab.recovery import (DiscreteInstance, best_v_term_oracle,
-                             best_v_term_sup_estimate, chebyshev_projection)
-from usdlab.trigpoly import TrigPolynomial, sup_norm
+                             chebyshev_projection)
+from usdlab.trigpoly import TrigPolynomial
 
 
 def exhaustive_oracle(inst, v):
@@ -51,7 +51,7 @@ def random_instance(seed, m, n, p, kind):
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(4, 24),
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 24),
        n=st.integers(3, 7), v=st.integers(1, 3),
        p=st.sampled_from([1.5, 3.0, 4.0, 6.0]),
        kind=st.sampled_from(["random", "tie", "exact", "rank"]))
@@ -87,6 +87,14 @@ def test_rank_deficient_subset_that_cannot_win_still_raises():
     with pytest.raises(RankDeficiencyError) as exc:
         best_v_term_oracle(inst, 2)
     assert str(exc.value) == "columns (0, 1) are rank deficient at the given nodes"
+
+
+def test_fewer_nodes_than_terms_raises_for_the_first_subset():
+    # with m < v every subset is rank deficient, as lstsq counts rank
+    inst = random_instance(2, 2, 5, 4.0, "random")
+    with pytest.raises(RankDeficiencyError) as exc:
+        best_v_term_oracle(inst, 3)
+    assert str(exc.value) == "columns (0, 1, 2) are rank deficient at the given nodes"
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 6.0])
@@ -129,28 +137,3 @@ def test_oracle_projects_few_subsets_on_an_orthonormal_dictionary(monkeypatch):
     best_v_term_oracle(inst, 3)
     assert len(calls) < 220 // 4
 
-
-def unpruned_sup_estimate(f, d, v):
-    """Reference: the grid sup norm of every subset's L2-projection residual."""
-    return min(sup_norm(f - d.combine(d.l2_project(f, s), s))
-               for s in itertools.combinations(range(d.size), v))
-
-
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("v", [1, 2])
-def test_pruned_sup_estimate_equals_the_unpruned_minimum(seed, v):
-    # shuffled decaying coefficients: some candidates prune, some come close
-    d = Dictionary.exponential_band(-3, 3)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    f = d.combine(a * rng.permutation(1.5 ** -np.arange(7)))
-    f = f + TrigPolynomial({(5,): 0.02, (-6,): 0.01j})
-    assert best_v_term_sup_estimate(f, d, v) == unpruned_sup_estimate(f, d, v)
-
-
-def test_sup_estimate_keeps_a_candidate_whose_bound_is_tight():
-    # each residual is one monomial, whose grid maximum equals its L2 norm;
-    # (0, 2) comes after (0, 1) and wins by less than a factor 1.25
-    d = Dictionary.exponential_band(-1, 1)
-    f = TrigPolynomial({(-1,): 2.0, (0,): 0.9, (1,): 1.0})
-    assert best_v_term_sup_estimate(f, d, 2) == pytest.approx(0.9, rel=1e-12)
