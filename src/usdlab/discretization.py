@@ -22,10 +22,9 @@ import scipy.linalg
 
 from .dictionary import Dictionary, SubspaceCollection
 from .errors import CapExceededError, RankDeficiencyError
-from .points import PointSet
+from .points import PointSet, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _check_exponent,
-                       _union_coefficients, _values_on, lp_norm,
-                       tensor_grid_points)
+                       _union_coefficients, _values_on, lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
 
@@ -92,10 +91,9 @@ def _continuous_gram_checked(dictionary: Dictionary, subset):
 def _pencil_extremes(g_emp, g_cont):
     """Eigen extremes of c^H g_emp c / c^H g_cont c via Cholesky reduction.
 
-    ``g_cont`` None stands for the identity; other Grams are tested
-    numerically.
+    ``g_cont`` None stands for the identity and skips the reduction.
     """
-    if g_cont is None or np.allclose(g_cont, np.eye(g_cont.shape[0]), atol=1e-13):
+    if g_cont is None:
         w, u = np.linalg.eigh(0.5 * (g_emp + g_emp.conj().T))
         return float(w[0]), float(w[-1]), u[:, 0], u[:, -1]
     chol = np.linalg.cholesky(g_cont)

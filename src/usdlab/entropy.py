@@ -54,6 +54,7 @@ class SampledClass:
         self.grid = grid
         self.metadata = dict(metadata or {})
         self._radii = None
+        self._centers = None
         self._dist32 = None
 
     @property
@@ -107,24 +108,24 @@ class SampledClass:
 def greedy_cover(sampled: SampledClass, eps: float) -> list:
     """Greedy farthest-point cover of the sample at radius ``eps``.
 
-    Each new center is an uncovered representative at maximal distance from
-    the chosen centers, ties resolved to the lowest index; centers are
-    representatives themselves.
+    The centers are the shortest prefix of the :func:`farthest_point_radii`
+    traversal whose covering radius is at most ``eps``, so a cover and the
+    entropy profile read the same numbers: at the profile's radius after t
+    centers the cover has at most t centers.  Each new center is a
+    representative at maximal distance from the chosen ones, ties resolved
+    to the lowest index.  Distances are single precision (relative error
+    near 1e-7), so the values must be finite in single precision.  When the
+    cached traversal is too short, its length is doubled until the radius
+    is reached, which costs at most twice the final traversal.
     """
-    if eps <= 0:
-        raise ValueError("covering radius must be positive")
-    n = sampled.count
-    dmin = np.full(n, np.inf)
-    centers = []
+    if not eps > 0:
+        raise ValueError(f"covering radius must be positive, got {eps}")
+    t = 1 if sampled._radii is None else len(sampled._radii)
     while True:
-        if centers and dmin.max() <= eps:
-            break
-        c = int(np.argmax(dmin))  # all-inf on the first pass picks index 0
-        centers.append(c)
-        np.minimum(dmin, sampled.distances_from(c), out=dmin)
-        if len(centers) == n:
-            break
-    return centers
+        hit = np.flatnonzero(farthest_point_radii(sampled, t) <= eps)
+        if hit.size:  # the full traversal ends at radius 0
+            return sampled._centers[:hit[0] + 1].tolist()
+        t *= 2
 
 
 def _squared_moduli(re, im, c_re, c_im, out, scratch):
@@ -141,10 +142,10 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     """Covering radius after t greedy centers, for t = 1..t_max.
 
     The greedy selection order does not depend on any target radius, so
-    this single traversal answers every cover-size query; results are
-    cached on the sample.  Distances run in single precision on squared
-    moduli (relative error near 1e-7), so the values must be finite in
-    single precision.
+    this single traversal answers every cover-size query; the radii and the
+    center order are cached on the sample.  Distances run in single
+    precision on squared moduli (relative error near 1e-7), so the values
+    must be finite in single precision.
 
     Each new center first updates every row on a fixed strided subgrid of
     about ``_SUBGRID_POINTS`` columns (filter); only the rows that survive
@@ -172,12 +173,13 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     n, g = re.shape
     dmin2 = np.full(n, np.inf, dtype=np.float32)
     radii2 = np.empty(t_max, dtype=np.float32)
+    centers = np.empty(t_max, dtype=np.intp)
     sub_a, sub_b = np.empty_like(sub_re), np.empty_like(sub_im)
     chunk = min(n, max(1, _REFINE_ELEMS // g))
     ref_a = np.empty((chunk, g), dtype=np.float32)
     ref_b = np.empty((chunk, g), dtype=np.float32)
     for t in range(t_max):
-        c = int(np.argmax(dmin2))
+        c = centers[t] = int(np.argmax(dmin2))
         sub = _squared_moduli(sub_re, sub_im, sub_re[c], sub_im[c], sub_a, sub_b)
         live = np.flatnonzero(sub.max(axis=1) < dmin2)
         for lo in range(0, live.size, chunk):
@@ -190,7 +192,7 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
             dmin2[rows] = np.minimum(dmin2[rows], full.max(axis=1))
         radii2[t] = dmin2.max()
     radii = np.sqrt(radii2.astype(float))
-    sampled._radii = radii
+    sampled._radii, sampled._centers = radii, centers
     return radii
 
 

@@ -265,6 +265,27 @@ def _assertion(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
+def _strict_checks(strict, heuristic):
+    """The failing ``strict_no_heuristic`` check when strict meets heuristic."""
+    if not (strict and heuristic):
+        return []
+    return [_assertion("strict_no_heuristic", False,
+                       {"reason": "certificate is heuristic at p != 2"})]
+
+
+def _slope_fit(cfg, pts, name, results):
+    """Fit ``results["fit"]`` on at least 3 points; check ``slope_range`` if set."""
+    fit = fit_rate(pts) if len(pts) >= 3 else None
+    results["fit"] = None if fit is None else fit.to_json()
+    rng = cfg.assertions.get("slope_range")
+    if rng is None:
+        return []
+    if fit is None:
+        return [_assertion(name, False, {"reason": "fewer than 3 positive points"})]
+    return [_assertion(name, rng[0] <= fit.slope <= rng[1],
+                       {"slope": fit.slope, "range": rng})]
+
+
 def _column(header, rows, name):
     idx = header.index(name)
     return [row[idx] for row in rows]
@@ -303,9 +324,7 @@ def _summarize_usd_search(cfg, header, rows, strict):
     if cfg.assertions.get("must_pass", True):
         checks.append(_assertion("search_found_certified_points", found,
                                  {"trials_run": len(rows)}))
-    if strict and results["heuristic"]:
-        checks.append(_assertion("strict_no_heuristic", False,
-                                 {"reason": "certificate is heuristic at p != 2"}))
+    checks += _strict_checks(strict, results["heuristic"])
     return results, checks
 
 
@@ -364,9 +383,7 @@ def _summarize_usd_verify(cfg, header, rows, strict):
         worst = max(max(abs(a - 1.0) for a in mins), max(abs(b - 1.0) for b in maxs))
         checks.append(_assertion("ratio_deviation_bounded", worst <= dev,
                                  {"worst_deviation": worst, "allowed": dev}))
-    if strict and results["heuristic"]:
-        checks.append(_assertion("strict_no_heuristic", False,
-                                 {"reason": "certificate is heuristic at p != 2"}))
+    checks += _strict_checks(strict, results["heuristic"])
     return results, checks
 
 
@@ -388,21 +405,7 @@ def _summarize_entropy(cfg, header, rows, strict):
     pts = [(n, e) for n, e in rows if window[0] <= n <= window[1] and e > 0]
     results = {"profile_points": len(rows),
                "fit_points": len(pts)}
-    checks = []
-    if len(pts) >= 3:
-        fit = fit_rate(pts)
-        results["fit"] = fit.to_json()
-        rng = cfg.assertions.get("slope_range")
-        if rng is not None:
-            ok = rng[0] <= fit.slope <= rng[1]
-            checks.append(_assertion("entropy_slope_in_range", ok,
-                                     {"slope": fit.slope, "range": rng}))
-    else:
-        results["fit"] = None
-        if cfg.assertions.get("slope_range") is not None:
-            checks.append(_assertion("entropy_slope_in_range", False,
-                                     {"reason": "fewer than 3 positive points"}))
-    return results, checks
+    return results, _slope_fit(cfg, pts, "entropy_slope_in_range", results)
 
 
 def _run_er_rate(cfg: ExperimentConfig):
@@ -567,21 +570,7 @@ def _run_fit(cfg: ExperimentConfig):
 def _summarize_fit(cfg, header, rows, strict):
     pts = [(x, y) for x, y in rows if x > 0 and y > 0]
     results = {"points_used": len(pts)}
-    checks = []
-    if len(pts) >= 3:
-        fit = fit_rate(pts)
-        results["fit"] = fit.to_json()
-        rng = cfg.assertions.get("slope_range")
-        if rng is not None:
-            checks.append(_assertion("fit_slope_in_range",
-                                     rng[0] <= fit.slope <= rng[1],
-                                     {"slope": fit.slope, "range": rng}))
-    else:
-        results["fit"] = None
-        if cfg.assertions.get("slope_range") is not None:
-            checks.append(_assertion("fit_slope_in_range", False,
-                                     {"reason": "fewer than 3 positive points"}))
-    return results, checks
+    return results, _slope_fit(cfg, pts, "fit_slope_in_range", results)
 
 
 def _maybe_parallel(fn, items, threads):

@@ -7,8 +7,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
+from .errors import GridTooCoarseError
 
 TWO_PI = 2.0 * np.pi
+GRID_POINT_CAP = 1 << 24
+
+
+def tensor_grid_points(n: int, d: int) -> np.ndarray:
+    """Equispaced tensor quadrature grid as an (n^d, d) array."""
+    if n ** d > GRID_POINT_CAP:
+        raise GridTooCoarseError(
+            f"tensor grid {n}^{d} exceeds the point cap {GRID_POINT_CAP}; "
+            "refusing to under-resolve")
+    axis = np.arange(n) * (TWO_PI / n)
+    if d == 1:
+        return axis[:, None]
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 @dataclass
@@ -55,16 +70,14 @@ class PointSet:
 
     @classmethod
     def equispaced(cls, n: int, d: int = 1):
-        """Tensor grid with n points per dimension, lexicographic order."""
+        """Tensor grid with n points per dimension, lexicographic order.
+
+        Grids above ``GRID_POINT_CAP`` points raise ``GridTooCoarseError``.
+        """
         if n < 1:
             raise ValueError("need at least one point per dimension")
-        axis = np.arange(n) * (TWO_PI / n)
-        if d == 1:
-            pts = axis[:, None]
-        else:
-            grids = np.meshgrid(*([axis] * d), indexing="ij")
-            pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-        return cls(pts, {"kind": "equispaced", "n_per_dim": int(n)})
+        return cls(tensor_grid_points(n, d),
+                   {"kind": "equispaced", "n_per_dim": int(n)})
 
     def append(self, other: "PointSet") -> "PointSet":
         if other.dimension != self.dimension:

@@ -37,9 +37,8 @@ from .dictionary import Dictionary
 from .discretization import UsdCertificate
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
 from .frequencies import frequency_levels
-from .points import PointSet
-from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm, sup_norm,
-                       tensor_grid_points)
+from .points import PointSet, tensor_grid_points
+from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm, sup_norm
 
 ORACLE_SUBSET_CAP = 10**6
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -275,6 +274,16 @@ def wcga_iteration_budget(v: int, one_sided_constant: float,
     return c * big_v ** 2 * math.log(max(big_v * v, 2.0)) * v
 
 
+def _checked_subset_count(n: int, v: int, cap: int) -> int:
+    """C(n, v), raising ``CapExceededError`` above ``cap``."""
+    count = math.comb(n, v)
+    if count > cap:
+        raise CapExceededError(
+            f"exhaustive search over {count} subsets exceeds the cap {cap}",
+            predicted=count, cap=cap)
+    return count
+
+
 def _rank_deficiency(subset) -> RankDeficiencyError:
     return RankDeficiencyError(
         f"columns {tuple(subset)} are rank deficient at the given nodes")
@@ -351,11 +360,7 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int,
         return SparseApproximant((), np.zeros(0, dtype=complex),
                                  inst.norm(inst.f_values), [], True,
                                  "exhaustive(v=0)")
-    count = math.comb(n, v)
-    if count > cap:
-        raise CapExceededError(
-            f"exhaustive search over {count} subsets exceeds the cap {cap}",
-            predicted=count, cap=cap)
+    count = _checked_subset_count(n, v, cap)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), v)),
         dtype=np.intp, count=count * v).reshape(count, v)
@@ -397,11 +402,7 @@ def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
     n = dictionary.size
     if v == 0:
         return sup_norm(f, grid_level)
-    count = math.comb(n, v)
-    if count > cap:
-        raise CapExceededError(
-            f"exhaustive search over {count} subsets exceeds the cap {cap}",
-            predicted=count, cap=cap)
+    _checked_subset_count(n, v, cap)
     best = math.inf
     for subset in itertools.combinations(range(n), v):
         coeffs = dictionary.l2_project(f, subset)

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBudgetError
-from .frequencies import (_checked_level_size, level_frequencies, level_of,
-                          unrank_level)
+from .frequencies import _checked_level_size, level_of, unrank_level
 from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm
 
 DEFAULT_KERNEL_TRUNCATION = 4096
@@ -115,12 +114,13 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
     ``support_rule`` selects the frequencies used within each level:
     ``None`` keeps the whole level, a nonnegative integer keeps that many
     chosen uniformly at random, and a callable ``rule(candidates, level,
-    rng)`` returns the list to keep.  An integer rule never builds a level:
-    it draws lexicographic ranks below :func:`level_size` and unranks only
-    those.  Magnitudes are scaled so the sum of coefficient moduli on every
-    level equals the level budget exactly; phases are uniform.  A level
-    whose selected support is empty is reported through a warning and
-    skipped.
+    rng)`` receives the whole level as a list of tuples and returns the
+    list to keep.  Every rule picks lexicographic ranks below
+    :func:`level_size` and unranks only those with :func:`unrank_level`;
+    an integer rule draws its ranks, so it never builds a level.
+    Magnitudes are scaled so the sum of coefficient moduli on every level
+    equals the level budget exactly; phases are uniform.  A level whose
+    selected support is empty is reported through a warning and skipped.
     """
     if not (support_rule is None or callable(support_rule)
             or (isinstance(support_rule, numbers.Integral)
@@ -130,14 +130,15 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
     coeffs = {}
     for j in range(budget.max_level + 1):
         rng = np.random.default_rng([int(rng_seed), j])
+        size = _checked_level_size(j, budget.d)
         if support_rule is None or callable(support_rule):
-            candidates = list(level_frequencies(j, budget.d))
-            selected = (candidates if support_rule is None
-                        else list(support_rule(candidates, j, rng)))
+            ranks = np.arange(size)
         else:
-            size = _checked_level_size(j, budget.d)
-            pick = rng.choice(size, size=min(support_rule, size), replace=False)
-            selected = list(map(tuple, unrank_level(j, budget.d, np.sort(pick)).tolist()))
+            ranks = np.sort(rng.choice(size, size=min(support_rule, size),
+                                       replace=False))
+        selected = list(map(tuple, unrank_level(j, budget.d, ranks).tolist()))
+        if callable(support_rule):
+            selected = list(support_rule(selected, j, rng))
         if not selected:
             warnings.warn(f"level {j} has an empty support; level skipped")
             continue

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, GridTooCoarseError
-from .points import PointSet
+from .points import GRID_POINT_CAP, PointSet, tensor_grid_points
 
 DEFAULT_GRID_LEVEL = 10
-GRID_POINT_CAP = 1 << 24
 _EVAL_CHUNK = 8192
 
 
@@ -192,19 +191,6 @@ def _values_on(points, freq_array, coeff_array):
         hi = min(lo + _EVAL_CHUNK, m)
         np.matmul(np.exp(1j * (points[lo:hi] @ kt)), coeff_array, out=out[lo:hi])
     return out
-
-
-def tensor_grid_points(n: int, d: int) -> np.ndarray:
-    """Equispaced tensor quadrature grid as an (n^d, d) array."""
-    if n ** d > GRID_POINT_CAP:
-        raise GridTooCoarseError(
-            f"tensor grid {n}^{d} exceeds the point cap {GRID_POINT_CAP}; "
-            "refusing to under-resolve")
-    axis = np.arange(n) * (2.0 * np.pi / n)
-    if d == 1:
-        return axis[:, None]
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def _quadrature_grid_size(f: TrigPolynomial, grid_level: int, factor: int, offset: int) -> int:

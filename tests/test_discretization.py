@@ -314,6 +314,18 @@ def test_equispaced_tensor_grid_exact_in_two_dimensions():
     assert res.max_ratio == pytest.approx(1.0, abs=1e-10)
 
 
+def test_equispaced_refuses_grids_above_the_point_cap():
+    from usdlab.errors import GridTooCoarseError
+    from usdlab.points import GRID_POINT_CAP, tensor_grid_points
+    assert np.array_equal(PointSet.equispaced(7, 3).points,
+                          tensor_grid_points(7, 3))
+    assert 4097 ** 2 > GRID_POINT_CAP
+    with pytest.raises(GridTooCoarseError):
+        PointSet.equispaced(4097, 2)
+    with pytest.raises(GridTooCoarseError):
+        PointSet.equispaced(GRID_POINT_CAP + 1)
+
+
 def test_find_usd_points_heuristic_exponent():
     d = Dictionary.exponential_band(-2, 2)
     coll = SubspaceCollection.from_subsets(d, [(0, 2), (1, 4)])

@@ -80,18 +80,27 @@ def test_farthest_point_radii_monotone_and_consistent():
         assert len(centers) <= t
 
 
-def unpruned_radii(values, t_max):
-    """Reference traversal: every row is updated on the full grid per center."""
+def unpruned_traversal(values, t_max):
+    """Reference traversal: every row is updated on the full grid per center.
+
+    Returns the radii after t = 1..t_max centers and the center order.
+    """
     v32 = np.asarray(values).astype(np.complex64)
     re, im = v32.real, v32.imag
     dmin2 = np.full(len(v32), np.inf, dtype=np.float32)
     radii2 = np.empty(t_max, dtype=np.float32)
+    centers = []
     for t in range(t_max):
         c = int(np.argmax(dmin2))
+        centers.append(c)
         d2 = (re - re[c]) ** 2 + (im - im[c]) ** 2
         dmin2 = np.minimum(dmin2, d2.max(axis=1))
         radii2[t] = dmin2.max()
-    return np.sqrt(radii2.astype(float))
+    return np.sqrt(radii2.astype(float)), centers
+
+
+def unpruned_radii(values, t_max):
+    return unpruned_traversal(values, t_max)[0]
 
 
 def test_farthest_point_radii_equal_the_unpruned_traversal():
@@ -102,6 +111,29 @@ def test_farthest_point_radii_equal_the_unpruned_traversal():
     assert np.array_equal(farthest_point_radii(s, 32), ref[:32])
     assert np.array_equal(farthest_point_radii(s, 256), ref)  # longer than the cache
     assert np.array_equal(farthest_point_radii(s, 100), ref[:100])  # from the cache
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_greedy_cover_at_profile_radius_is_a_traversal_prefix(seed):
+    # near-ties are frequent here, so a cover computed apart from the
+    # traversal could need more than t centers at the radius after t
+    d = Dictionary.exponential_band(-16, 15)
+    s = SampledClass.from_l1_ball(d, n_representatives=512, grid_level=8, seed=seed)
+    radii, order = unpruned_traversal(s.values, s.count)
+    fresh = SampledClass(s.values)  # no cached traversal: the cover grows its own
+    assert greedy_cover(fresh, radii[40]) == order[:41]
+    for t in range(1, s.count + 1):
+        if radii[t - 1] == 0.0:  # a cover radius must be positive
+            break
+        centers = greedy_cover(s, radii[t - 1])
+        assert len(centers) <= t
+        assert centers == order[:len(centers)]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
+def test_greedy_cover_rejects_radii_that_are_not_positive(eps):
+    with pytest.raises(ValueError, match="positive"):
+        greedy_cover(cls_from_rows([[0.0], [1.0]]), eps)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])

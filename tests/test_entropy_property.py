@@ -1,4 +1,5 @@
-"""Property check: the pruned farthest-point traversal equals the unpruned reference."""
+"""Property checks: the pruned traversal equals the unpruned reference; profiles round-trip."""
+import json
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import usdlab.entropy as entropy
+from usdlab import jsonio
 from test_entropy import unpruned_radii
 
 
@@ -33,3 +35,21 @@ def test_pruned_radii_equal_the_unpruned_reference(case, refine_elems, seed):
         assert np.array_equal(entropy.farthest_point_radii(sampled, first),
                               ref[:first])
         assert np.array_equal(entropy.farthest_point_radii(sampled, t_max), ref)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(count=st.integers(1, 40), n_max=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_entropy_profile_round_trips_through_json_text(count, n_max, seed):
+    rng = np.random.default_rng(seed)
+    sampled = entropy.SampledClass(rng.normal(size=(count, 6)),
+                                   metadata={"seed": seed, "caveats": ["finite"]})
+    profile = entropy.entropy_numbers(sampled, n_max)
+    obj = json.loads(jsonio.dumps(profile.to_json()))
+    again = entropy.EntropyProfile.from_values(obj["eps"], obj["zero_from"],
+                                               obj["metadata"])
+    assert np.array_equal(again.eps, profile.eps)
+    assert again.zero_from == profile.zero_from
+    assert again.metadata == profile.metadata
+    assert again.e_sequence() == obj["e_k"] == profile.e_sequence()
+    assert jsonio.dumps(again.to_json()) == jsonio.dumps(profile.to_json())

@@ -142,9 +142,14 @@ def materialized_budget_element(budget, take_rule, rng_seed):
     for j in range(budget.max_level + 1):
         candidates = list(level_frequencies(j, budget.d))
         rng = np.random.default_rng([int(rng_seed), j])
-        take = min(take_rule, len(candidates))
-        pick = rng.choice(len(candidates), size=take, replace=False)
-        selected = [candidates[i] for i in sorted(pick)]
+        if take_rule is None:
+            selected = candidates
+        elif callable(take_rule):
+            selected = list(take_rule(candidates, j, rng))
+        else:
+            take = min(take_rule, len(candidates))
+            pick = rng.choice(len(candidates), size=take, replace=False)
+            selected = [candidates[i] for i in sorted(pick)]
         mags = rng.uniform(0.5, 1.5, size=len(selected))
         mags *= budget.level_budget(j) / mags.sum()
         phases = np.exp(2j * np.pi * rng.random(len(selected)))
@@ -153,10 +158,22 @@ def materialized_budget_element(budget, take_rule, rng_seed):
     return TrigPolynomial(coeffs, budget.d)
 
 
+def keep_random_half(candidates, level, rng):
+    return [k for i, k in enumerate(candidates) if i == 0 or rng.random() < 0.5]
+
+
+def keep_nonnegative_first(candidates, level, rng):
+    return [k for k in candidates if k[0] >= 0]
+
+
 @pytest.mark.parametrize("budget, rule, seed", [
     (SmoothnessBudget(1.0, 0.0, 1, 14), 256, 3),
     (SmoothnessBudget(0.75, 1.0, 2, 9), 64, 8),
     (SmoothnessBudget(0.5, 0.5, 3, 6), 40, 21),
+    (SmoothnessBudget(1.0, 0.0, 1, 10), None, 5),
+    (SmoothnessBudget(0.5, 0.5, 3, 5), None, 2),
+    (SmoothnessBudget(0.75, 1.0, 2, 7), keep_random_half, 13),
+    (SmoothnessBudget(1.0, 0.0, 1, 9), keep_nonnegative_first, 4),
 ])
 def test_integer_rule_equals_the_materialized_reference(budget, rule, seed):
     f = level_budget_element(budget, support_rule=rule, rng_seed=seed)
