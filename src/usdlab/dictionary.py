@@ -13,8 +13,8 @@ import numpy as np
 from .errors import DimensionMismatchError, NormBudgetError
 from .frequencies import FrequencySet
 from .points import PointSet
-from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _union_coefficients,
-                       lp_norm, sup_norm)
+from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _combination, _stack,
+                       _union_coefficients, lp_norm, sup_norm)
 
 _BOUND_CHECK_GRID_LEVEL = 8
 
@@ -43,12 +43,10 @@ class Dictionary:
         self.riesz_constant = None if riesz_constant is None else float(riesz_constant)
         self.dimension = d
         # distinct unit monomials e^{i<k,x>} are orthonormal in L2
-        monomials = [next(iter(g.coeffs.items())) for g in elements
-                     if len(g.coeffs) == 1]
-        self.orthonormal_monomials = (
-            len(monomials) == len(elements)
-            and all(c == 1 for _, c in monomials)
-            and len({k for k, _ in monomials}) == len(elements))
+        union, _, owner, coeffs = _stack(elements, d)
+        self.orthonormal_monomials = bool(
+            np.array_equal(owner, np.arange(len(elements)))
+            and (coeffs == 1).all() and len(union) == len(elements))
 
     def __len__(self):
         return len(self.elements)
@@ -102,21 +100,16 @@ class Dictionary:
         idx = list(range(self.size)) if indices is None else list(indices)
         if len(idx) != len(coefficients):
             raise ValueError("one coefficient per selected element expected")
-        out = {}
-        for c, i in zip(coefficients, idx):
-            for k, a in self.elements[i].coeffs.items():
-                out[k] = out.get(k, 0.0) + complex(c) * a
-        return TrigPolynomial(out, self.dimension)
+        return _combination([self.elements[i] for i in idx], coefficients,
+                            self.dimension)
 
     def l2_project(self, f: TrigPolynomial, indices) -> np.ndarray:
         """Coefficients of the continuous-L2 best approximation from a subset."""
         idx = list(indices)
         gram = self.continuous_gram(idx)
-        rhs = np.zeros(len(idx), dtype=complex)
-        for col, i in enumerate(idx):
-            for k, a in self.elements[i].coeffs.items():
-                rhs[col] += np.conj(a) * f.coeffs.get(k, 0.0)
-        return np.linalg.solve(gram, rhs)
+        _, b = _union_coefficients([self.elements[i] for i in idx] + [f],
+                                   self.dimension)
+        return np.linalg.solve(gram, b[:, :-1].conj().T @ b[:, -1])
 
 
 class SubspaceCollection:

@@ -24,7 +24,8 @@ from .dictionary import Dictionary, SubspaceCollection
 from .errors import CapExceededError, RankDeficiencyError
 from .points import PointSet, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _check_exponent,
-                       _union_coefficients, _values_on, lp_norm)
+                       _quadrature_grid_size, _union_coefficients, _values_on,
+                       lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
 
@@ -232,7 +233,7 @@ def _subset_ratios(values, subset, dictionary: Dictionary, p: float,
                               vec_lo, vec_hi)
 
     max_freq = max(dictionary.elements[i].max_component_frequency() for i in subset)
-    n_grid = max(math.ceil(p) * max_freq + 1, 2 ** opts.grid_level)
+    n_grid = _quadrature_grid_size(max_freq, opts.grid_level, math.ceil(p), 1)
     grid = tensor_grid_points(n_grid, dictionary.dimension)
     v_cont = dictionary.values_at(grid)[:, subset]
     warm = [vec_lo, vec_hi]
@@ -448,6 +449,8 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     """Per-trial worst discretization gaps over i.i.d. uniform draws."""
     if mc_trials < 1:
         raise ValueError("need at least one trial")
+    if not functions:
+        raise ValueError("need at least one function")
     d = functions[0].dimension
     karr, coeff = _union_coefficients(functions, d)
     cont = np.array([lp_norm(f, p, grid_level) ** p for f in functions])

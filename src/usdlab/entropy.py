@@ -53,8 +53,9 @@ class SampledClass:
         self.values = values.astype(complex)
         self.grid = grid
         self.metadata = dict(metadata or {})
-        self._radii = None
-        self._centers = None
+        self._radii = np.zeros(0)
+        self._centers = np.zeros(0, dtype=np.intp)
+        self._dmin2 = np.full(self.count, np.inf, dtype=np.float32)
         self._dist32 = None
 
     @property
@@ -116,11 +117,12 @@ def greedy_cover(sampled: SampledClass, eps: float) -> list:
     to the lowest index.  Distances are single precision (relative error
     near 1e-7), so the values must be finite in single precision.  When the
     cached traversal is too short, its length is doubled until the radius
-    is reached, which costs at most twice the final traversal.
+    is reached; each doubling resumes the cached traversal, so no center
+    step runs twice and the traversal ends shorter than twice the cover.
     """
     if not eps > 0:
         raise ValueError(f"covering radius must be positive, got {eps}")
-    t = 1 if sampled._radii is None else len(sampled._radii)
+    t = max(1, len(sampled._radii))
     while True:
         hit = np.flatnonzero(farthest_point_radii(sampled, t) <= eps)
         if hit.size:  # the full traversal ends at radius 0
@@ -142,10 +144,11 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     """Covering radius after t greedy centers, for t = 1..t_max.
 
     The greedy selection order does not depend on any target radius, so
-    this single traversal answers every cover-size query; the radii and the
-    center order are cached on the sample.  Distances run in single
-    precision on squared moduli (relative error near 1e-7), so the values
-    must be finite in single precision.
+    this single traversal answers every cover-size query.  The radii, the
+    center order and the nearest-center distances are cached on the sample,
+    and a longer request resumes the traversal where the cache ends.
+    Distances run in single precision on squared moduli (relative error
+    near 1e-7), so the values must be finite in single precision.
 
     Each new center first updates every row on a fixed strided subgrid of
     about ``_SUBGRID_POINTS`` columns (filter); only the rows that survive
@@ -158,7 +161,8 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     tie rule are therefore bit-identical to an unpruned traversal.
     """
     t_max = min(int(t_max), sampled.count)
-    if sampled._radii is not None and len(sampled._radii) >= t_max:
+    done = len(sampled._radii)
+    if done >= t_max:
         return sampled._radii[:t_max]
     if sampled._dist32 is None:
         with np.errstate(over="ignore"):  # overflow is rejected just below
@@ -171,14 +175,14 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
                            np.ascontiguousarray(im[:, ::stride]))
     re, im, sub_re, sub_im = sampled._dist32
     n, g = re.shape
-    dmin2 = np.full(n, np.inf, dtype=np.float32)
-    radii2 = np.empty(t_max, dtype=np.float32)
-    centers = np.empty(t_max, dtype=np.intp)
+    dmin2 = sampled._dmin2.copy()  # the cache moves only once the steps are done
+    radii2 = np.empty(t_max - done, dtype=np.float32)
+    centers = np.empty(t_max - done, dtype=np.intp)
     sub_a, sub_b = np.empty_like(sub_re), np.empty_like(sub_im)
     chunk = min(n, max(1, _REFINE_ELEMS // g))
     ref_a = np.empty((chunk, g), dtype=np.float32)
     ref_b = np.empty((chunk, g), dtype=np.float32)
-    for t in range(t_max):
+    for t in range(t_max - done):
         c = centers[t] = int(np.argmax(dmin2))
         sub = _squared_moduli(sub_re, sub_im, sub_re[c], sub_im[c], sub_a, sub_b)
         live = np.flatnonzero(sub.max(axis=1) < dmin2)
@@ -191,9 +195,10 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
             full = _squared_moduli(a, b, re[c], im[c], a, b)
             dmin2[rows] = np.minimum(dmin2[rows], full.max(axis=1))
         radii2[t] = dmin2.max()
-    radii = np.sqrt(radii2.astype(float))
-    sampled._radii, sampled._centers = radii, centers
-    return radii
+    sampled._radii = np.concatenate([sampled._radii, np.sqrt(radii2.astype(float))])
+    sampled._centers = np.concatenate([sampled._centers, centers])
+    sampled._dmin2 = dmin2
+    return sampled._radii
 
 
 @dataclass
@@ -216,6 +221,8 @@ class EntropyProfile:
         return self.eps.size - 1
 
     def eps_at(self, n: int) -> float:
+        if n < 0:
+            raise ValueError(f"index n must be >= 0, got {n}")
         if n <= self.n_max:
             return float(self.eps[n])
         if self.zero_from is not None and n >= self.zero_from:
@@ -233,6 +240,8 @@ class EntropyProfile:
         return out
 
     def e_at(self, k: int) -> float:
+        if k < 0:
+            raise ValueError(f"index k must be >= 0, got {k}")
         return self.eps_at(0) if k == 0 else self.eps_at(2 ** k)
 
     def to_csv_rows(self):
@@ -296,6 +305,8 @@ def entropy_sum_dyadic(profile: EntropyProfile, theta: float, m: int) -> float:
 
 
 def _chaining_prefactor(p: float, bound_m: float, m: int) -> float:
+    if m < 1:
+        raise ValueError(f"sample count m must be >= 1, got {m}")
     return p ** 2 * bound_m ** max(p / 2.0, p - 1.0) * m ** (-0.5)
 
 

@@ -36,9 +36,10 @@ import numpy as np
 from .dictionary import Dictionary
 from .discretization import UsdCertificate
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
-from .frequencies import frequency_levels
+from .frequencies import FrequencySet, frequency_levels
 from .points import PointSet, tensor_grid_points
-from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm, sup_norm
+from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _quadrature_grid_size,
+                       lp_norm, sup_norm)
 
 ORACLE_SUBSET_CAP = 10**6
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -91,8 +92,8 @@ class DiscreteInstance:
         """Nodes = dense grid (weight 1/2) plus the samples (weight 1/2)."""
         max_freq = max(f.max_component_frequency(),
                        dictionary.max_component_frequency())
-        n_grid = max(2 * max_freq + 1, 2 ** grid_level)
-        grid = tensor_grid_points(n_grid, dictionary.dimension)
+        grid = tensor_grid_points(_quadrature_grid_size(max_freq, grid_level, 2, 1),
+                                  dictionary.dimension)
         a = np.concatenate([dictionary.values_at(grid),
                             dictionary.values_at(xi)], axis=0)
         b = np.concatenate([f.evaluate(grid), f.evaluate(xi)])
@@ -455,15 +456,13 @@ class BlockGreedyResult:
         }
 
 
-def _wcga_level_approximant(entries, d, count, p, target_points, grid_level):
+def _wcga_level_approximant(freqs, coeffs, count, p, target_points, grid_level):
     """Greedy cross-check path: run the weak greedy on one level block."""
-    from .frequencies import FrequencySet
-
-    block = TrigPolynomial(dict(entries), d)
-    block_dict = Dictionary.exponentials(
-        FrequencySet.from_indices([k for k, _ in entries]))
+    d = freqs.shape[1]
+    block = TrigPolynomial.from_arrays(freqs, coeffs, d)
+    block_dict = Dictionary.exponentials(FrequencySet.from_indices(freqs.tolist(), d))
     if target_points is None:
-        n_grid = max(2 * block.max_component_frequency() + 1, 2 ** grid_level)
+        n_grid = _quadrature_grid_size(block.max_component_frequency(), grid_level, 2, 1)
         target_points = PointSet.explicit(tensor_grid_points(n_grid, d))
     inst = DiscreteInstance.from_function(block, block_dict, target_points, p)
     appr = weak_chebyshev_greedy(inst, max_iter=count)
@@ -491,30 +490,26 @@ def block_greedy_approximant(f: TrigPolynomial, n: int, beta: float,
     if n < 1:
         raise ValueError("the partial-sum cut n must be >= 1")
     d = f.dimension
-    keep = {}
-    blocks: dict = {}
-    levels = frequency_levels(f.as_arrays()[0]).tolist()
-    for (k, c), j in zip(f.coeffs.items(), levels):
-        if j < n:
-            keep[k] = c
-        else:
-            blocks.setdefault(j, []).append((k, c))
+    freqs, coeffs = f.as_arrays()
+    levels = frequency_levels(freqs)
+    modulus = np.hypot(coeffs.real, coeffs.imag)  # bit-equal to abs(complex)
+    kept = [(freqs[levels < n], coeffs[levels < n])]
     schedule = block_term_schedule(n, beta, d)
     for j, count in schedule:
-        entries = blocks.get(j)
-        if not entries:
+        rows = np.flatnonzero(levels == j)
+        if not rows.size:
             continue
         if use_wcga:
-            approx_block = _wcga_level_approximant(entries, d, count, p,
-                                                   target_points, grid_level)
-            keep.update(approx_block.coeffs)
-            continue
-        entries.sort(key=lambda kc: (-abs(kc[1]), kc[0]))
-        for k, c in entries[:count]:
-            keep[k] = c
-    approx = TrigPolynomial(keep, d)
+            kept.append(_wcga_level_approximant(freqs[rows], coeffs[rows], count, p,
+                                                target_points, grid_level).as_arrays())
+        else:
+            # rows are in lexicographic order, so a stable sort breaks ties by k
+            top = rows[np.argsort(-modulus[rows], kind="stable")[:count]]
+            kept.append((freqs[top], coeffs[top]))
+    approx = TrigPolynomial.from_arrays(*map(np.concatenate, zip(*kept)), d)
     reference = 2.0 ** n * max(n, 1) ** (d - 1)
-    return BlockGreedyResult(approx, len(keep), schedule, n, beta, reference)
+    return BlockGreedyResult(approx, len(approx.as_arrays()[1]), schedule, n, beta,
+                             reference)
 
 
 @dataclass

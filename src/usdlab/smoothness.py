@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormBudgetError
-from .frequencies import _checked_level_size, level_of, unrank_level
+from .frequencies import _checked_level_size, frequency_levels, unrank_level
 from .trigpoly import DEFAULT_GRID_LEVEL, TrigPolynomial, lp_norm
 
 DEFAULT_KERNEL_TRUNCATION = 4096
@@ -51,11 +51,9 @@ def bernoulli_kernel(r: float, max_freq: int = DEFAULT_KERNEL_TRUNCATION) -> Tri
         raise ValueError("decay exponent r must be positive")
     if max_freq < 1:
         raise ValueError("truncation must keep at least |k| <= 1")
-    coeffs = {(0,): 1.0 + 0.0j}
-    for k in range(1, max_freq + 1):
-        coeffs[(k,)] = kernel_coefficient(k, r)
-        coeffs[(-k,)] = kernel_coefficient(-k, r)
-    return TrigPolynomial(coeffs, 1)
+    ks = range(-max_freq, max_freq + 1)
+    return TrigPolynomial.from_arrays(np.array(ks)[:, None],
+                                      [kernel_coefficient(k, r) for k in ks], 1)
 
 
 def bernoulli_kernel_tail_bound(r: float, max_freq: int) -> float:
@@ -77,13 +75,11 @@ def mixed_smoothness_element(phi: TrigPolynomial, r: float, q: float,
     nq = lp_norm(phi, q, grid_level)
     if nq > 1.0 + 1e-9:
         raise NormBudgetError(f"||phi||_{q} = {nq} exceeds the unit budget")
-    coeffs = {}
-    for k, c in phi.coeffs.items():
-        factor = 1.0 + 0.0j
-        for kj in k:
-            factor *= kernel_coefficient(kj, r)
-        coeffs[k] = c * factor
-    return TrigPolynomial(coeffs, phi.dimension)
+    freqs, coeffs = phi.as_arrays()
+    values, at = np.unique(freqs, return_inverse=True)  # at has the shape of freqs
+    kernel = np.array([kernel_coefficient(k, r) for k in values.tolist()], dtype=complex)
+    return TrigPolynomial.from_arrays(freqs, coeffs * kernel[at].prod(axis=1),
+                                      phi.dimension)
 
 
 @dataclass(frozen=True)
@@ -127,7 +123,7 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
                 and not isinstance(support_rule, bool) and support_rule >= 0)):
         raise ValueError("support_rule must be None, a callable or an "
                          f"integer >= 0, got {support_rule!r}")
-    coeffs = {}
+    kept = [(np.zeros((0, budget.d), dtype=np.int64), np.zeros(0))]
     for j in range(budget.max_level + 1):
         rng = np.random.default_rng([int(rng_seed), j])
         size = _checked_level_size(j, budget.d)
@@ -136,35 +132,36 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
         else:
             ranks = np.sort(rng.choice(size, size=min(support_rule, size),
                                        replace=False))
-        selected = list(map(tuple, unrank_level(j, budget.d, ranks).tolist()))
+        selected = unrank_level(j, budget.d, ranks)
         if callable(support_rule):
-            selected = list(support_rule(selected, j, rng))
-        if not selected:
+            chosen = list(support_rule(list(map(tuple, selected.tolist())), j, rng))
+            selected = np.array(chosen, dtype=np.int64).reshape(len(chosen), budget.d)
+        if not len(selected):
             warnings.warn(f"level {j} has an empty support; level skipped")
             continue
         mags = rng.uniform(0.5, 1.5, size=len(selected))
         mags *= budget.level_budget(j) / mags.sum()
         phases = np.exp(2j * np.pi * rng.random(len(selected)))
-        for k, m, ph in zip(selected, mags, phases):
-            coeffs[k] = m * ph
-    return TrigPolynomial(coeffs, budget.d)
+        kept.append((selected, mags * phases))
+    return TrigPolynomial.from_arrays(*map(np.concatenate, zip(*kept)), budget.d)
 
 
 def level_a_norms(f: TrigPolynomial) -> dict:
     """Wiener norm of each dyadic level block of ``f``."""
-    out = {}
-    for k, c in f.coeffs.items():
-        j = level_of(k)
-        out[j] = out.get(j, 0.0) + abs(c)
-    return dict(sorted(out.items()))
+    freqs, coeffs = f.as_arrays()
+    levels = frequency_levels(freqs)
+    # bincount adds in row order from 0.0, and hypot is the modulus abs() gives
+    sums = np.bincount(levels, weights=np.hypot(coeffs.real, coeffs.imag))
+    return {j: float(sums[j]) for j in np.unique(levels).tolist()}
 
 
 def dyadic_blocks(f: TrigPolynomial) -> dict:
     """Split ``f`` into its dyadic level blocks, keyed by level."""
-    groups = {}
-    for k, c in f.coeffs.items():
-        groups.setdefault(level_of(k), {})[k] = c
-    return {j: TrigPolynomial(g, f.dimension) for j, g in sorted(groups.items())}
+    freqs, coeffs = f.as_arrays()
+    levels = frequency_levels(freqs)
+    return {j: TrigPolynomial.from_arrays(freqs[levels == j], coeffs[levels == j],
+                                          f.dimension)
+            for j in np.unique(levels).tolist()}
 
 
 def mixed_difference_seminorm(f: TrigPolynomial, r: float, l: int, step,
@@ -188,13 +185,10 @@ def mixed_difference_seminorm(f: TrigPolynomial, r: float, l: int, step,
             raise ValueError(f"step t_{c} must be nonzero on the active coordinates")
     if not coords:
         return lp_norm(f, p, grid_level)
-    coeffs = {}
-    for k, c in f.coeffs.items():
-        factor = 1.0 + 0.0j
-        for j in coords:
-            factor *= (cmath.exp(1j * k[j] * step[j]) - 1.0) ** l
-        coeffs[k] = c * factor
-    diff = TrigPolynomial(coeffs, f.dimension)
+    freqs, coeffs = f.as_arrays()
+    active = list(coords)
+    factor = ((np.exp(1j * freqs[:, active] * step[active]) - 1.0) ** l).prod(axis=1)
+    diff = TrigPolynomial.from_arrays(freqs, coeffs * factor, f.dimension)
     scale = 1.0
     for j in coords:
         scale *= abs(step[j]) ** r

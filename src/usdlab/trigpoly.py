@@ -1,9 +1,10 @@
-"""Trigonometric polynomials with explicit complex coefficient maps.
+"""Trigonometric polynomials stored as sorted frequency and coefficient arrays.
 
-A polynomial is a finite map from integer frequency vectors to complex
-amplitudes; its value at x is ``sum_k c_k * exp(i <k, x>)``.  Frequencies
-are kept in lexicographic order everywhere (construction, evaluation,
-serialization) so results are reproducible run to run.
+A polynomial ``sum_k c_k * exp(i <k, x>)`` holds its frequencies as a
+read-only (n, d) int64 array in lexicographic row order without repeats and
+its n complex128 coefficients in the same order; ``.coeffs`` is a read-only
+mapping view of that pair, built on first access.  The fixed order makes
+evaluation and serialization reproducible run to run.
 
 Norm conventions: the measure is the normalized Lebesgue measure on the
 torus [0, 2*pi)^d, so the L2 norm equals the l2 norm of the coefficients
@@ -14,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridTooCoarseError
-from .points import GRID_POINT_CAP, PointSet, tensor_grid_points
+from .errors import DimensionMismatchError
+from .points import PointSet, tensor_grid_points
 
 DEFAULT_GRID_LEVEL = 10
 _EVAL_CHUNK = 8192
@@ -27,104 +29,93 @@ _EVAL_CHUNK = 8192
 class TrigPolynomial:
     """Finite trigonometric polynomial ``sum_k coeffs[k] e^{i<k,x>}``."""
 
-    __slots__ = ("coeffs", "dimension", "_arrays")
+    __slots__ = ("dimension", "_freqs", "_coeffs", "_mapping")
 
     def __init__(self, coeffs, dimension=None):
-        norm = {}
-        items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-        for k, c in items:
-            if isinstance(k, (int, np.integer)):
-                k = (int(k),)
-            else:
-                k = tuple(int(v) for v in k)
-            if k in norm:
-                raise ValueError(f"duplicate frequency {k}")
-            norm[k] = complex(c)
-        if dimension is None:
-            if not norm:
-                raise ValueError("dimension required for the zero polynomial")
-            dimension = len(next(iter(norm)))
-        for k in norm:
-            if len(k) != dimension:
-                raise DimensionMismatchError(
-                    f"frequency {k} does not have dimension {dimension}")
-        self.coeffs = dict(sorted(norm.items()))
+        items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
+        keys = [(int(k),) if isinstance(k, (int, np.integer))
+                else tuple(int(v) for v in k) for k, _ in items]
+        if dimension is None and not keys:
+            raise ValueError("dimension required for the zero polynomial")
+        dimension = len(keys[0]) if dimension is None else dimension
+        if any(len(k) != dimension for k in keys):
+            raise DimensionMismatchError(f"frequencies must have dimension {dimension}")
+        self._store(np.array(keys, dtype=np.int64).reshape(len(keys), dimension),
+                    [complex(c) for _, c in items], dimension)
+
+    @classmethod
+    def from_arrays(cls, freqs, coeffs, dimension) -> "TrigPolynomial":
+        """Polynomial from (n, d) integer frequencies and n coefficients,
+        sorted into copies; a repeated frequency raises ``ValueError``."""
+        out = cls.__new__(cls)
+        out._store(freqs, coeffs, dimension)
+        return out
+
+    def _store(self, freqs, coeffs, dimension):
+        freqs = np.asarray(freqs, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if freqs.ndim != 2 or freqs.shape[1] != dimension:
+            raise DimensionMismatchError(
+                f"frequency array of shape {freqs.shape} is not (n, {dimension})")
+        if coeffs.shape != freqs.shape[:1]:
+            raise ValueError("one coefficient per frequency row expected")
+        order = np.lexsort(freqs.T[::-1])
+        freqs, coeffs = freqs[order], coeffs[order]
+        repeated = np.flatnonzero((freqs[1:] == freqs[:-1]).all(axis=1))
+        if repeated.size:
+            raise ValueError(f"duplicate frequency {freqs[repeated[0]].tolist()}")
+        freqs.flags.writeable = coeffs.flags.writeable = False
         self.dimension = int(dimension)
-        self._arrays = None
+        self._freqs, self._coeffs, self._mapping = freqs, coeffs, None
 
     # -- basic views ------------------------------------------------------
+
+    def as_arrays(self):
+        """The stored (frequencies, coefficients) pair, in lexicographic order."""
+        return self._freqs, self._coeffs
+
+    @property
+    def coeffs(self):
+        """Read-only mapping from frequency tuples to complex coefficients."""
+        if self._mapping is None:
+            self._mapping = MappingProxyType(dict(zip(
+                map(tuple, self._freqs.tolist()), self._coeffs.tolist())))
+        return self._mapping
 
     @property
     def support(self):
         return tuple(self.coeffs)
 
-    def as_arrays(self):
-        """(frequencies, coefficients) as arrays in lexicographic order."""
-        if self._arrays is None:
-            if self.coeffs:
-                k = np.asarray(list(self.coeffs), dtype=np.int64)
-                c = np.asarray(list(self.coeffs.values()), dtype=complex)
-            else:
-                k = np.zeros((0, self.dimension), dtype=np.int64)
-                c = np.zeros(0, dtype=complex)
-            self._arrays = (k, c)
-        return self._arrays
-
     def max_component_frequency(self) -> int:
-        k, _ = self.as_arrays()
-        return int(np.abs(k).max()) if k.size else 0
+        return int(np.abs(self._freqs).max()) if self._freqs.size else 0
 
     def coefficient_l2(self) -> float:
-        _, c = self.as_arrays()
-        return float(np.linalg.norm(c))
+        return float(np.linalg.norm(self._coeffs))
 
     # -- algebra ----------------------------------------------------------
 
-    @classmethod
-    def _from_sorted(cls, coeffs, dimension, arrays=None):
-        """Wrap an already normalized, lexicographically sorted coefficient dict."""
-        out = cls.__new__(cls)
-        out.coeffs = coeffs
-        out.dimension = dimension
-        out._arrays = arrays
-        return out
-
     def __add__(self, other):
-        """Sum by merging the sorted arrays; a key only in ``other`` gets 0.0 + c."""
         if other.dimension != self.dimension:
             raise DimensionMismatchError("cannot add polynomials of different dimension")
-        (ka, ca), (kb, cb) = self.as_arrays(), other.as_arrays()
-        keys = np.concatenate([ka, kb])
-        vals = np.concatenate([ca, cb])
-        order = np.lexsort(keys.T[::-1])   # stable: of two equal keys, self's first
-        keys, vals = keys[order], vals[order]
-        same = (keys[1:] == keys[:-1]).all(axis=1)
-        pairs = np.flatnonzero(same)
-        vals[pairs] = vals[pairs] + vals[pairs + 1]
-        keep = np.ones(len(keys), dtype=bool)
-        keep[pairs + 1] = False
-        only_other = keep & (order >= len(ka))
-        vals[only_other] = 0.0 + vals[only_other]
-        keys, vals = keys[keep], vals[keep]
-        key_objects = [*self.coeffs, *other.coeffs]
-        coeffs = dict(zip([key_objects[i] for i in order[keep].tolist()],
-                          vals.tolist()))
-        return TrigPolynomial._from_sorted(coeffs, self.dimension, (keys, vals))
+        return _combination([self, other], [1.0, 1.0], self.dimension)
 
     def __sub__(self, other):
         return self + other.scale(-1.0)
 
     def scale(self, factor):
-        return TrigPolynomial._from_sorted(
-            {k: complex(factor * c) for k, c in self.coeffs.items()}, self.dimension)
+        return TrigPolynomial.from_arrays(
+            self._freqs, complex(factor) * self._coeffs, self.dimension)
 
     def __neg__(self):
         return self.scale(-1.0)
 
     def restrict(self, frequencies) -> "TrigPolynomial":
-        keep = set(tuple(k) if not isinstance(k, int) else (k,) for k in frequencies)
-        return TrigPolynomial({k: c for k, c in self.coeffs.items() if k in keep},
-                              self.dimension)
+        """The terms whose frequency is among ``frequencies`` (given without repeats)."""
+        query = TrigPolynomial([(k, 0.0) for k in frequencies], self.dimension)
+        _, at, owner, _ = _stack([self, query], self.dimension)
+        keep = np.isin(at[owner == 0], at[owner == 1])
+        return TrigPolynomial.from_arrays(self._freqs[keep], self._coeffs[keep],
+                                          self.dimension)
 
     # -- evaluation -------------------------------------------------------
 
@@ -136,26 +127,24 @@ class TrigPolynomial:
         if arr.shape[1] != self.dimension:
             raise DimensionMismatchError(
                 f"points have dimension {arr.shape[1]}, polynomial has {self.dimension}")
-        k, c = self.as_arrays()
-        return _values_on(arr, k, c)
+        return _values_on(arr, self._freqs, self._coeffs)
 
     def __repr__(self):
-        return f"TrigPolynomial(d={self.dimension}, terms={len(self.coeffs)})"
+        return f"TrigPolynomial(d={self.dimension}, terms={len(self._coeffs)})"
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
         return {
             "dimension": self.dimension,
-            "coefficients": [[list(k), float(c.real), float(c.imag)]
-                             for k, c in self.coeffs.items()],
+            "coefficients": [[k, c.real, c.imag] for k, c in
+                             zip(self._freqs.tolist(), self._coeffs.tolist())],
         }
 
     @classmethod
     def from_json(cls, obj):
-        coeffs = {tuple(entry[0]): complex(entry[1], entry[2])
-                  for entry in obj["coefficients"]}
-        return cls(coeffs, dimension=obj["dimension"])
+        return cls({tuple(k): complex(re, im) for k, re, im in obj["coefficients"]},
+                   dimension=obj["dimension"])
 
 
 def _check_exponent(p):
@@ -163,17 +152,37 @@ def _check_exponent(p):
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
 
 
+def _stack(polys, dimension):
+    """The sorted union (F, d) of the frequencies of ``polys`` and, for every
+    term of every polynomial in turn, its union row, its polynomial's index
+    and its coefficient."""
+    pairs = [f.as_arrays() for f in polys]
+    pairs.append((np.zeros((0, dimension), dtype=np.int64), np.zeros(0)))  # never empty
+    freqs = np.concatenate([k for k, _ in pairs])
+    order = np.lexsort(freqs.T[::-1])   # several times faster than np.unique(axis=0)
+    new = np.ones(len(freqs), dtype=bool)
+    new[1:] = (freqs[order[1:]] != freqs[order[:-1]]).any(axis=1)
+    union, at = freqs[order[new]], np.empty(len(freqs), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    owner = np.repeat(np.arange(len(pairs)), [len(c) for _, c in pairs])
+    return union, at, owner, np.concatenate([c for _, c in pairs])
+
+
 def _union_coefficients(polys, dimension):
     """Sorted union frequencies (F, d) and the (F, len(polys)) coefficient matrix."""
-    freqs = sorted({k for f in polys for k in f.coeffs})
-    pos = {k: i for i, k in enumerate(freqs)}
-    coeff = np.zeros((len(freqs), len(polys)), dtype=complex)
-    for j, f in enumerate(polys):
-        for k, c in f.coeffs.items():
-            coeff[pos[k], j] = c
-    karr = (np.asarray(freqs, dtype=np.int64).reshape(len(freqs), dimension)
-            if freqs else np.zeros((0, dimension), dtype=np.int64))
-    return karr, coeff
+    union, at, owner, coeffs = _stack(polys, dimension)
+    matrix = np.zeros((len(union), len(polys)), dtype=complex)
+    matrix[at, owner] = coeffs
+    return union, matrix
+
+
+def _combination(polys, weights, dimension):
+    """``sum_i weights[i] * polys[i]``; each frequency sums its terms in
+    polynomial order, starting from zero."""
+    union, at, owner, coeffs = _stack(polys, dimension)
+    total = np.zeros(len(union), dtype=complex)
+    np.add.at(total, at, np.asarray(weights, dtype=complex)[owner] * coeffs)
+    return TrigPolynomial.from_arrays(union, total, dimension)
 
 
 def _values_on(points, freq_array, coeff_array):
@@ -193,15 +202,9 @@ def _values_on(points, freq_array, coeff_array):
     return out
 
 
-def _quadrature_grid_size(f: TrigPolynomial, grid_level: int, factor: int, offset: int) -> int:
-    need = factor * f.max_component_frequency() + offset
-    n = max(need, 2 ** grid_level, 1)
-    if n ** f.dimension > GRID_POINT_CAP:
-        raise GridTooCoarseError(
-            f"norm of a degree-{f.max_component_frequency()} polynomial in "
-            f"dimension {f.dimension} needs {n}^{f.dimension} grid points, "
-            f"above the cap {GRID_POINT_CAP}; refusing to under-resolve")
-    return n
+def _quadrature_grid_size(max_freq, grid_level, factor, offset) -> int:
+    """Grid points per dimension: ``max(factor * max_freq + offset, 2**grid_level, 1)``."""
+    return max(factor * max_freq + offset, 2 ** grid_level, 1)
 
 
 def lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_GRID_LEVEL) -> float:
@@ -219,7 +222,7 @@ def lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_GRID_LEVEL) -
 
 
 def _quadrature_lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_GRID_LEVEL) -> float:
-    n = _quadrature_grid_size(f, grid_level, factor=2, offset=1)
+    n = _quadrature_grid_size(f.max_component_frequency(), grid_level, 2, 1)
     grid = tensor_grid_points(n, f.dimension)
     vals = f.evaluate(grid)
     return float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
@@ -235,7 +238,7 @@ class SupNormEstimate:
 
 
 def sup_norm_info(f: TrigPolynomial, grid_level: int = DEFAULT_GRID_LEVEL) -> SupNormEstimate:
-    n = _quadrature_grid_size(f, grid_level, factor=8, offset=0)
+    n = _quadrature_grid_size(f.max_component_frequency(), grid_level, 8, 0)
     grid = tensor_grid_points(n, f.dimension)
     vals = f.evaluate(grid)
     value = float(np.abs(vals).max()) if vals.size else 0.0

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from usdlab import entropy
 from usdlab.dictionary import Dictionary
+from usdlab.discretization import (discretization_error_trials,
+                                   expected_sup_estimate)
 from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
                             chaining_bound_dyadic,
                             double_exponential_tail_constant,
@@ -279,3 +282,49 @@ def test_double_exponential_tail_bounded_by_constant():
         total = double_exponential_tail_sum(a, b, m)
         c = double_exponential_tail_constant(a, b)
         assert total <= c * m ** (a * b)
+
+
+def test_longer_traversal_resumes_from_the_cache(monkeypatch):
+    # extending t to 2t runs only the t new center steps, and gives the very
+    # radii and centers of one traversal of 2t centers
+    d = Dictionary.exponential_band(-16, 15)
+    values = SampledClass.from_l1_ball(d, n_representatives=512, grid_level=8,
+                                       seed=5).values
+    calls = []
+    original = entropy._squared_moduli
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(entropy, "_squared_moduli", counted)
+
+    def traverse(*lengths):
+        s = SampledClass(values)
+        del calls[:]
+        for t in lengths:
+            farthest_point_radii(s, t)
+        return s, len(calls)
+
+    _, first = traverse(64)
+    resumed, both = traverse(64, 128)
+    whole, once = traverse(128)
+    assert both == once and both - first < once
+    assert np.array_equal(resumed._radii, whole._radii)
+    assert np.array_equal(resumed._centers, whole._centers)
+    assert greedy_cover(resumed, whole._radii[99]) == whole._centers[:100].tolist()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: EntropyProfile.from_values([3.0, 2.0, 1.0]).eps_at(-1),
+    lambda: EntropyProfile.from_values([3.0, 2.0, 1.0]).e_at(-1),
+    lambda: chaining_bound(EntropyProfile.from_values([1.0, 0.5]), 2.0, 1.0, 0),
+    lambda: chaining_bound_dyadic(EntropyProfile.from_values([1.0, 0.5]), 2.0,
+                                  1.0, 0),
+    lambda: discretization_error_trials([], 2.0, 8, 3),
+    lambda: expected_sup_estimate([], 2.0, 8, 3),
+], ids=["eps_at", "e_at", "chaining_bound", "chaining_bound_dyadic",
+        "discretization_error_trials", "expected_sup_estimate"])
+def test_boundary_inputs_raise_value_error(call):
+    with pytest.raises(ValueError, match="must be >= |at least one function"):
+        call()

@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import math
 import os
@@ -406,3 +407,19 @@ def test_import_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
+    # digests recorded from the coefficient-dictionary implementation of
+    # TrigPolynomial; the summary does not record the output directory
+    path = os.path.join(CONFIG_DIR, "recovery_rate.json")
+    assert main(["recover", "--config", path, "--out", str(tmp_path),
+                 "--threads", "1"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("recovery_rate.csv", "summary.json")}
+    assert digests == {
+        "recovery_rate.csv":
+            "c80480a294b31bef11eca7a0c73fc38e384685784ecd6f83b42839ec555b8c62",
+        "summary.json":
+            "5f3e6392b528f142442d9635410c5f6e1f5504ae0e8b3639758bde8794e53ed4",
+    }

@@ -192,3 +192,39 @@ def test_values_on_takes_a_coefficient_matrix():
                            rtol=0, atol=1e-13)
     assert np.array_equal(_values_on(pts, k[:0], coeff[:0]),
                           np.zeros((9000, 4), dtype=complex))
+
+
+def test_from_arrays_sorts_rows_and_validates():
+    f = TrigPolynomial.from_arrays([[2, 0], [-1, 5], [-1, 3]], [1.0, 2.0, 3j], 2)
+    k, c = f.as_arrays()
+    assert k.dtype == np.int64 and c.dtype == complex
+    assert k.tolist() == [[-1, 3], [-1, 5], [2, 0]] and c.tolist() == [3j, 2, 1]
+    assert f.coeffs == TrigPolynomial({(2, 0): 1.0, (-1, 5): 2.0, (-1, 3): 3j}).coeffs
+    assert TrigPolynomial.from_arrays(np.zeros((0, 3)), [], 3).support == ()
+    with pytest.raises(ValueError, match="duplicate"):
+        TrigPolynomial.from_arrays([[1], [0], [1]], [1.0, 2.0, 3.0], 1)
+    with pytest.raises(ValueError, match="duplicate"):
+        TrigPolynomial({1: 1.0, (1,): 2.0})
+    with pytest.raises(ValueError, match="one coefficient"):
+        TrigPolynomial.from_arrays([[1], [2]], [1.0], 1)
+    with pytest.raises(DimensionMismatchError):
+        TrigPolynomial.from_arrays([[1, 2]], [1.0], 1)
+    with pytest.raises(DimensionMismatchError):
+        TrigPolynomial({(1,): 1.0, (1, 2): 1.0})
+    with pytest.raises(DimensionMismatchError):
+        TrigPolynomial({(1,): 1.0}).restrict([(1, 0)])
+
+
+def test_storage_is_a_read_only_copy_and_the_mapping_a_view():
+    k, c = np.array([[3], [1]]), np.array([1.0, 2j])
+    f = TrigPolynomial.from_arrays(k, c, 1)
+    k[0, 0], c[0] = 7, 5.0
+    assert f.coeffs == {(1,): 2j, (3,): 1.0}
+    fk, fc = f.as_arrays()
+    with pytest.raises(ValueError):
+        fc[0] = 0.0
+    with pytest.raises(ValueError):
+        fk[0, 0] = 0
+    with pytest.raises(TypeError):
+        f.coeffs[(1,)] = 0.0
+    assert f.coeffs is f.coeffs
