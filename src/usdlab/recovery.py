@@ -198,6 +198,9 @@ def norming_functional_action(residual, g, p: float, weights=None) -> complex:
     return complex(norm ** (1.0 - p) * (_dual_vector(residual, p, weights) @ g))
 
 
+_NON_FINITE = ("inf", "-inf", "nan")   # jsonio's text for non-finite floats
+
+
 @dataclass
 class SparseApproximant:
     """Support, coefficients, and the per-iteration trace of a sparse fit."""
@@ -219,6 +222,20 @@ class SparseApproximant:
             "converged": bool(self.converged),
             "trace": self.trace,
         }
+
+    @classmethod
+    def from_json(cls, obj):
+        """Inverse of ``to_json``, also after ``jsonio`` text, which writes
+        non-finite floats as the strings "inf", "-inf" and "nan"; those
+        strings are read back as floats, trace values included."""
+        return cls(support=tuple(obj["support"]),
+                   coefficients=np.array([complex(float(re), float(im))
+                                          for re, im in obj["coefficients"]],
+                                         dtype=complex),
+                   residual_norm=float(obj["residual_norm"]),
+                   trace=[{key: float(v) if v in _NON_FINITE else v
+                           for key, v in step.items()} for step in obj["trace"]],
+                   converged=obj["converged"], method=obj["method"])
 
 
 def weak_chebyshev_greedy(inst: DiscreteInstance, t: float = 1.0,

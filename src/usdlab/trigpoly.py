@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +55,19 @@ class TrigPolynomial:
     def _store(self, freqs, coeffs, dimension):
         freqs = np.asarray(freqs, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=complex)
-        if freqs.ndim != 2 or freqs.shape[1] != dimension:
+        if freqs.ndim != 2 or freqs.shape[1] != dimension or dimension < 1:
             raise DimensionMismatchError(
-                f"frequency array of shape {freqs.shape} is not (n, {dimension})")
+                f"frequency array of shape {freqs.shape} is not (n, {dimension}), d >= 1")
         if coeffs.shape != freqs.shape[:1]:
             raise ValueError("one coefficient per frequency row expected")
-        order = np.lexsort(freqs.T[::-1])
-        freqs, coeffs = freqs[order], coeffs[order]
-        repeated = np.flatnonzero((freqs[1:] == freqs[:-1]).all(axis=1))
-        if repeated.size:
-            raise ValueError(f"duplicate frequency {freqs[repeated[0]].tolist()}")
+        if len(freqs) > 1:
+            order = np.lexsort(freqs.T[::-1])
+            freqs, coeffs = freqs[order], coeffs[order]
+            repeated = np.flatnonzero((freqs[1:] == freqs[:-1]).all(axis=1))
+            if repeated.size:
+                raise ValueError(f"duplicate frequency {freqs[repeated[0]].tolist()}")
+        else:   # one row is sorted and has no repeat
+            freqs, coeffs = freqs.copy(), coeffs.copy()
         freqs.flags.writeable = coeffs.flags.writeable = False
         self.dimension = int(dimension)
         self._freqs, self._coeffs, self._mapping = freqs, coeffs, None
@@ -185,20 +189,93 @@ def _combination(polys, weights, dimension):
     return TrigPolynomial.from_arrays(union, total, dimension)
 
 
-def _values_on(points, freq_array, coeff_array):
+class _HalfSpectrum(NamedTuple):
+    """The k <-> -k map of a one-column frequency array as column selectors.
+
+    ``direct`` selects the rows that are exponentiated: k > 0 and every
+    k < 0 without a mirror.  Row ``mirror[i]`` is the negation of direct row
+    number ``source[i]``; ``zero`` selects the k = 0 row, if any.  A
+    selector that steps by +1 or -1 is a slice, so a sorted set closed
+    under negation is filled by strided block copies.
+    """
+
+    direct: object
+    mirror: object
+    source: object
+    zero: np.ndarray
+
+
+_PLAIN = _HalfSpectrum(*[np.zeros(0, dtype=np.intp)] * 4)   # exponentiate every column
+
+
+def _run(idx):
+    """``idx`` as a slice when it steps by +1 or -1 throughout, else as is."""
+    if len(idx) > 1:
+        step = int(idx[1] - idx[0])
+        if abs(step) == 1 and (np.diff(idx) == step).all():
+            stop = int(idx[-1]) + step
+            return slice(int(idx[0]), stop if stop >= 0 else None, step)
+    return idx
+
+
+def _half_spectrum(freqs):
+    """The k <-> -k map of an (n, d) int64 frequency array without repeated
+    rows, or ``_PLAIN`` where no row is mirrored or d > 1 (a phase summed
+    over several components need not round as the negated partner phase)."""
+    if freqs.shape[1] != 1:
+        return _PLAIN
+    k = freqs[:, 0]
+    order = np.argsort(k)
+    partner = order[np.searchsorted(k, -k, sorter=order).clip(max=len(k) - 1)]
+    mirrored = (k < 0) & (k[partner] == -k)
+    if not mirrored.any():
+        return _PLAIN
+    direct = ~mirrored & (k != 0)
+    return _HalfSpectrum(_run(np.flatnonzero(direct)), _run(np.flatnonzero(mirrored)),
+                         _run((np.cumsum(direct) - 1)[partner[mirrored]]),
+                         np.flatnonzero(k == 0))
+
+
+def _values_on(points, freq_array, coeff_array, halves=None):
     """Chunked direct summation; fixed chunk size keeps runs bit-stable.
 
-    A 2-D coefficient array gives one column of values per column.
+    A 2-D coefficient array gives one column of values per column.  The
+    values are byte-equal to ``np.exp(1j * (x @ k.T)) @ c`` per chunk at
+    finite points.  ``halves`` is ``_half_spectrum(freq_array)``, built here
+    when not given; a single row takes the plain product without a map.
+
+    Under a map, only the direct columns are exponentiated.  A mirror
+    column is (re, 0.0 - im) of its partner's, which is bitwise ``exp`` at
+    the negated phase: for d = 1 each phase is one rounded product, so the
+    mirror phase is exactly the negated partner phase, cos is even, and
+    ``0.0 - sin(y)`` is ``sin(-y)`` except at y = 0, where ``exp`` returns
+    +0.0 for either sign.  The k = 0 column is 1.
     """
     m = points.shape[0]
     shape = (m,) + coeff_array.shape[1:]
     if freq_array.shape[0] == 0:
         return np.zeros(shape, dtype=complex)
+    if halves is None:
+        halves = _half_spectrum(freq_array) if freq_array.shape[0] > 1 else _PLAIN
     kt = freq_array.T.astype(float)
+    if halves is not _PLAIN:
+        kt = kt[:, halves.direct]
+        # C order, so the product sums each row as for the plain matrix
+        z = np.empty((min(m, _EVAL_CHUNK), freq_array.shape[0]), dtype=complex)
+        z[:, halves.zero] = 1
     out = np.empty(shape, dtype=complex)
     for lo in range(0, m, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, m)
-        np.matmul(np.exp(1j * (points[lo:hi] @ kt)), coeff_array, out=out[lo:hi])
+        if halves is _PLAIN:
+            vals = np.exp(1j * (points[lo:hi] @ kt))
+        else:
+            e = 1j * (points[lo:hi] @ kt)
+            np.exp(e, out=e)
+            vals = z[:hi - lo]
+            vals[:, halves.direct] = e
+            vals.real[:, halves.mirror] = e.real[:, halves.source]
+            vals.imag[:, halves.mirror] = 0.0 - e.imag[:, halves.source]
+        np.matmul(vals, coeff_array, out=out[lo:hi])
     return out
 
 

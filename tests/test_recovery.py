@@ -1,20 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from usdlab import jsonio
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import check_usd
 from usdlab.errors import (CapExceededError, RankDeficiencyError,
                            ZeroResidualError)
 from usdlab.frequencies import level_of
 from usdlab.points import PointSet
-from usdlab.recovery import (DiscreteInstance, best_v_term_error_blended,
-                             best_v_term_oracle, block_greedy_approximant,
-                             block_term_count, block_term_schedule,
-                             chebyshev_projection, norming_functional_action,
-                             recovery_pipeline, wcga_iteration_budget,
-                             weak_chebyshev_greedy)
+from usdlab.recovery import (DiscreteInstance, SparseApproximant,
+                             best_v_term_error_blended, best_v_term_oracle,
+                             block_greedy_approximant, block_term_count,
+                             block_term_schedule, chebyshev_projection,
+                             norming_functional_action, recovery_pipeline,
+                             wcga_iteration_budget, weak_chebyshev_greedy)
 from usdlab.smoothness import SmoothnessBudget, level_budget_element
 from usdlab.trigpoly import TrigPolynomial, lp_norm
 
@@ -183,6 +185,27 @@ def test_wcga_trace_residuals_nonincreasing():
     appr = weak_chebyshev_greedy(inst, max_iter=6)
     norms = [rec["residual_norm"] for rec in appr.trace]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+def test_sparse_approximant_roundtrips_through_json_text():
+    extra = TrigPolynomial({6: 0.4, -6: 0.2})
+    _, _, inst, _, _ = make_instance(seed=8, p=4.0, extra=extra)
+    wcga = weak_chebyshev_greedy(inst, max_iter=3)
+    empty = SparseApproximant((), np.zeros(0, dtype=complex), math.inf,
+                              [{"iteration": 1, "functional": math.nan}],
+                              converged=False, method="none")
+    for appr in (wcga, best_v_term_oracle(inst, 2), empty):
+        text = jsonio.dumps(appr.to_json())
+        again = SparseApproximant.from_json(json.loads(text))
+        assert jsonio.dumps(again.to_json()) == text
+        assert again.support == appr.support and again.method == appr.method
+        assert np.array_equal(again.coefficients, appr.coefficients)
+        assert again.coefficients.dtype == complex
+        assert again.converged == appr.converged
+        assert again.residual_norm == appr.residual_norm
+        # repr tells float nan from the string "nan" and 1 from 1.0
+        assert ([{k: repr(v) for k, v in step.items()} for step in again.trace]
+                == [{k: repr(v) for k, v in step.items()} for step in appr.trace])
 
 
 def test_wcga_tie_breaks_to_lowest_index():

@@ -20,7 +20,8 @@ from usdlab.recovery import block_greedy_approximant
 from usdlab.smoothness import (dyadic_blocks, kernel_coefficient,
                                level_a_norms, mixed_difference_seminorm,
                                mixed_smoothness_element)
-from usdlab.trigpoly import TrigPolynomial, _union_coefficients, lp_norm
+from usdlab.trigpoly import (_EVAL_CHUNK, TrigPolynomial, _half_spectrum,
+                             _union_coefficients, _values_on, lp_norm)
 
 EPS = np.finfo(float).eps
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -151,3 +152,46 @@ def test_mixed_smoothness_and_differences_against_the_term_loops(data, d, r, l):
     quotient = lp_norm(TrigPolynomial(diff, d), 2.0) / math.prod(abs(step) ** r)
     assert math.isclose(mixed_difference_seminorm(phi, r, l, step, range(d), 2.0),
                         quotient, rel_tol=1e-13)
+
+
+@st.composite
+def frequency_arrays(draw, d):
+    """Distinct rows of [-4, 4]^d: closed under k -> -k, as drawn (partly
+    closed) or a single row; with or without k = 0; sorted or shuffled."""
+    zero = (0,) * d
+    rows = draw(st.sets(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=24))
+    shape = draw(st.sampled_from(["closed", "partial", "single"]))
+    if shape == "single":
+        rows = [draw(st.sampled_from(sorted(rows | {zero})))]
+    else:
+        if shape == "closed":
+            rows |= {tuple(-v for v in k) for k in rows}
+        rows = sorted(rows | {zero} if draw(st.booleans()) else rows - {zero}) or [zero]
+        rows = draw(st.permutations(rows)) if draw(st.booleans()) else rows
+    return np.array(rows, dtype=np.int64).reshape(len(rows), d)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data(), d=dims)
+def test_half_spectrum_kernel_is_byte_equal_to_the_full_exponential(data, d):
+    k = data.draw(frequency_arrays(d))
+    m = data.draw(st.sampled_from([1, 2, 7, 64, _EVAL_CHUNK - 1, _EVAL_CHUNK + 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nodes = data.draw(st.sampled_from(["uniform", "with zero", "equispaced"]))
+    if nodes == "equispaced":   # x = 0 and phases at multiples of pi / 2
+        x = np.repeat(np.arange(m)[:, None] * (2 * np.pi / m), d, axis=1)
+    else:
+        x = rng.uniform(0, 2 * np.pi, (m, d))
+        if nodes == "with zero":
+            x[data.draw(st.integers(0, m - 1))] = 0.0
+    shape = (len(k),) + data.draw(st.sampled_from([(), (1,), (3,)]))
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = np.concatenate([
+        np.exp(1j * (x[lo:lo + _EVAL_CHUNK] @ k.T.astype(float))) @ c
+        for lo in range(0, m, _EVAL_CHUNK)])
+    got = _values_on(x, k, c)
+    assert got.shape == ref.shape
+    # int64 views: signed zeros and every last bit count
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    again = _values_on(x, k, c, _half_spectrum(k))
+    assert np.array_equal(again.view(np.int64), ref.view(np.int64))
