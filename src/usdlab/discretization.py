@@ -257,6 +257,8 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     _check_exponent(p)
     opts = opts or RatioOptions()
     subset = tuple(int(i) for i in subset)
+    if any(i < 0 or i >= dictionary.size for i in subset):
+        raise ValueError(f"subset {subset} indexes outside the dictionary")
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
     return _subset_ratios(dictionary.values_at(xi)[:, subset], subset,
                           dictionary, p, opts, key)
@@ -449,6 +451,8 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     """Per-trial worst discretization gaps over i.i.d. uniform draws."""
     if mc_trials < 1:
         raise ValueError("need at least one trial")
+    if m < 1:
+        raise ValueError(f"need at least one sample point, got m = {m}")
     if not functions:
         raise ValueError("need at least one function")
     d = functions[0].dimension

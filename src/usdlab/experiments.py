@@ -27,7 +27,8 @@ from scipy.special import stdtrit
 from . import jsonio
 from .dictionary import Dictionary
 from .discretization import (RatioOptions, SubspaceCollection, check_usd,
-                             discretization_error_trials, find_usd_points)
+                             discretization_error_trials, expected_sup_estimate,
+                             find_usd_points)
 from .entropy import (SampledClass, chaining_bound, entropy_numbers,
                       l1_ball_draws)
 from .errors import ConfigError
@@ -419,16 +420,15 @@ def _run_er_rate(cfg: ExperimentConfig):
 
     def one_sweep(i_m):
         i, m = i_m
-        errs = discretization_error_trials(functions, exponent, m, trials,
+        return discretization_error_trials(functions, exponent, m, trials,
                                            rng_seed=[cfg.seed, i], grid_level=grid_level)
-        return i, errs
 
     results = _maybe_parallel(one_sweep, list(enumerate(m_sweep)), cfg.threads)
     header = ["m", "trial", "error"]
     rows = []
-    for i, errs in sorted(results):
+    for m, errs in zip(m_sweep, results):
         for t, e in enumerate(errs):
-            rows.append((m_sweep[i], t, float(e)))
+            rows.append((m, t, float(e)))
     return header, rows, {}
 
 
@@ -467,7 +467,7 @@ def _run_recovery_rate(cfg: ExperimentConfig):
                                  rng_seed=cfg.seed + ia)
         beta = float(p.get("beta", float(a) / 2.0))
         for n in p["n_sweep"]:
-            result = block_greedy_approximant(f, int(n), beta, exponent)
+            result = block_greedy_approximant(f, int(n), beta)
             err = lp_norm(f - result.approximant, exponent, grid_level)
             rows.append((float(a), b, int(n), result.total_terms, float(err)))
     return header, rows, {}
@@ -513,15 +513,12 @@ def _run_chaining_compare(cfg: ExperimentConfig):
 
     def one_sweep(i_m):
         i, m = i_m
-        errs = discretization_error_trials(functions, exponent, m, trials,
-                                           rng_seed=[cfg.seed, i])
-        bound = chaining_bound(profile, exponent, sup_bound, m)
-        return i, (float(np.mean(errs)),
-                   float(np.std(errs, ddof=1) / math.sqrt(trials)), bound)
+        mean, stderr = expected_sup_estimate(functions, exponent, m, trials,
+                                             rng_seed=[cfg.seed, i])
+        return m, mean, stderr, chaining_bound(profile, exponent, sup_bound, m)
 
-    results = _maybe_parallel(one_sweep, list(enumerate(p["m_sweep"])), cfg.threads)
+    rows = _maybe_parallel(one_sweep, list(enumerate(p["m_sweep"])), cfg.threads)
     header = ["m", "measured_mean", "measured_stderr", "entropy_bound"]
-    rows = [(p["m_sweep"][i], *vals) for i, vals in sorted(results)]
     return header, rows, {"profile.json": profile.to_json()}
 
 

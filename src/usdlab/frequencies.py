@@ -38,7 +38,7 @@ class FrequencySet:
             seen.add(k)
 
     @classmethod
-    def from_indices(cls, indices, dimension=None, sort=True):
+    def from_indices(cls, indices, dimension=None):
         norm = []
         for k in indices:
             if isinstance(k, int):
@@ -48,8 +48,7 @@ class FrequencySet:
             if not norm:
                 raise ValueError("dimension required for an empty set")
             dimension = len(norm[0])
-        if sort:
-            norm.sort()
+        norm.sort()
         return cls(tuple(norm), dimension)
 
     def __len__(self):

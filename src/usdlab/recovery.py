@@ -36,7 +36,7 @@ import numpy as np
 from .dictionary import Dictionary
 from .discretization import UsdCertificate
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
-from .frequencies import FrequencySet, frequency_levels
+from .frequencies import frequency_levels
 from .points import PointSet, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _quadrature_grid_size,
                        lp_norm, sup_norm)
@@ -56,8 +56,6 @@ class DiscreteInstance:
     f_values: np.ndarray
     weights: np.ndarray
     p: float
-    points: PointSet | None = None
-    label: str = "uniform"
 
     def __post_init__(self):
         self.dict_values = np.asarray(self.dict_values, dtype=complex)
@@ -84,7 +82,7 @@ class DiscreteInstance:
                       xi: PointSet, p: float) -> "DiscreteInstance":
         m = xi.size
         return cls(dictionary.values_at(xi), f.evaluate(xi),
-                   np.full(m, 1.0 / m), p, xi, "uniform")
+                   np.full(m, 1.0 / m), p)
 
     @classmethod
     def blended(cls, f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
@@ -99,7 +97,7 @@ class DiscreteInstance:
         b = np.concatenate([f.evaluate(grid), f.evaluate(xi)])
         w = np.concatenate([np.full(grid.shape[0], 0.5 / grid.shape[0]),
                             np.full(xi.size, 0.5 / xi.size)])
-        return cls(a, b, w, p, xi, "blended")
+        return cls(a, b, w, p)
 
 
 @dataclass
@@ -401,11 +399,10 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int,
 
 def best_v_term_error_blended(f: TrigPolynomial, dictionary: Dictionary,
                               xi: PointSet, v: int, p: float,
-                              grid_level: int = DEFAULT_GRID_LEVEL,
-                              cap: int = ORACLE_SUBSET_CAP) -> float:
+                              grid_level: int = DEFAULT_GRID_LEVEL) -> float:
     """Best v-term error in the half-continuous half-empirical norm."""
     inst = DiscreteInstance.blended(f, dictionary, xi, p, grid_level)
-    return best_v_term_oracle(inst, v, cap).residual_norm
+    return best_v_term_oracle(inst, v).residual_norm
 
 
 def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
@@ -473,23 +470,8 @@ class BlockGreedyResult:
         }
 
 
-def _wcga_level_approximant(freqs, coeffs, count, p, target_points, grid_level):
-    """Greedy cross-check path: run the weak greedy on one level block."""
-    d = freqs.shape[1]
-    block = TrigPolynomial.from_arrays(freqs, coeffs, d)
-    block_dict = Dictionary.exponentials(FrequencySet.from_indices(freqs.tolist(), d))
-    if target_points is None:
-        n_grid = _quadrature_grid_size(block.max_component_frequency(), grid_level, 2, 1)
-        target_points = PointSet.explicit(tensor_grid_points(n_grid, d))
-    inst = DiscreteInstance.from_function(block, block_dict, target_points, p)
-    appr = weak_chebyshev_greedy(inst, max_iter=count)
-    return block_dict.combine(appr.coefficients, appr.support)
-
-
-def block_greedy_approximant(f: TrigPolynomial, n: int, beta: float,
-                             p: float = 2.0, use_wcga: bool = False,
-                             target_points: PointSet | None = None,
-                             grid_level: int = DEFAULT_GRID_LEVEL) -> BlockGreedyResult:
+def block_greedy_approximant(f: TrigPolynomial, n: int,
+                             beta: float) -> BlockGreedyResult:
     """Keep all levels below n, then threshold each level j >= n.
 
     Level j keeps its scheduled number of largest-modulus coefficients
@@ -498,11 +480,6 @@ def block_greedy_approximant(f: TrigPolynomial, n: int, beta: float,
     approximation while keeping the total term count of order
     ``2^n n^(d-1)``.  The dyadic decomposition is derived exactly from the
     coefficient support.
-
-    ``use_wcga`` swaps the per-level thresholding for the weak greedy run
-    in the Lp norm over ``target_points`` (a dense grid when omitted); on
-    orthonormal blocks with exact quadrature the two paths agree, which is
-    the intended cross-check.
     """
     if n < 1:
         raise ValueError("the partial-sum cut n must be >= 1")
@@ -516,13 +493,9 @@ def block_greedy_approximant(f: TrigPolynomial, n: int, beta: float,
         rows = np.flatnonzero(levels == j)
         if not rows.size:
             continue
-        if use_wcga:
-            kept.append(_wcga_level_approximant(freqs[rows], coeffs[rows], count, p,
-                                                target_points, grid_level).as_arrays())
-        else:
-            # rows are in lexicographic order, so a stable sort breaks ties by k
-            top = rows[np.argsort(-modulus[rows], kind="stable")[:count]]
-            kept.append((freqs[top], coeffs[top]))
+        # rows are in lexicographic order, so a stable sort breaks ties by k
+        top = rows[np.argsort(-modulus[rows], kind="stable")[:count]]
+        kept.append((freqs[top], coeffs[top]))
     approx = TrigPolynomial.from_arrays(*map(np.concatenate, zip(*kept)), d)
     reference = 2.0 ** n * max(n, 1) ** (d - 1)
     return BlockGreedyResult(approx, len(approx.as_arrays()[1]), schedule, n, beta,
@@ -568,9 +541,7 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
                       v: int, p: float, method=("oracle", {}),
                       grid_level: int = DEFAULT_GRID_LEVEL,
                       certificate: UsdCertificate | None = None,
-                      compute_sigma_discrete: bool = True,
-                      compute_sigma_blended: bool = False,
-                      oracle_cap: int = ORACLE_SUBSET_CAP) -> RecoveryReport:
+                      compute_sigma_blended: bool = False) -> RecoveryReport:
     """Sample f at xi, approximate in the sampled norm, measure everything.
 
     Reports the discrete residual, the continuous Lp recovery error, the
@@ -581,45 +552,38 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
     """
     kind, params = method
     inst = DiscreteInstance.from_function(f, dictionary, xi, p)
-    trace: list = []
-    if kind == "wcga":
-        appr = weak_chebyshev_greedy(inst, t=params.get("t", 1.0),
-                                     max_iter=params.get("max_iter", max(v, 1)),
-                                     stop_tol=params.get("stop_tol", 1e-12))
+    if kind == "block":
+        result = block_greedy_approximant(f, params["n"], params["beta"])
+        approx_poly = result.approximant
+        discrete_residual = inst.norm(inst.f_values - approx_poly.evaluate(xi))
+        sparsity = result.total_terms
+        trace: list = []
+        label = f"block(n={params['n']}, beta={params['beta']})"
+    else:
+        if kind == "wcga":
+            appr = weak_chebyshev_greedy(inst, t=params.get("t", 1.0),
+                                         max_iter=params.get("max_iter", max(v, 1)),
+                                         stop_tol=params.get("stop_tol", 1e-12))
+        elif kind == "oracle":
+            appr = best_v_term_oracle(inst, v)
+        else:
+            raise ValueError(f"unknown recovery method {kind!r}")
         approx_poly = dictionary.combine(appr.coefficients, appr.support)
         discrete_residual = appr.residual_norm
         sparsity = len(appr.support)
         trace = appr.trace
         label = appr.method
-    elif kind == "oracle":
-        appr = best_v_term_oracle(inst, v, cap=oracle_cap)
-        approx_poly = dictionary.combine(appr.coefficients, appr.support)
-        discrete_residual = appr.residual_norm
-        sparsity = len(appr.support)
-        label = appr.method
-    elif kind == "block":
-        use_wcga = params.get("use_wcga", False)
-        result = block_greedy_approximant(
-            f, params["n"], params["beta"], p, use_wcga=use_wcga,
-            target_points=xi if use_wcga else None, grid_level=grid_level)
-        approx_poly = result.approximant
-        diff_at_xi = f.evaluate(xi) - approx_poly.evaluate(xi)
-        discrete_residual = inst.norm(diff_at_xi)
-        sparsity = result.total_terms
-        label = f"block(n={params['n']}, beta={params['beta']})"
-    else:
-        raise ValueError(f"unknown recovery method {kind!r}")
 
     continuous_error = lp_norm(f - approx_poly, p, grid_level)
     sigma_discrete = None
-    if kind == "oracle" and compute_sigma_discrete:
+    if kind == "oracle":
         sigma_discrete = discrete_residual  # the oracle above is sigma_v itself
-    elif compute_sigma_discrete and math.comb(inst.n_elements, v) <= oracle_cap:
-        sigma_discrete = best_v_term_oracle(inst, v, cap=oracle_cap).residual_norm
+    elif math.comb(inst.n_elements, v) <= ORACLE_SUBSET_CAP:
+        sigma_discrete = best_v_term_oracle(inst, v).residual_norm
     sigma_blended = None
     if compute_sigma_blended:
         sigma_blended = best_v_term_error_blended(f, dictionary, xi, v, p,
-                                                  grid_level, oracle_cap)
+                                                  grid_level)
     flags = []
     one_sided = None
     cert_json = None

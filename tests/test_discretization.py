@@ -8,6 +8,7 @@ from usdlab.discretization import (RatioOptions, UsdCertificate,
                                    blended_lp_norm, check_usd,
                                    discrete_lp_norm,
                                    discretization_error_finite,
+                                   discretization_error_trials,
                                    expected_sup_estimate, find_usd_points,
                                    subspace_ratio_bounds, usd_sample_budget)
 from usdlab.errors import CapExceededError, RankDeficiencyError
@@ -347,10 +348,19 @@ def _band_collection():
     lambda: check_usd(PointSet.equispaced(16), _band_collection(), 2, epsilon=2),
     lambda: subspace_ratio_bounds((0, 1), Dictionary.exponential_band(-2, 2),
                                   PointSet.equispaced(16), 0.5),
+    lambda: subspace_ratio_bounds((-1, 0), Dictionary.exponential_band(-3, 3),
+                                  PointSet.equispaced(16), 2),
+    lambda: subspace_ratio_bounds((0, 7), Dictionary.exponential_band(-3, 3),
+                                  PointSet.equispaced(16), 2),
     lambda: find_usd_points(_band_collection(), 2, m=16, max_trials=0),
     lambda: PointSet([0.1, float("nan")]),
+    lambda: discretization_error_trials([TrigPolynomial({(1,): 1.0})], 2, 0, 3),
+    lambda: discretization_error_trials([TrigPolynomial({(1,): 1.0})], 2, -1, 3),
+    lambda: expected_sup_estimate([TrigPolynomial({(1,): 1.0})], 2, 0, 3),
 ], ids=["p_half", "p_zero", "p_nan", "epsilon_two", "ratio_p_half",
-        "no_trials", "nan_point"])
+        "ratio_negative_index", "ratio_index_past_end", "no_trials",
+        "nan_point", "trials_no_points", "trials_negative_points",
+        "sup_estimate_no_points"])
 def test_bad_input_rejected_at_the_boundary(call):
     with pytest.raises(ValueError):
         call()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -9,7 +10,7 @@ from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import check_usd
 from usdlab.errors import (CapExceededError, RankDeficiencyError,
                            ZeroResidualError)
-from usdlab.frequencies import level_of
+from usdlab.frequencies import FrequencySet, frequency_levels, level_of
 from usdlab.points import PointSet
 from usdlab.recovery import (DiscreteInstance, SparseApproximant,
                              best_v_term_error_blended, best_v_term_oracle,
@@ -18,7 +19,7 @@ from usdlab.recovery import (DiscreteInstance, SparseApproximant,
                              norming_functional_action, recovery_pipeline,
                              wcga_iteration_budget, weak_chebyshev_greedy)
 from usdlab.smoothness import SmoothnessBudget, level_budget_element
-from usdlab.trigpoly import TrigPolynomial, lp_norm
+from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size, lp_norm
 
 
 def make_instance(seed=0, band=4, m=32, p=2.0, target_support=None,
@@ -380,8 +381,7 @@ def test_pipeline_block_method_reports_terms():
     d = Dictionary.exponential_band(-2, 2)  # dictionary unused by the block path
     xi = PointSet.equispaced(64, 1)
     report = recovery_pipeline(f, d, xi, v=0, p=2,
-                               method=("block", {"n": 3, "beta": 0.5}),
-                               compute_sigma_discrete=False)
+                               method=("block", {"n": 3, "beta": 0.5}))
     assert report.sparsity > 0
     assert report.continuous_error >= 0.0
 
@@ -439,14 +439,48 @@ def test_irls_flags_non_convergence_on_tiny_budget():
     assert res.residual_norm > 0
 
 
-def test_block_greedy_wcga_option_matches_thresholding():
+def _wcga_block_greedy(f, n, beta, grid_level=9):
+    """Reference per-level rule: the weak greedy on each level block at p = 2,
+    run over an equispaced grid that integrates the block's products exactly."""
+    freqs, coeffs = f.as_arrays()
+    levels = frequency_levels(freqs)
+    kept = TrigPolynomial.from_arrays(freqs[levels < n], coeffs[levels < n], 1)
+    for j, count in block_term_schedule(n, beta, 1):
+        rows = levels == j
+        if not rows.any():
+            continue
+        block = TrigPolynomial.from_arrays(freqs[rows], coeffs[rows], 1)
+        block_dict = Dictionary.exponentials(
+            FrequencySet.from_indices(freqs[rows].tolist()))
+        grid = PointSet.equispaced(_quadrature_grid_size(
+            block.max_component_frequency(), grid_level, 2, 1))
+        inst = DiscreteInstance.from_function(block, block_dict, grid, 2.0)
+        appr = weak_chebyshev_greedy(inst, max_iter=count)
+        kept = kept + block_dict.combine(appr.coefficients, appr.support)
+    return kept
+
+
+def test_block_greedy_matches_a_per_level_wcga_reference():
     # on orthonormal blocks with an exact grid, the weak greedy picks the
-    # largest coefficients, so both per-level paths coincide
+    # largest coefficients, so it keeps what thresholding keeps
     budget = SmoothnessBudget(1.0, 0.0, 1, 7)
     f = level_budget_element(budget, support_rule=16, rng_seed=5)
     thresh = block_greedy_approximant(f, n=3, beta=0.5)
-    greedy = block_greedy_approximant(f, n=3, beta=0.5, use_wcga=True,
-                                      grid_level=9)
-    assert set(greedy.approximant.support) == set(thresh.approximant.support)
+    greedy = _wcga_block_greedy(f, n=3, beta=0.5)
+    assert set(greedy.support) == set(thresh.approximant.support)
     for k, c in thresh.approximant.coeffs.items():
-        assert greedy.approximant.coeffs[k] == pytest.approx(c, abs=1e-10)
+        assert greedy.coeffs[k] == pytest.approx(c, abs=1e-10)
+
+
+def test_block_greedy_bytes_are_pinned_for_the_recovery_rate_config():
+    # the a = 1.0 element of configs/recovery_rate.json (seed 909 + 1) over
+    # its n sweep, pinned bit for bit
+    budget = SmoothnessBudget(1.0, 0.0, 1, 20)
+    f = level_budget_element(budget, support_rule=4096, rng_seed=910)
+    digest = hashlib.sha256()
+    for n in range(3, 9):
+        freqs, coeffs = block_greedy_approximant(f, n, 0.5).approximant.as_arrays()
+        digest.update(np.ascontiguousarray(freqs).tobytes())
+        digest.update(np.ascontiguousarray(coeffs).tobytes())
+    assert digest.hexdigest() == (
+        "49ebee769c2a6d53e3f1ca80612d34ad4f8e79482ca2e0bb00c9dc288c03fa6a")
