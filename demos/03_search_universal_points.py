@@ -30,7 +30,11 @@ print(f"m=1: passed={hopeless.passed}, best worst-violation "
 
 # Away from p = 2 the sphere extremes are nonconvex, so the verifier runs
 # a multistart projected gradient and flags the certificate as heuristic.
+# At even p it also bounds every ratio rigorously: |f|^4 = |f^2|^2, and f^2
+# lies in the span of the exponentials of the sumset.
 xi = result.points
 cert4 = u.check_usd(xi, coll, p=4, opts=u.RatioOptions(starts=16, seed=1))
 print(f"p=4 heuristic recheck of the same nodes: passed={cert4.passed} "
       f"(method {cert4.method['kind']}, {cert4.method['starts']} starts)")
+print(f"p=4 rigorous outer window [{min(cert4.outer_min_ratios):.3f}, "
+      f"{max(cert4.outer_max_ratios):.3f}]: rigorous_pass={cert4.rigorous_pass}")

@@ -8,17 +8,26 @@ continuous Gram), which we solve exactly.  For other p the sphere problem
 is nonconvex and the extremes are estimated by multistart projected
 gradient ascent/descent; those certificates are flagged heuristic.
 
+At even p = 2r the ratio of f is the p = 2 ratio of f^r, which lies in the
+span of the exponentials of the merged r-fold sumset of the subspace's
+frequencies; their continuous Gram is the identity.  The multistart then
+runs in those lifted coordinates, O(L^2) per start for L sumset
+frequencies, with no quadrature grid, and the eigen extremes of the lifted
+empirical Gram give a rigorous outer window around each subspace's ratios
+(``outer_min_ratios``, ``outer_max_ratios``, ``rigorous_pass``).  Odd and
+non-integer p have no such lift and keep the quadrature multistart alone.
+
 A point set certifies a collection when every subspace ratio lies in
 ``[1 - eps, 1 + eps]`` with the default eps = 1/2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dictionary import Dictionary, SubspaceCollection
 from .errors import CapExceededError, RankDeficiencyError
@@ -51,9 +60,9 @@ def blended_lp_norm(f: TrigPolynomial, xi: PointSet, p: float,
 class RatioOptions:
     """Knobs for the p != 2 multistart sphere optimization.
 
-    The quadrature grid for the continuous norm holds
-    ``max(ceil(p) * maxfreq + 1, 2**grid_level)`` points per dimension,
-    which makes the rectangle rule exact for even integer p.
+    At odd and non-integer p the quadrature grid for the continuous norm
+    holds ``max(ceil(p) * maxfreq + 1, 2**grid_level)`` points per
+    dimension; even p needs no grid (the lifted norm is exact).
     """
 
     starts: int = 64
@@ -73,6 +82,8 @@ class SubspaceRatios:
     converged: bool
     min_vector: np.ndarray | None = None
     max_vector: np.ndarray | None = None
+    outer_min_ratio: float | None = None   # rigorous bounds, even p > 2 only
+    outer_max_ratio: float | None = None
 
 
 def _continuous_gram_checked(dictionary: Dictionary, subset):
@@ -97,6 +108,7 @@ def _pencil_extremes(g_emp, g_cont):
     if g_cont is None:
         w, u = np.linalg.eigh(0.5 * (g_emp + g_emp.conj().T))
         return float(w[0]), float(w[-1]), u[:, 0], u[:, -1]
+    import scipy.linalg  # only here, so importing the package skips scipy
     chol = np.linalg.cholesky(g_cont)
     half = scipy.linalg.solve_triangular(chol, g_emp, lower=True)
     mid = scipy.linalg.solve_triangular(chol, half.conj().T, lower=True).conj().T
@@ -158,23 +170,114 @@ def _ratio_grad(v_emp, v_cont, c, p):
     return rho, grad
 
 
-def _multistart_extreme(v_emp, v_cont, p, sign, starts, warm, seed_key, opts):
-    """Projected-gradient ascent (sign=+1) or descent (sign=-1) on the sphere."""
-    v = v_emp.shape[1]
+def _even_half(p):
+    """r with p = 2r for an even integer p > 2, else None."""
+    if p > 2 and float(p).is_integer() and int(p) % 2 == 0:
+        return int(p) // 2
+    return None
+
+
+def _sum_map(left, right):
+    """The distinct row sums of two frequency arrays, in lexicographic order,
+    and the (len(left), len(right)) map of each pair to the row of its sum."""
+    sums = (left[:, None, :] + right[None, :, :]).reshape(-1, left.shape[1])
+    rows, at = np.unique(sums, axis=0, return_inverse=True)
+    return rows, at.reshape(len(left), len(right))
+
+
+class _LiftedRatio:
+    """The p = 2r ratio of a subspace in the coefficients of f^r.
+
+    A span element ``f = sum_k a_k e^{i<k,x>}`` with ``a = B c`` (B the
+    subset's union coefficient matrix) has ``|f|^p = |f^r|^2``, and
+    ``f^r = sum_s g_s e^{i<s,x>}`` over the merged r-fold sumset S of the
+    union frequencies.  Distinct exponentials are orthonormal, so
+    ``||f||_p^p = ||g||^2`` exactly and ``(1/m) sum_j |f(xi_j)|^p`` is
+    ``g^H G g`` with ``G = E^H E / m``, E the exponentials of S at the
+    nodes.  A ratio costs O(L^2) per column for L = len(S), and the eigen
+    extremes of G bound every ratio of the subspace.
+    """
+
+    def __init__(self, freqs, coeffs, points, r):
+        self.coeffs, self.r = coeffs, r
+        self.steps = []   # degrees 2..r: the pair map and its 0/1 scatter matrix
+        level = freqs
+        for _ in range(r - 1):
+            level, at = _sum_map(level, freqs)
+            scatter = np.zeros((len(level), at.size))
+            scatter[at.ravel(), np.arange(at.size)] = 1.0
+            self.steps.append((at, scatter))
+        e = np.exp(1j * (points @ level.T))
+        gram = e.conj().T @ e / len(points)
+        self.gram = 0.5 * (gram + gram.conj().T)
+        # rounding allowance of the outer window, see outer_window
+        phase = points.shape[1] * float(np.abs(points).max(initial=0.0)) \
+            * float(np.abs(level).sum(axis=1).max())
+        size = len(level)
+        self.margin = np.finfo(float).eps * size * (
+            2.0 * phase + len(points) + 8.0 + 4.0 * size * size)
+
+    def _lift(self, c):
+        """Coefficients of f^(r-1) and of f^r, one column per column of c."""
+        a = self.coeffs @ c
+        prev = h = a
+        for _, scatter in self.steps:
+            prev = h
+            h = scatter @ (prev[:, None, :] * a[None, :, :]).reshape(-1, a.shape[1])
+        return prev, h
+
+    def _quotient(self, g):
+        """The Rayleigh quotients g^H G g / ||g||^2, G g and ||g||^2."""
+        gg = self.gram @ g
+        den = np.sum(g.real * g.real + g.imag * g.imag, axis=0)
+        return np.sum(g.conj() * gg, axis=0).real / den, gg, den
+
+    def ratio(self, c):
+        return self._quotient(self._lift(c)[1])[0]
+
+    def ratio_grad(self, c):
+        h, g = self._lift(c)
+        rho, gg, den = self._quotient(g)
+        # d g_s / d a_l = r h_t for the sumset row s = row t + k_l
+        y = (gg - rho * g)[self.steps[-1][0]]
+        back = self.r * np.sum(h.conj()[:, None, :] * y, axis=0)
+        return rho, self.coeffs.conj().T @ back / den
+
+    def outer_window(self):
+        """Rigorous bounds on every ratio of the subspace.
+
+        The eigen extremes of G, widened by ``margin`` = eps * L *
+        (2 P + m + 8 + 4 L^2), with P = d * max|x| * max_s ||s||_1 bounding
+        the phases: each exponential is off by at most eps * (P + 2), each
+        entry of G by twice that plus m * eps from its sum, the spectral
+        norm of that error by L times the entry bound, and the eigensolver
+        by 4 L^2 eps (||G|| <= L since |G_st| <= 1).
+        """
+        w = np.linalg.eigvalsh(self.gram)
+        return float(w[0] - self.margin), float(w[-1] + self.margin)
+
+
+def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
+    """Projected-gradient ascent (sign=+1) or descent (sign=-1) on the sphere.
+
+    ``ratio(c)`` and ``ratio_grad(c)`` evaluate the ratio of each column
+    of c, and the ratio with its conjugate Wirtinger gradient; ``warm``
+    holds the vectors started from besides ``opts.starts`` random ones.
+    """
+    v, starts = warm[0].shape[0], opts.starts
     rng = np.random.default_rng(list(seed_key))
     c0 = rng.standard_normal((v, starts)) + 1j * rng.standard_normal((v, starts))
-    if warm:
-        c0 = np.concatenate([c0] + [w.reshape(-1, 1) for w in warm], axis=1)
+    c0 = np.concatenate([c0] + [w.reshape(-1, 1) for w in warm], axis=1)
     c = _normalize_columns(c0.astype(complex))
     n_cols = c.shape[1]
-    rho = _ratio_only(v_emp, v_cont, c, p)
+    rho = ratio(c)
     active = np.ones(n_cols, dtype=bool)
     alpha_mem = np.ones(n_cols)  # per-column step memory across iterations
     hit_iter_limit = False
     for _ in range(opts.max_iters):
         if not active.any():
             break
-        _, grad = _ratio_grad(v_emp, v_cont, c, p)
+        _, grad = ratio_grad(c)
         inner = np.sum(np.conj(c) * grad, axis=0)
         tang = grad - c * inner
         tnorm = np.linalg.norm(tang, axis=0)
@@ -191,7 +294,7 @@ def _multistart_extreme(v_emp, v_cont, p, sign, starts, warm, seed_key, opts):
         for _ in range(opts.backtracks):
             todo = ~accepted
             cand = _normalize_columns(sub_c[:, todo] + sign * alpha[todo] * sub_t[:, todo])
-            rho_c = _ratio_only(v_emp, v_cont, cand, p)
+            rho_c = ratio(cand)
             improve = (rho_c > sub_r[todo]) if sign > 0 else (rho_c < sub_r[todo])
             where_todo = np.where(todo)[0]
             fresh = where_todo[improve]
@@ -221,9 +324,13 @@ def _method(p, opts: RatioOptions) -> dict:
             "grad_tol": opts.grad_tol, "max_iters": opts.max_iters}
 
 
-def _subset_ratios(values, subset, dictionary: Dictionary, p: float,
-                   opts: RatioOptions, seed_key) -> SubspaceRatios:
-    """Ratio extremes over one subspace, given its (m, v) values at the nodes."""
+def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
+                   opts: RatioOptions, seed_key, grids) -> SubspaceRatios:
+    """Ratio extremes over one subspace, given its (m, v) values at the nodes.
+
+    ``grids`` caches the dictionary's values on each quadrature grid size
+    used at odd or non-integer p, so one certificate evaluates each once.
+    """
     m = values.shape[0]
     g_emp = values.conj().T @ values / m
     g_cont = _continuous_gram_checked(dictionary, subset)
@@ -232,17 +339,31 @@ def _subset_ratios(values, subset, dictionary: Dictionary, p: float,
         return SubspaceRatios(lo2, hi2, _method(p, opts), False, True,
                               vec_lo, vec_hi)
 
-    max_freq = max(dictionary.elements[i].max_component_frequency() for i in subset)
-    n_grid = _quadrature_grid_size(max_freq, opts.grid_level, math.ceil(p), 1)
-    grid = tensor_grid_points(n_grid, dictionary.dimension)
-    v_cont = dictionary.values_at(grid)[:, subset]
+    r = _even_half(p)
+    outer = (None, None)
+    if r is not None:
+        lifted = _LiftedRatio(*_union_coefficients(
+            [dictionary.elements[i] for i in subset], dictionary.dimension),
+            points, r)
+        ratio, ratio_grad = lifted.ratio, lifted.ratio_grad
+        outer = lifted.outer_window()
+    else:
+        max_freq = max(dictionary.elements[i].max_component_frequency()
+                       for i in subset)
+        n_grid = _quadrature_grid_size(max_freq, opts.grid_level, math.ceil(p), 1)
+        if n_grid not in grids:
+            grids[n_grid] = dictionary.values_at(
+                tensor_grid_points(n_grid, dictionary.dimension))
+        v_cont = grids[n_grid][:, subset]
+        ratio = functools.partial(_ratio_only, values, v_cont, p=p)
+        ratio_grad = functools.partial(_ratio_grad, values, v_cont, p=p)
     warm = [vec_lo, vec_hi]
     hi, vec_hi_p, conv_hi = _multistart_extreme(
-        values, v_cont, p, +1.0, opts.starts, warm, seed_key + [1], opts)
+        ratio, ratio_grad, warm, +1.0, seed_key + [1], opts)
     lo, vec_lo_p, conv_lo = _multistart_extreme(
-        values, v_cont, p, -1.0, opts.starts, warm, seed_key + [2], opts)
+        ratio, ratio_grad, warm, -1.0, seed_key + [2], opts)
     return SubspaceRatios(lo, hi, _method(p, opts), True, conv_hi and conv_lo,
-                          vec_lo_p, vec_hi_p)
+                          vec_lo_p, vec_hi_p, *outer)
 
 
 def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
@@ -252,7 +373,8 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
 
     Exact (eigenvalue) at p = 2; multistart projected gradient otherwise,
     warm-started from the p = 2 extremal coefficient vectors and flagged
-    heuristic.
+    heuristic.  At even p > 2 the result also carries the rigorous outer
+    window ``outer_min_ratio``/``outer_max_ratio`` of the lifted Gram.
     """
     _check_exponent(p)
     opts = opts or RatioOptions()
@@ -260,8 +382,8 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     if any(i < 0 or i >= dictionary.size for i in subset):
         raise ValueError(f"subset {subset} indexes outside the dictionary")
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
-    return _subset_ratios(dictionary.values_at(xi)[:, subset], subset,
-                          dictionary, p, opts, key)
+    return _subset_ratios(dictionary.values_at(xi)[:, subset], xi.points, subset,
+                          dictionary, p, opts, key, {})
 
 
 @dataclass
@@ -279,6 +401,11 @@ class UsdCertificate:
     one_sided_constant: float
     converged: bool = True
     notes: list = field(default_factory=list)
+    # even p > 2 only: rigorous per-subset bounds enclosing the ratio
+    # windows, and whether every one lies inside the window
+    outer_min_ratios: list | None = None
+    outer_max_ratios: list | None = None
+    rigorous_pass: bool | None = None
 
     @property
     def window(self):
@@ -292,7 +419,7 @@ class UsdCertificate:
         return max(worst, 0.0)
 
     def to_json(self):
-        return {
+        obj = {
             "p": float(self.p),
             "epsilon": float(self.epsilon),
             "passed": bool(self.passed),
@@ -305,6 +432,11 @@ class UsdCertificate:
             "max_ratios": [float(v) for v in self.max_ratios],
             "notes": list(self.notes),
         }
+        if self.outer_min_ratios is not None:
+            obj["outer_min_ratios"] = [float(v) for v in self.outer_min_ratios]
+            obj["outer_max_ratios"] = [float(v) for v in self.outer_max_ratios]
+            obj["rigorous_pass"] = bool(self.rigorous_pass)
+        return obj
 
     @classmethod
     def from_json(cls, obj):
@@ -318,7 +450,10 @@ class UsdCertificate:
             one_sided_constant=(math.inf if obj["one_sided_constant"] == "inf"
                                 else float(obj["one_sided_constant"])),
             converged=obj.get("converged", True),
-            notes=list(obj.get("notes", [])))
+            notes=list(obj.get("notes", [])),
+            outer_min_ratios=obj.get("outer_min_ratios"),
+            outer_max_ratios=obj.get("outer_max_ratios"),
+            rigorous_pass=obj.get("rigorous_pass"))
 
 
 def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
@@ -343,22 +478,30 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
             predicted=count, cap=subset_cap)
     prefix = list(_seed_prefix) if _seed_prefix is not None else [opts.seed]
     values = coll.dictionary.values_at(xi)
-    subsets, mins, maxs = [], [], []
+    subsets, mins, maxs, outer_mins, outer_maxs = [], [], [], [], []
     converged = True
+    grids = {}
     for i, subset in enumerate(coll.iter_subsets()):
-        res = _subset_ratios(values[:, subset], subset, coll.dictionary, p,
-                             opts, prefix + [i])
+        res = _subset_ratios(values[:, subset], xi.points, subset, coll.dictionary,
+                             p, opts, prefix + [i], grids)
         subsets.append(subset)
         mins.append(res.min_ratio)
         maxs.append(res.max_ratio)
+        outer_mins.append(res.outer_min_ratio)
+        outer_maxs.append(res.outer_max_ratio)
         converged = converged and res.converged
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     passed = all(lo <= a and b <= hi for a, b in zip(mins, maxs))
     worst_min = min(mins)
     one_sided = math.inf if worst_min <= 0.0 else worst_min ** (-1.0 / p)
     notes = [] if converged else ["some sphere optimizations hit the iteration limit"]
-    return UsdCertificate(p, epsilon, subsets, mins, maxs, _method(p, opts),
+    cert = UsdCertificate(p, epsilon, subsets, mins, maxs, _method(p, opts),
                           p != 2, passed, one_sided, converged, notes)
+    if _even_half(p) is not None:
+        cert.outer_min_ratios, cert.outer_max_ratios = outer_mins, outer_maxs
+        cert.rigorous_pass = all(lo <= a and b <= hi
+                                 for a, b in zip(outer_mins, outer_maxs))
+    return cert
 
 
 @dataclass

@@ -22,7 +22,6 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import jsonio
 from .dictionary import Dictionary
@@ -155,6 +154,7 @@ class RateFit:
 
 def fit_rate(points) -> RateFit:
     """Fit ``log2 y = slope * log2 x + intercept`` by ordinary least squares."""
+    from scipy.special import stdtrit  # only here, so importing the package skips scipy
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a rate fit")
@@ -266,9 +266,10 @@ def _assertion(name, passed, detail):
     return {"name": name, "passed": bool(passed), "detail": detail}
 
 
-def _strict_checks(strict, heuristic):
-    """The failing ``strict_no_heuristic`` check when strict meets heuristic."""
-    if not (strict and heuristic):
+def _strict_checks(strict, results):
+    """The failing ``strict_no_heuristic`` check when strict meets a heuristic
+    certificate that its rigorous outer window does not pass."""
+    if not (strict and results["heuristic"]) or results.get("rigorous_pass"):
         return []
     return [_assertion("strict_no_heuristic", False,
                        {"reason": "certificate is heuristic at p != 2"})]
@@ -305,6 +306,9 @@ def _run_usd_search(cfg: ExperimentConfig):
     header = ["trial", "passed", "worst_min_ratio", "worst_max_ratio", "violation"]
     rows = [(draw, cert.passed, min(cert.min_ratios), max(cert.max_ratios),
              cert.worst_violation()) for draw, cert in enumerate(res.draws)]
+    if res.certificate.rigorous_pass is not None:   # even p > 2
+        header.append("rigorous_pass")
+        rows = [row + (cert.rigorous_pass,) for row, cert in zip(rows, res.draws)]
     artifacts = {}
     if res.passed:
         artifacts["points.json"] = res.points.to_json()
@@ -321,11 +325,14 @@ def _summarize_usd_search(cfg, header, rows, strict):
     results = {"found": found, "passing_draw_index": first,
                "trials_run": len(rows),
                "heuristic": float(cfg.params["p"]) != 2.0}
+    if "rigorous_pass" in header:
+        results["rigorous_pass"] = first is not None and bool(
+            _column(header, rows, "rigorous_pass")[first])
     checks = []
     if cfg.assertions.get("must_pass", True):
         checks.append(_assertion("search_found_certified_points", found,
                                  {"trials_run": len(rows)}))
-    checks += _strict_checks(strict, results["heuristic"])
+    checks += _strict_checks(strict, results)
     return results, checks
 
 
@@ -362,6 +369,10 @@ def _run_usd_verify(cfg: ExperimentConfig):
     rows = [(i, "|".join(str(j) for j in s), a, b, lo <= a and b <= hi)
             for i, (s, a, b) in enumerate(zip(cert.subsets, cert.min_ratios,
                                               cert.max_ratios))]
+    if cert.outer_min_ratios is not None:   # even p > 2
+        header += ["outer_min_ratio", "outer_max_ratio"]
+        rows = [row + pair for row, pair in zip(
+            rows, zip(cert.outer_min_ratios, cert.outer_max_ratios))]
     artifacts = {"certificate.json": cert.to_json(), "points.json": xi.to_json()}
     return header, rows, artifacts
 
@@ -375,6 +386,13 @@ def _summarize_usd_verify(cfg, header, rows, strict):
     one_sided = math.inf if worst_min <= 0 else worst_min ** (-1.0 / p)
     results = {"passed": all(within), "subsets": len(rows),
                "one_sided_constant": one_sided, "heuristic": p != 2.0}
+    if "outer_min_ratio" in header:
+        eps = float(cfg.params.get("epsilon", 0.5))
+        outer = [[float(v) for v in _column(header, rows, name)]
+                 for name in ("outer_min_ratio", "outer_max_ratio")]
+        results["outer_min_ratios"], results["outer_max_ratios"] = outer
+        results["rigorous_pass"] = all(1.0 - eps <= a and b <= 1.0 + eps
+                                       for a, b in zip(*outer))
     checks = []
     if cfg.assertions.get("must_pass", True):
         checks.append(_assertion("all_ratios_within_window", all(within),
@@ -384,7 +402,7 @@ def _summarize_usd_verify(cfg, header, rows, strict):
         worst = max(max(abs(a - 1.0) for a in mins), max(abs(b - 1.0) for b in maxs))
         checks.append(_assertion("ratio_deviation_bounded", worst <= dev,
                                  {"worst_deviation": worst, "allowed": dev}))
-    checks += _strict_checks(strict, results["heuristic"])
+    checks += _strict_checks(strict, results)
     return results, checks
 
 

@@ -116,14 +116,13 @@ def _weighted_lstsq(a, b, w):
 
 
 def chebyshev_projection(inst: DiscreteInstance, subset, init=None,
-                         rel_tol: float = IRLS_REL_TOL,
                          max_iters: int = IRLS_MAX_ITERS) -> ProjectionResult:
     """Best approximation from the selected columns in the instance norm.
 
     p = 2 solves the weighted normal equations directly.  Other p run
     iteratively reweighted least squares with a 0.5 step damping whenever a
     step fails to decrease the residual norm, stopping when successive
-    residual norms change by at most ``rel_tol`` relatively.
+    residual norms change by at most ``IRLS_REL_TOL`` relatively.
     """
     subset = tuple(int(i) for i in subset)
     b = inst.f_values
@@ -166,7 +165,7 @@ def chebyshev_projection(inst: DiscreteInstance, subset, init=None,
             break
         change = (phi - phi_cand) / max(phi, 1e-300)
         c, phi = cand, phi_cand
-        if change <= rel_tol:
+        if change <= IRLS_REL_TOL:
             converged = True
             break
     return ProjectionResult(c, r, phi, converged, iterations)
@@ -280,14 +279,15 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, t: float = 1.0,
 
 
 def wcga_iteration_budget(v: int, one_sided_constant: float,
-                          riesz_constant: float, c: float = 1.0) -> float:
-    """Reference iteration count ``c * V^2 ln(V v) * v`` with V = D sqrt(K).
+                          riesz_constant: float) -> float:
+    """Reference iteration count ``V^2 ln(V v) * v`` with V = D sqrt(K).
 
-    The constant c is unknown; the value is logged for comparison against
-    empirically sufficient iteration counts, never asserted.
+    The absolute constant in front is unknown; the value is logged for
+    comparison against empirically sufficient iteration counts, never
+    asserted.
     """
     big_v = one_sided_constant * math.sqrt(riesz_constant)
-    return c * big_v ** 2 * math.log(max(big_v * v, 2.0)) * v
+    return big_v ** 2 * math.log(max(big_v * v, 2.0)) * v
 
 
 def _checked_subset_count(n: int, v: int, cap: int) -> int:

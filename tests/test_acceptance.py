@@ -268,3 +268,32 @@ def test_acceptance_10_arithmetic_oracles():
                    f"term schedule all match independent arithmetic to 1e-12 "
                    f"(chain={ok_chain}, tail={ok_tail}, ladder={ok_rem}, "
                    f"schedule={ok_sched})")
+
+
+def test_acceptance_11_rigorous_p4_by_sumset_lifting():
+    # the acceptance-03 workload: at p = 4, |f|^4 = |f^2|^2 and f^2 lies in
+    # the exponentials of the sumset {2k_i, k_i + k_j, 2k_j}, whose
+    # continuous Gram is the identity, so the eigen extremes of their
+    # empirical Gram bound every ratio of the pair's span
+    start = time.monotonic()
+    d = u.Dictionary.exponential_band(-3, 3)
+    coll = u.SubspaceCollection.all_subsets(d, 2)
+    xi = u.PointSet.random_uniform(512, 1, seed=303)
+    cert = u.check_usd(xi, coll, 4, u.RatioOptions(starts=64, seed=303))
+    freqs = np.arange(-3, 4)
+    pts = xi.points[:, 0]
+    encloses, independent = True, True
+    for subset, lo, hi, out_lo, out_hi in zip(
+            cert.subsets, cert.min_ratios, cert.max_ratios,
+            cert.outer_min_ratios, cert.outer_max_ratios):
+        encloses &= out_lo <= lo <= hi <= out_hi
+        ki, kj = freqs[list(subset)]
+        e = np.exp(1j * np.outer(pts, [2 * ki, ki + kj, 2 * kj]))
+        eigs = np.linalg.eigvalsh(e.conj().T @ e / len(pts))
+        independent &= abs(eigs[0] - out_lo) <= 1e-12 and abs(eigs[-1] - out_hi) <= 1e-12
+    elapsed = time.monotonic() - start
+    ok = (cert.rigorous_pass and cert.passed and len(cert.subsets) == 21
+          and encloses and independent and elapsed < 120.0)
+    report(11, ok, f"p=4 rigorous outer window [{min(cert.outer_min_ratios):.4f}, "
+                   f"{max(cert.outer_max_ratios):.4f}] encloses the multistart "
+                   f"window of all 21 pairs, {elapsed:.1f}s")

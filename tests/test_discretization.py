@@ -178,6 +178,45 @@ def test_certificate_json_roundtrip():
     assert len(cert.to_json()["min_ratios"]) == 1  # per-subset arrays present
 
 
+def test_outer_window_fields_appear_at_even_p_above_two_only():
+    d = Dictionary.exponential_band(-2, 2)
+    coll = SubspaceCollection.from_subsets(d, [(0, 1), (1, 4)])
+    xi = PointSet.random_uniform(48, 1, seed=6)
+    opts = RatioOptions(starts=3, max_iters=30)
+    outer_keys = {"outer_min_ratios", "outer_max_ratios", "rigorous_pass"}
+    for p in (2, 3, 4.5):
+        assert not outer_keys & set(check_usd(xi, coll, p, opts).to_json())
+    for p in (4, 6):
+        cert = check_usd(xi, coll, p, opts)
+        obj = cert.to_json()
+        assert outer_keys <= set(obj)
+        again = UsdCertificate.from_json(obj)
+        assert again.outer_min_ratios == cert.outer_min_ratios
+        assert again.outer_max_ratios == cert.outer_max_ratios
+        assert again.rigorous_pass is cert.rigorous_pass
+        assert cert.rigorous_pass == all(
+            0.5 <= a and b <= 1.5
+            for a, b in zip(cert.outer_min_ratios, cert.outer_max_ratios))
+
+
+def test_odd_exponent_evaluates_each_quadrature_grid_once(monkeypatch):
+    calls = []
+    values_at = Dictionary.values_at
+
+    def counting(self, points):
+        calls.append(len(points.points if isinstance(points, PointSet) else points))
+        return values_at(self, points)
+
+    monkeypatch.setattr(Dictionary, "values_at", counting)
+    coll = SubspaceCollection.all_subsets(Dictionary.exponential_band(-40, 2), 2)
+    cert = check_usd(PointSet.random_uniform(16, 1, seed=2), coll, 3,
+                     RatioOptions(starts=1, max_iters=1, grid_level=2))
+    assert len(cert.subsets) == 903
+    # the nodes once, then one grid per distinct size 3 * maxfreq + 1
+    assert calls[0] == 16
+    assert sorted(calls[1:]) == [3 * k + 1 for k in range(1, 41)]
+
+
 def test_subset_cap_enforced():
     d = Dictionary.exponential_band(-15, 15)
     coll = SubspaceCollection.all_subsets(d, 10)

@@ -158,6 +158,22 @@ def test_usd_search_rows_are_the_draws_of_find_usd_points(tmp_path):
                      c.worst_violation()) for i, c in enumerate(res.draws)]
 
 
+def test_usd_search_records_the_rigorous_verdict_at_even_p(tmp_path):
+    cfg = {
+        "kind": "usd_search", "seed": 5, "out": str(tmp_path / "s"),
+        "params": {"max_abs_freq": 1, "v": 2, "p": 4, "m": 48,
+                   "max_trials": 4, "opts": {"starts": 3, "max_iters": 40}},
+    }
+    outcome = run(cfg, strict=True)
+    header, rows = read_csv(os.path.join(cfg["out"], "usd_search.csv"))
+    assert header[-1] == "rigorous_pass"
+    cert = json.load(open(os.path.join(cfg["out"], "certificate.json")))
+    results = outcome.summary["results"]
+    assert results["found"] and results["rigorous_pass"] is cert["rigorous_pass"]
+    assert outcome.passed is cert["rigorous_pass"]
+    assert resummarize(outcome.csv_path, cfg, strict=True) == outcome.summary
+
+
 def test_entropy_profile_kind(tmp_path):
     cfg = {
         "kind": "entropy_profile", "seed": 2, "out": str(tmp_path / "e"),
@@ -266,15 +282,41 @@ def test_cli_exit_code_cap_exceeded(tmp_path):
 
 
 def test_cli_strict_flags_heuristic_certificates(tmp_path):
+    # p = 3 has no lifted outer window, so its certificate stays heuristic
     cfg = {
         "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "strict"),
-        "params": {"max_abs_freq": 1, "v": 1, "p": 4,
+        "params": {"max_abs_freq": 1, "v": 1, "p": 3,
                    "points": {"equispaced": 16},
                    "opts": {"starts": 4, "max_iters": 60}},
     }
     path = write_config(tmp_path, cfg)
     assert main(["usd-verify", "--config", path]) == 0
     assert main(["usd-verify", "--config", path, "--strict"]) == 1
+
+
+@pytest.mark.parametrize("m, rigorous", [(64, True), (8, False)])
+def test_cli_strict_accepts_a_rigorous_even_p_certificate(tmp_path, m, rigorous):
+    # span{e^{-2ix}, e^{2ix}} at p = 4 lifts to the sumset {-4, 0, 4}; on
+    # these 8 nodes its multistart window passes but its outer window does not
+    out = tmp_path / "strict"
+    cfg = {
+        "kind": "usd_verify", "seed": 1, "out": str(out),
+        "params": {"max_abs_freq": 2, "p": 4, "subsets": [[0, 4]],
+                   "points": {"seeded": {"m": m, "seed": 1}},
+                   "opts": {"starts": 4, "max_iters": 60}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["usd-verify", "--config", path]) == 0
+    assert main(["usd-verify", "--config", path, "--strict"]) == (0 if rigorous else 1)
+    summary = json.loads((out / "summary.json").read_text())
+    cert = json.loads((out / "certificate.json").read_text())
+    results = summary["results"]
+    assert results["rigorous_pass"] is cert["rigorous_pass"] is rigorous
+    assert results["outer_min_ratios"] == cert["outer_min_ratios"]
+    assert results["outer_max_ratios"] == cert["outer_max_ratios"]
+    assert cert["outer_min_ratios"][0] <= cert["min_ratios"][0]
+    assert cert["max_ratios"][0] <= cert["outer_max_ratios"][0]
+    assert resummarize(out / "usd_verify.csv", cfg, strict=True) == summary
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
@@ -407,6 +449,14 @@ def test_import_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy_module():
+    code = ("import sys, usdlab, usdlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
