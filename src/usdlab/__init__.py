@@ -28,11 +28,11 @@ from .frequencies import (FrequencySet, dyadic_block, dyadic_level_index,
 from .points import PointSet
 from .recovery import (BlockGreedyResult, DiscreteInstance, RecoveryReport,
                        SparseApproximant, best_v_term_error_blended,
-                       best_v_term_oracle, best_v_term_sup_estimate,
-                       block_greedy_approximant, block_term_count,
-                       block_term_schedule, chebyshev_projection,
-                       norming_functional_action, recovery_pipeline,
-                       weak_chebyshev_greedy, wcga_iteration_budget)
+                       best_v_term_oracle, block_greedy_approximant,
+                       block_term_count, block_term_schedule,
+                       chebyshev_projection, norming_functional_action,
+                       recovery_pipeline, weak_chebyshev_greedy,
+                       wcga_iteration_budget)
 from .smoothness import (SmoothnessBudget, bernoulli_kernel,
                          bernoulli_kernel_tail_bound, dyadic_blocks,
                          kernel_coefficient, level_a_norms,

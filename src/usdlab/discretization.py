@@ -456,6 +456,12 @@ class UsdCertificate:
             rigorous_pass=obj.get("rigorous_pass"))
 
 
+def _one_sided_constant(min_ratios, p: float) -> float:
+    """``max_J min_ratio(J)^(-1/p)``, infinite when a minimum is not positive."""
+    worst_min = min(min_ratios)
+    return math.inf if worst_min <= 0.0 else worst_min ** (-1.0 / p)
+
+
 def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
               opts: RatioOptions | None = None, epsilon: float = 0.5,
               subset_cap: int = DEFAULT_SUBSET_CAP,
@@ -492,8 +498,7 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
         converged = converged and res.converged
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     passed = all(lo <= a and b <= hi for a, b in zip(mins, maxs))
-    worst_min = min(mins)
-    one_sided = math.inf if worst_min <= 0.0 else worst_min ** (-1.0 / p)
+    one_sided = _one_sided_constant(mins, p)
     notes = [] if converged else ["some sphere optimizations hit the iteration limit"]
     cert = UsdCertificate(p, epsilon, subsets, mins, maxs, _method(p, opts),
                           p != 2, passed, one_sided, converged, notes)

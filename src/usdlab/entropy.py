@@ -22,8 +22,10 @@ from .dictionary import Dictionary
 from .errors import ProfileTooShortError
 from .points import PointSet
 
-# Filter width and refine-chunk size of the farthest-point traversal.
-_SUBGRID_POINTS = 64
+# Pruning ladder of the farthest-point traversal: about this many strided
+# grid columns per level, coarsest first (the full grid is the last level),
+# and the most values a level after the first gathers at once.
+_LADDER_POINTS = (8, 64)
 _REFINE_ELEMS = 1 << 16
 
 
@@ -50,13 +52,13 @@ class SampledClass:
         values = np.asarray(values)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("expected a (representatives, grid) value matrix")
-        self.values = values.astype(complex)
+        self.values = values.astype(complex, copy=False)
         self.grid = grid
         self.metadata = dict(metadata or {})
         self._radii = np.zeros(0)
         self._centers = np.zeros(0, dtype=np.intp)
         self._dmin2 = np.full(self.count, np.inf, dtype=np.float32)
-        self._dist32 = None
+        self._ladder = None
 
     @property
     def count(self) -> int:
@@ -140,6 +142,31 @@ def _squared_moduli(re, im, c_re, c_im, out, scratch):
     return out
 
 
+def _ladder_levels(values):
+    """Float32 real and imaginary planes of every level of the pruning ladder.
+
+    Level i keeps every ``max(1, g // _LADDER_POINTS[i])``-th column of the
+    g grid columns, and the ladder ends with the full grid (or at the first
+    level that already keeps every column).  The first level is stored
+    column-major, shape (columns, rows), so its row maxima are one
+    reduction across a few rows; the later ones row-major, so surviving
+    rows gather contiguously.
+    """
+    with np.errstate(over="ignore"):  # overflow is rejected just below
+        # equal to the parts of values.astype(np.complex64), without that
+        # complex intermediate; C order keeps every row gather contiguous
+        re = values.real.astype(np.float32, order="C")
+        im = values.imag.astype(np.float32, order="C")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("sample values must be finite in single precision")
+    strides = [max(1, re.shape[1] // w) for w in _LADDER_POINTS]
+    strides = strides[:strides.index(1) + 1] if 1 in strides else strides + [1]
+    levels = [(np.ascontiguousarray(re[:, ::s]), np.ascontiguousarray(im[:, ::s]))
+              for s in strides]
+    levels[0] = tuple(np.ascontiguousarray(plane.T) for plane in levels[0])
+    return levels
+
+
 def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     """Covering radius after t greedy centers, for t = 1..t_max.
 
@@ -150,50 +177,55 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     Distances run in single precision on squared moduli (relative error
     near 1e-7), so the values must be finite in single precision.
 
-    Each new center first updates every row on a fixed strided subgrid of
-    about ``_SUBGRID_POINTS`` columns (filter); only the rows that survive
-    are recomputed on the full grid, in chunks of at most
-    ``_REFINE_ELEMS`` values (refine).  The subgrid values are the very
-    float32 squared moduli the full row holds, so their maximum cannot
-    exceed the full-row maximum: a row whose subgrid distance already
-    reaches its current ``dmin2`` keeps ``dmin2`` unchanged, which is what
-    the full update would give.  Radii, center order and the lowest-index
-    tie rule are therefore bit-identical to an unpruned traversal.
+    Each new center runs a ladder of strided column subsets (about
+    ``_LADDER_POINTS`` columns each, then the full grid).  The first level
+    updates every row; each later level recomputes only the rows that
+    survived the level before it, in chunks of at most ``_REFINE_ELEMS``
+    values.  Every level's values are the very float32 squared moduli the
+    full row holds, so a partial maximum cannot exceed the full-row
+    maximum: a row whose partial maximum already reaches its current
+    ``dmin2`` keeps ``dmin2`` unchanged, which is what the full update
+    would give, whether or not the levels' columns nest.  Radii, center
+    order and the lowest-index tie rule are therefore bit-identical to an
+    unpruned traversal.
     """
     t_max = min(int(t_max), sampled.count)
     done = len(sampled._radii)
     if done >= t_max:
         return sampled._radii[:t_max]
-    if sampled._dist32 is None:
-        with np.errstate(over="ignore"):  # overflow is rejected just below
-            v32 = sampled.values.astype(np.complex64)
-        re, im = np.ascontiguousarray(v32.real), np.ascontiguousarray(v32.imag)
-        if not (np.isfinite(re).all() and np.isfinite(im).all()):
-            raise ValueError("sample values must be finite in single precision")
-        stride = max(1, sampled.grid_size // _SUBGRID_POINTS)
-        sampled._dist32 = (re, im, np.ascontiguousarray(re[:, ::stride]),
-                           np.ascontiguousarray(im[:, ::stride]))
-    re, im, sub_re, sub_im = sampled._dist32
-    n, g = re.shape
+    if sampled._ladder is None:
+        sampled._ladder = _ladder_levels(sampled.values)
+    (first_re, first_im), later = sampled._ladder[0], sampled._ladder[1:]
+    n = sampled.count
     dmin2 = sampled._dmin2.copy()  # the cache moves only once the steps are done
     radii2 = np.empty(t_max - done, dtype=np.float32)
     centers = np.empty(t_max - done, dtype=np.intp)
-    sub_a, sub_b = np.empty_like(sub_re), np.empty_like(sub_im)
-    chunk = min(n, max(1, _REFINE_ELEMS // g))
-    ref_a = np.empty((chunk, g), dtype=np.float32)
-    ref_b = np.empty((chunk, g), dtype=np.float32)
+    first_a, first_b = np.empty_like(first_re), np.empty_like(first_im)
+    bufs = []  # per later level: two (chunk rows, columns) gather buffers
+    for re, _ in later:
+        chunk = min(n, max(1, _REFINE_ELEMS // re.shape[1]))
+        bufs.append(np.empty((2, chunk, re.shape[1]), dtype=np.float32))
     for t in range(t_max - done):
         c = centers[t] = int(np.argmax(dmin2))
-        sub = _squared_moduli(sub_re, sub_im, sub_re[c], sub_im[c], sub_a, sub_b)
-        live = np.flatnonzero(sub.max(axis=1) < dmin2)
-        for lo in range(0, live.size, chunk):
-            rows = live[lo:lo + chunk]
-            a, b = ref_a[:rows.size], ref_b[:rows.size]
-            # "clip": rows are in range, and "raise" would copy through a buffer
-            np.take(re, rows, axis=0, out=a, mode="clip")
-            np.take(im, rows, axis=0, out=b, mode="clip")
-            full = _squared_moduli(a, b, re[c], im[c], a, b)
-            dmin2[rows] = np.minimum(dmin2[rows], full.max(axis=1))
+        sq = _squared_moduli(first_re, first_im, first_re[:, c, None],
+                             first_im[:, c, None], first_a, first_b)
+        part = np.maximum.reduce(sq, axis=0)
+        live = np.flatnonzero(part < dmin2)
+        part = part[live]
+        for (re, im), buf in zip(later, bufs):
+            chunk = buf.shape[1]
+            part = np.empty(live.size, dtype=np.float32)
+            for lo in range(0, live.size, chunk):
+                rows = live[lo:lo + chunk]
+                a, b = buf[0, :rows.size], buf[1, :rows.size]
+                # "clip": rows are in range, and "raise" would copy through a buffer
+                np.take(re, rows, axis=0, out=a, mode="clip")
+                np.take(im, rows, axis=0, out=b, mode="clip")
+                sq = _squared_moduli(a, b, re[c], im[c], a, b)
+                np.max(sq, axis=1, out=part[lo:lo + rows.size])
+            keep = part < dmin2[live]
+            live, part = live[keep], part[keep]
+        dmin2[live] = part
         radii2[t] = dmin2.max()
     sampled._radii = np.concatenate([sampled._radii, np.sqrt(radii2.astype(float))])
     sampled._centers = np.concatenate([sampled._centers, centers])

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import jsonio
 from .dictionary import Dictionary
-from .discretization import (RatioOptions, SubspaceCollection, check_usd,
+from .discretization import (RatioOptions, SubspaceCollection,
+                             _one_sided_constant, check_usd,
                              discretization_error_trials, expected_sup_estimate,
                              find_usd_points)
 from .entropy import (SampledClass, chaining_bound, entropy_numbers,
@@ -382,10 +383,9 @@ def _summarize_usd_verify(cfg, header, rows, strict):
     maxs = _column(header, rows, "max_ratio")
     within = _column(header, rows, "within_window")
     p = float(cfg.params["p"])
-    worst_min = min(mins)
-    one_sided = math.inf if worst_min <= 0 else worst_min ** (-1.0 / p)
     results = {"passed": all(within), "subsets": len(rows),
-               "one_sided_constant": one_sided, "heuristic": p != 2.0}
+               "one_sided_constant": _one_sided_constant(mins, p),
+               "heuristic": p != 2.0}
     if "outer_min_ratio" in header:
         eps = float(cfg.params.get("epsilon", 0.5))
         outer = [[float(v) for v in _column(header, rows, name)]

@@ -34,12 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary
-from .discretization import UsdCertificate
+from .discretization import UsdCertificate, _one_sided_constant
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
 from .frequencies import frequency_levels
 from .points import PointSet, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _quadrature_grid_size,
-                       lp_norm, sup_norm)
+                       lp_norm)
 
 ORACLE_SUBSET_CAP = 10**6
 IRLS_WEIGHT_FLOOR = 1e-12
@@ -290,16 +290,6 @@ def wcga_iteration_budget(v: int, one_sided_constant: float,
     return big_v ** 2 * math.log(max(big_v * v, 2.0)) * v
 
 
-def _checked_subset_count(n: int, v: int, cap: int) -> int:
-    """C(n, v), raising ``CapExceededError`` above ``cap``."""
-    count = math.comb(n, v)
-    if count > cap:
-        raise CapExceededError(
-            f"exhaustive search over {count} subsets exceeds the cap {cap}",
-            predicted=count, cap=cap)
-    return count
-
-
 def _rank_deficiency(subset) -> RankDeficiencyError:
     return RankDeficiencyError(
         f"columns {tuple(subset)} are rank deficient at the given nodes")
@@ -376,7 +366,11 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int,
         return SparseApproximant((), np.zeros(0, dtype=complex),
                                  inst.norm(inst.f_values), [], True,
                                  "exhaustive(v=0)")
-    count = _checked_subset_count(n, v, cap)
+    count = math.comb(n, v)
+    if count > cap:
+        raise CapExceededError(
+            f"exhaustive search over {count} subsets exceeds the cap {cap}",
+            predicted=count, cap=cap)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), v)),
         dtype=np.intp, count=count * v).reshape(count, v)
@@ -403,27 +397,6 @@ def best_v_term_error_blended(f: TrigPolynomial, dictionary: Dictionary,
     """Best v-term error in the half-continuous half-empirical norm."""
     inst = DiscreteInstance.blended(f, dictionary, xi, p, grid_level)
     return best_v_term_oracle(inst, v).residual_norm
-
-
-def best_v_term_sup_estimate(f: TrigPolynomial, dictionary: Dictionary,
-                             v: int, grid_level: int = DEFAULT_GRID_LEVEL,
-                             cap: int = ORACLE_SUBSET_CAP) -> float:
-    """Upper estimate of the best v-term error in the uniform norm.
-
-    Substitutes the continuous-L2 projection for the true uniform-norm
-    projection on every subset; each candidate is feasible, so the minimum
-    over subsets upper-bounds the true uniform best v-term error.
-    """
-    n = dictionary.size
-    if v == 0:
-        return sup_norm(f, grid_level)
-    _checked_subset_count(n, v, cap)
-    best = math.inf
-    for subset in itertools.combinations(range(n), v):
-        coeffs = dictionary.l2_project(f, subset)
-        approx = dictionary.combine(coeffs, subset)
-        best = min(best, sup_norm(f - approx, grid_level))
-    return best
 
 
 def block_term_count(n: int, beta: float, d: int, j: int) -> int:
@@ -548,7 +521,9 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
     one-sided constant of the certificate (when given; a missing or
     heuristic certificate is flagged, not fatal), and the exact
     best-v-term errors in the sampled and half-continuous norms when the
-    subset count is affordable.
+    subset count is affordable.  A certificate whose rigorous outer window
+    passes (even p > 2) is not flagged, and its constant is the rigorous
+    ``max_J outer_min(J)^(-1/p)``.
     """
     kind, params = method
     inst = DiscreteInstance.from_function(f, dictionary, xi, p)
@@ -591,10 +566,14 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
     if certificate is None:
         flags.append("uncertified_points")
     else:
-        one_sided = certificate.one_sided_constant
         cert_json = certificate.to_json()
-        if certificate.heuristic:
-            flags.append("heuristic_certificate")
+        if certificate.rigorous_pass:
+            one_sided = _one_sided_constant(certificate.outer_min_ratios,
+                                            certificate.p)
+        else:
+            one_sided = certificate.one_sided_constant
+            if certificate.heuristic:
+                flags.append("heuristic_certificate")
         if not certificate.passed:
             flags.append("certificate_failed")
         if dictionary.riesz_constant is not None and v >= 1 \

@@ -315,6 +315,32 @@ def test_longer_traversal_resumes_from_the_cache(monkeypatch):
     assert greedy_cover(resumed, whole._radii[99]) == whole._centers[:100].tolist()
 
 
+def test_from_l1_ball_keeps_one_copy_and_c_ordered_single_precision_planes(
+        monkeypatch):
+    passed = []
+    init = SampledClass.__init__
+
+    def spy(self, values, *args):
+        passed.append(values)
+        init(self, values, *args)
+
+    monkeypatch.setattr(SampledClass, "__init__", spy)
+    s = SampledClass.from_l1_ball(Dictionary.exponential_band(-8, 7),
+                                  n_representatives=96, grid_level=7, seed=2)
+    assert np.shares_memory(s.values, passed[0])
+    farthest_point_radii(s, 8)
+    v32 = s.values.astype(np.complex64)
+    (first_re, first_im), *later = s._ladder
+    stride = s.grid_size // entropy._LADDER_POINTS[0]
+    assert first_re.shape == (s.grid_size // stride, s.count)
+    assert np.array_equal(first_re, v32.real[:, ::stride].T)
+    assert np.array_equal(first_im, v32.imag[:, ::stride].T)
+    assert np.array_equal(later[-1][0], v32.real)
+    assert np.array_equal(later[-1][1], v32.imag)
+    for plane in (first_re, first_im, *itertools.chain(*later)):
+        assert plane.dtype == np.float32 and plane.flags.c_contiguous
+
+
 @pytest.mark.parametrize("call", [
     lambda: EntropyProfile.from_values([3.0, 2.0, 1.0]).eps_at(-1),
     lambda: EntropyProfile.from_values([3.0, 2.0, 1.0]).e_at(-1),

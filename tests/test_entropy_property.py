@@ -19,19 +19,26 @@ def traversals(draw):
             draw(st.integers(first, count)))
 
 
-# Small integer entries make many exact ties; widths below 64 leave the
-# subgrid equal to the full grid; small refine chunks cross chunk edges.
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(case=traversals(), refine_elems=st.integers(1, 1 << 10),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_pruned_radii_equal_the_unpruned_reference(case, refine_elems, seed):
+# Small integer entries make many exact ties.  Ladders of one to three
+# widths, in any order, put the grid width below the first level, between
+# levels and above the last, with strides that need not divide the width or
+# nest; small refine chunks cross chunk edges.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=traversals(),
+       ladder=st.one_of(st.just(entropy._LADDER_POINTS),
+                        st.lists(st.integers(1, 96), min_size=1,
+                                 max_size=3).map(tuple)),
+       refine_elems=st.integers(1, 1 << 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_pruned_radii_equal_the_unpruned_reference(case, ladder, refine_elems,
+                                                   seed):
     count, width, spread, first, t_max = case
     rng = np.random.default_rng(seed)
     values = (rng.integers(-spread, spread + 1, size=(count, width))
               + 1j * rng.integers(-spread, spread + 1, size=(count, width)))
     ref = unpruned_radii(values, t_max)
     sampled = entropy.SampledClass(values)
-    with mock.patch.object(entropy, "_REFINE_ELEMS", refine_elems):
+    with mock.patch.object(entropy, "_REFINE_ELEMS", refine_elems), \
+            mock.patch.object(entropy, "_LADDER_POINTS", ladder):
         assert np.array_equal(entropy.farthest_point_radii(sampled, first),
                               ref[:first])
         assert np.array_equal(entropy.farthest_point_radii(sampled, t_max), ref)

@@ -459,6 +459,38 @@ def test_import_loads_no_scipy_module():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("config, subcommand, expected", [
+    ("entropy_profile.json", "entropy", {
+        "entropy_profile.csv":
+            "7b78ef6a2ace0ebabeebff358294a1c13dd473bd6dd260ed1f7de4d60a949d35",
+        "entropy_profile.svg":
+            "98ca687c30949b09f90a301c7f3cf77b3a11434641af9fd670f40143fcc166e1",
+        "profile.json":
+            "9f9eb126e006c092372c168c7f3a9d49df413cd4943f701a867bf0b83a88f219",
+        "summary.json":
+            "d1b4e09e1d649329f1dccd4a0dc3deddbc423159d8453175b8a8cd42f9b5bdad",
+    }),
+    ("chaining_compare.json", "chaining-compare", {
+        "chaining_compare.csv":
+            "8b6ffdac5748f735b387d82f62ed92e01b4e2587765dbe1acaf2aeca324b689e",
+        "profile.json":
+            "65ab336e333572d8038c1da55d979b582e50084866e3b980d8b841f4e8977428",
+        "summary.json":
+            "f73dccb29ab8ef1fcdac1b36c9aa6bc6ddf1660942e802108ca86c72a04147c2",
+    }),
+], ids=["entropy_profile", "chaining_compare"])
+def test_shipped_traversal_config_outputs_are_byte_stable(tmp_path, config,
+                                                          subcommand, expected):
+    # digests recorded from the fixed 64-column filter-and-refine traversal;
+    # any exact pruning of the traversal must reproduce them
+    path = os.path.join(CONFIG_DIR, config)
+    assert main([subcommand, "--config", path, "--out", str(tmp_path),
+                 "--threads", "1"]) == 0
+    digests = {entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
+               for entry in tmp_path.iterdir()}
+    assert digests == expected
+
+
 def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
     # digests recorded from the coefficient-dictionary implementation of
     # TrigPolynomial; the summary does not record the output directory

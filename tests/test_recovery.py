@@ -386,35 +386,32 @@ def test_pipeline_block_method_reports_terms():
     assert report.continuous_error >= 0.0
 
 
-def test_pipeline_one_sided_sup_norm_inequality():
-    # with a certified set, the recovered error is dominated by
-    # (2D + 1) times the uniform-norm best v-term estimate
-    d = Dictionary.exponential_band(-4, 4)
-    coll = SubspaceCollection.all_subsets(d, 4)  # X_{2v} with v = 2
-    xi = PointSet.random_uniform(192, 1, seed=19)
-    cert = check_usd(xi, coll, 2)
-    assert cert.passed
-    rng = np.random.default_rng(20)
-    from usdlab.recovery import best_v_term_sup_estimate
-    for _ in range(5):
-        ks = [(k,) for k in range(-6, 7)]
-        c = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        f = TrigPolynomial({k: ci for k, ci in zip(ks, c / np.abs(c).sum())})
-        report = recovery_pipeline(f, d, xi, v=2, p=2, method=("oracle", {}),
-                                   certificate=cert)
-        sup_sigma = best_v_term_sup_estimate(f, d, 2)
-        bound = (2 * report.one_sided_constant + 1) * sup_sigma
-        assert report.continuous_error <= bound + 1e-9
-        assert report.iteration_budget_reference is not None
-
-
-def test_sup_estimate_v_zero_is_sup_norm():
-    from usdlab.recovery import best_v_term_sup_estimate
+def test_pipeline_reports_the_rigorous_constant_of_a_rigorous_certificate():
+    # p = 4 band(-2, 2) pairs: the lifted outer window passes, so the report
+    # carries max_J outer_min(J)^(-1/p) and no heuristic flag
     d = Dictionary.exponential_band(-2, 2)
-    f = TrigPolynomial({1: 1.0, -1: 1.0})
-    from usdlab.trigpoly import sup_norm
-    assert best_v_term_sup_estimate(f, d, 0) == pytest.approx(sup_norm(f))
-    assert best_v_term_sup_estimate(f, d, 5) <= 1e-12  # full span reproduces
+    xi = PointSet.random_uniform(128, 1, seed=1)
+    cert = check_usd(xi, SubspaceCollection.all_subsets(d, 2), 4)
+    assert cert.heuristic and cert.rigorous_pass
+    f = TrigPolynomial({1: 1.0, -2: 0.5})
+    report = recovery_pipeline(f, d, xi, v=2, p=4, method=("oracle", {}),
+                               certificate=cert)
+    assert "heuristic_certificate" not in report.flags
+    rigorous = min(cert.outer_min_ratios) ** (-1.0 / 4)
+    assert report.one_sided_constant == rigorous
+    assert report.one_sided_constant >= cert.one_sided_constant
+    assert report.to_json()["certificate"]["rigorous_pass"] is True
+
+
+def test_pipeline_flags_a_certificate_that_is_only_heuristic():
+    d = Dictionary.exponential_band(-2, 2)
+    xi = PointSet.random_uniform(128, 1, seed=1)
+    cert = check_usd(xi, SubspaceCollection.all_subsets(d, 2), 3)
+    assert cert.heuristic and cert.rigorous_pass is None
+    report = recovery_pipeline(TrigPolynomial({1: 1.0}), d, xi, v=1, p=3,
+                               method=("oracle", {}), certificate=cert)
+    assert "heuristic_certificate" in report.flags
+    assert report.one_sided_constant == cert.one_sided_constant
 
 
 def test_blended_sigma_decreases_with_v():
