@@ -1,20 +1,25 @@
-"""Finite systems of trigonometric polynomials and their span metadata.
+"""Finite systems of trigonometric polynomials as one coefficient matrix.
 
-A ``Dictionary`` keeps an ordered element list plus the constants that the
-discretization and recovery machinery consumes: a uniform bound on the
-elements and an optional l2 Riesz-type constant K (coefficient l2 dominated
-by ``sqrt(K)`` times the function L2 norm).
+A ``Dictionary`` stores the sorted union of its elements' frequencies (F, d)
+and their coefficient matrix B (F, N), and records which union rows each
+element holds (a stored zero counts), so every subset has its own union and
+block of B.  It also keeps a uniform bound on the elements and an optional
+l2 Riesz-type constant K (coefficient l2 dominated by ``sqrt(K)`` times the
+function L2 norm).
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NormBudgetError
 from .frequencies import FrequencySet
 from .points import PointSet
-from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _combination, _stack,
-                       _union_coefficients, lp_norm, sup_norm)
+from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _stack, _values_on,
+                       lp_norm, sup_norm)
 
 _BOUND_CHECK_GRID_LEVEL = 8
 
@@ -22,94 +27,97 @@ _BOUND_CHECK_GRID_LEVEL = 8
 class Dictionary:
     """Ordered system of trigonometric polynomials with recorded constants."""
 
-    def __init__(self, elements, uniform_bound, riesz_constant=None,
-                 check_bound=True):
+    def __init__(self, elements, uniform_bound, riesz_constant=None):
         elements = list(elements)
         if not elements:
             raise ValueError("a dictionary needs at least one element")
+        for name, value in (("uniform_bound", uniform_bound),
+                            ("riesz_constant", riesz_constant)):
+            if value is not None and not 0 < float(value) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         d = elements[0].dimension
         for g in elements:
             if g.dimension != d:
                 raise DimensionMismatchError("dictionary elements must share a dimension")
-        if check_bound:
-            for i, g in enumerate(elements):
-                est = sup_norm(g, _BOUND_CHECK_GRID_LEVEL)
-                if est > uniform_bound + 1e-9:
-                    raise NormBudgetError(
-                        f"element {i} has sup-norm estimate {est} above the "
-                        f"declared uniform bound {uniform_bound}")
-        self.elements = elements
         self.uniform_bound = float(uniform_bound)
         self.riesz_constant = None if riesz_constant is None else float(riesz_constant)
         self.dimension = d
+        union, at, owner, coeffs = _stack(elements, d)
+        self.frequencies = union
+        self.coefficients = np.zeros((len(union), len(elements)), dtype=complex)
+        self.coefficients[at, owner] = coeffs
+        self._held = np.zeros(self.coefficients.shape, dtype=bool)
+        self._held[at, owner] = True
+        self.frequencies.flags.writeable = self.coefficients.flags.writeable = False
+        # sup|g| <= sum_k |c_k|, so only columns above the bound need the grid
+        bound = self.uniform_bound
+        for i in np.flatnonzero(np.abs(self.coefficients).sum(axis=0) > bound):
+            est = sup_norm(elements[i], _BOUND_CHECK_GRID_LEVEL)
+            if est > bound + 1e-9:
+                raise NormBudgetError(
+                    f"element {i} has sup-norm estimate {est} above the "
+                    f"declared uniform bound {bound}")
         # distinct unit monomials e^{i<k,x>} are orthonormal in L2
-        union, _, owner, coeffs = _stack(elements, d)
         self.orthonormal_monomials = bool(
             np.array_equal(owner, np.arange(len(elements)))
             and (coeffs == 1).all() and len(union) == len(elements))
 
-    def __len__(self):
-        return len(self.elements)
-
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.coefficients.shape[1]
 
     def max_component_frequency(self) -> int:
-        return max(g.max_component_frequency() for g in self.elements)
+        return int(np.abs(self.frequencies).max(initial=0))
 
     @classmethod
     def exponentials(cls, freqs: FrequencySet) -> "Dictionary":
         """Orthonormal system ``{e^{i<k,x>}}`` over the given frequency set."""
         elements = [TrigPolynomial({k: 1.0}, freqs.dimension) for k in freqs]
-        return cls(elements, uniform_bound=1.0, riesz_constant=1.0,
-                   check_bound=False)
+        return cls(elements, uniform_bound=1.0, riesz_constant=1.0)
 
     @classmethod
     def exponential_band(cls, lo: int, hi: int) -> "Dictionary":
         """Univariate exponentials with frequencies lo..hi inclusive."""
-        if hi < lo:
-            raise ValueError("empty frequency band")
+        if not (float(lo).is_integer() and float(hi).is_integer() and lo <= hi):
+            raise ValueError(f"a band needs integer ends lo <= hi, got {lo} and {hi}")
         return cls.exponentials(
-            FrequencySet.from_indices([(k,) for k in range(lo, hi + 1)]))
+            FrequencySet.from_indices([(k,) for k in range(int(lo), int(hi) + 1)]))
+
+    def _checked_indices(self, indices) -> list:
+        """The selected indices as ints, all for None; ValueError outside 0..N-1."""
+        idx = list(range(self.size)) if indices is None else [int(i) for i in indices]
+        if any(i < 0 or i >= self.size for i in idx):
+            raise ValueError(f"subset {tuple(idx)} indexes outside the dictionary")
+        return idx
+
+    def _block(self, indices):
+        """The selected elements' sorted union frequencies and block of B."""
+        rows = np.flatnonzero(self._held[:, indices].any(axis=1))
+        return self.frequencies[rows], self.coefficients[np.ix_(rows, indices)]
 
     def values_at(self, points) -> np.ndarray:
         """Matrix of element values, one column per element."""
         if not isinstance(points, PointSet):
             points = PointSet.explicit(points)
-        cols = [g.evaluate(points) for g in self.elements]
-        return np.stack(cols, axis=1)
+        return _values_on(points.points, self.frequencies, self.coefficients)
 
     def has_identity_gram(self, indices) -> bool:
         """Whether the selected elements are distinct orthonormal monomials."""
         return self.orthonormal_monomials and len(set(indices)) == len(indices)
 
     def continuous_gram(self, indices=None) -> np.ndarray:
-        """Exact L2 Gram of the selected elements, from the coefficients.
-
-        Distinct orthonormal monomials give the identity without a build.
-        """
-        idx = range(self.size) if indices is None else indices
-        if self.has_identity_gram(idx):
-            return np.eye(len(idx), dtype=complex)
-        _, b = _union_coefficients([self.elements[i] for i in idx], self.dimension)
+        """Exact L2 Gram ``b^H b`` of the selected elements' block b of B."""
+        b = self._block(self._checked_indices(indices))[1]
         return b.conj().T @ b
 
     def combine(self, coefficients, indices=None) -> TrigPolynomial:
         """The span element with the given coefficients."""
-        idx = list(range(self.size)) if indices is None else list(indices)
+        idx = self._checked_indices(indices)
         if len(idx) != len(coefficients):
             raise ValueError("one coefficient per selected element expected")
-        return _combination([self.elements[i] for i in idx], coefficients,
-                            self.dimension)
-
-    def l2_project(self, f: TrigPolynomial, indices) -> np.ndarray:
-        """Coefficients of the continuous-L2 best approximation from a subset."""
-        idx = list(indices)
-        gram = self.continuous_gram(idx)
-        _, b = _union_coefficients([self.elements[i] for i in idx] + [f],
-                                   self.dimension)
-        return np.linalg.solve(gram, b[:, :-1].conj().T @ b[:, -1])
+        freqs, b = self._block(idx)
+        return TrigPolynomial.from_arrays(
+            freqs, b @ np.asarray(coefficients, dtype=complex), self.dimension)
 
 
 class SubspaceCollection:
@@ -120,7 +128,7 @@ class SubspaceCollection:
             raise ValueError("give either explicit subsets or a subset size v")
         self.dictionary = dictionary
         if subsets is not None:
-            subsets = [tuple(sorted(int(i) for i in s)) for s in subsets]
+            subsets = [tuple(sorted(dictionary._checked_indices(s))) for s in subsets]
             if not subsets:
                 raise ValueError("the collection must be nonempty")
             sizes = {len(s) for s in subsets}
@@ -129,13 +137,11 @@ class SubspaceCollection:
             for s in subsets:
                 if len(set(s)) != len(s):
                     raise ValueError(f"subset {s} repeats an index")
-                if any(i < 0 or i >= dictionary.size for i in s):
-                    raise ValueError(f"subset {s} indexes outside the dictionary")
             self.subsets = subsets
             self.v = sizes.pop()
         else:
-            if v < 1 or v > dictionary.size:
-                raise ValueError("subset size v must satisfy 1 <= v <= N")
+            if not (float(v).is_integer() and 1 <= v <= dictionary.size):
+                raise ValueError(f"subset size v must be an integer in 1..N, got {v}")
             self.subsets = None
             self.v = int(v)
 
@@ -148,17 +154,14 @@ class SubspaceCollection:
         return cls(dictionary, subsets=subsets)
 
     def count(self) -> int:
-        import math
         if self.subsets is not None:
             return len(self.subsets)
         return math.comb(self.dictionary.size, self.v)
 
     def iter_subsets(self):
         if self.subsets is not None:
-            yield from self.subsets
-        else:
-            import itertools
-            yield from itertools.combinations(range(self.dictionary.size), self.v)
+            return iter(self.subsets)
+        return itertools.combinations(range(self.dictionary.size), self.v)
 
 
 def nikolskii_ratio_estimate(dictionary: Dictionary, q: float, trials: int,

@@ -263,6 +263,8 @@ def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
     ``ratio(c)`` and ``ratio_grad(c)`` evaluate the ratio of each column
     of c, and the ratio with its conjugate Wirtinger gradient; ``warm``
     holds the vectors started from besides ``opts.starts`` random ones.
+    Returns the best ratio, its vector, and whether that vector stopped as
+    stationary before the iteration limit, whatever the other starts do.
     """
     v, starts = warm[0].shape[0], opts.starts
     rng = np.random.default_rng(list(seed_key))
@@ -273,7 +275,6 @@ def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
     rho = ratio(c)
     active = np.ones(n_cols, dtype=bool)
     alpha_mem = np.ones(n_cols)  # per-column step memory across iterations
-    hit_iter_limit = False
     for _ in range(opts.max_iters):
         if not active.any():
             break
@@ -310,10 +311,8 @@ def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
         # a column that cannot improve within the backtracking budget sits
         # at a numerical stationary point; freeze it
         active[idx[~accepted]] = False
-    else:
-        hit_iter_limit = active.any()
     best = int(np.argmax(sign * rho))
-    return float(rho[best]), c[:, best], not hit_iter_limit
+    return float(rho[best]), c[:, best], not active[best]
 
 
 def _method(p, opts: RatioOptions) -> dict:
@@ -341,15 +340,13 @@ def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
 
     r = _even_half(p)
     outer = (None, None)
+    freqs, coeffs = dictionary._block(subset)
     if r is not None:
-        lifted = _LiftedRatio(*_union_coefficients(
-            [dictionary.elements[i] for i in subset], dictionary.dimension),
-            points, r)
+        lifted = _LiftedRatio(freqs, coeffs, points, r)
         ratio, ratio_grad = lifted.ratio, lifted.ratio_grad
         outer = lifted.outer_window()
     else:
-        max_freq = max(dictionary.elements[i].max_component_frequency()
-                       for i in subset)
+        max_freq = int(np.abs(freqs).max(initial=0))
         n_grid = _quadrature_grid_size(max_freq, opts.grid_level, math.ceil(p), 1)
         if n_grid not in grids:
             grids[n_grid] = dictionary.values_at(
@@ -378,9 +375,7 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     """
     _check_exponent(p)
     opts = opts or RatioOptions()
-    subset = tuple(int(i) for i in subset)
-    if any(i < 0 or i >= dictionary.size for i in subset):
-        raise ValueError(f"subset {subset} indexes outside the dictionary")
+    subset = tuple(dictionary._checked_indices(subset))
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
     return _subset_ratios(dictionary.values_at(xi)[:, subset], xi.points, subset,
                           dictionary, p, opts, key, {})

@@ -128,9 +128,6 @@ class TrigPolynomial:
         arr = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
-        if arr.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"points have dimension {arr.shape[1]}, polynomial has {self.dimension}")
         return _values_on(arr, self._freqs, self._coeffs)
 
     def __repr__(self):
@@ -251,6 +248,9 @@ def _values_on(points, freq_array, coeff_array, halves=None):
     ``0.0 - sin(y)`` is ``sin(-y)`` except at y = 0, where ``exp`` returns
     +0.0 for either sign.  The k = 0 column is 1.
     """
+    if points.shape[1] != freq_array.shape[1]:
+        raise DimensionMismatchError(
+            f"points have dimension {points.shape[1]}, frequencies have {freq_array.shape[1]}")
     m = points.shape[0]
     shape = (m,) + coeff_array.shape[1:]
     if freq_array.shape[0] == 0:

@@ -5,10 +5,10 @@ import pytest
 
 from usdlab.dictionary import (Dictionary, SubspaceCollection,
                                nikolskii_ratio_estimate)
-from usdlab.errors import NormBudgetError
+from usdlab.errors import DimensionMismatchError, NormBudgetError
 from usdlab.frequencies import hyperbolic_cross
 from usdlab.points import PointSet
-from usdlab.trigpoly import TrigPolynomial, _union_coefficients
+from usdlab.trigpoly import TrigPolynomial
 
 
 def test_exponential_band_basics():
@@ -34,6 +34,8 @@ def test_values_matrix_shape_and_content():
     assert vals[0] == pytest.approx([1.0, 1.0, 1.0])
     assert vals[1] == pytest.approx([np.exp(-1j * np.pi / 2), 1.0,
                                      np.exp(1j * np.pi / 2)])
+    with pytest.raises(DimensionMismatchError):
+        d.values_at(np.zeros((2, 2)))
 
 
 def test_continuous_gram_orthonormal_identity():
@@ -43,8 +45,8 @@ def test_continuous_gram_orthonormal_identity():
 
 
 def coefficient_gram(d, indices):
-    """Reference: the Gram built from the coefficient matrix."""
-    _, b = _union_coefficients([d.elements[i] for i in indices], d.dimension)
+    """Reference: the Gram built from the stored coefficient matrix."""
+    b = d.coefficients[:, indices]
     return b.conj().T @ b
 
 
@@ -109,8 +111,7 @@ def test_collection_counts_and_enumeration():
 
 
 def test_nikolskii_singleton_is_one():
-    d = Dictionary.exponentials(hyperbolic_cross(1, 1)).elements[2:3]
-    single = Dictionary(d, uniform_bound=1.0)
+    single = Dictionary([TrigPolynomial({(1,): 1.0})], uniform_bound=1.0)
     assert nikolskii_ratio_estimate(single, 3.0, trials=5) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -149,12 +150,45 @@ def test_nikolskii_trend_two_dimensional_cross():
     assert max(ratios) / min(ratios) < 2.0
 
 
-def test_l2_projection_onto_subset():
-    d = Dictionary.exponential_band(-2, 2)
-    f = TrigPolynomial({(-1,): 2.0, (0,): 1.0, (2,): -0.5})
-    coeffs = d.l2_project(f, [1, 2])  # frequencies -1 and 0
-    assert coeffs == pytest.approx([2.0, 1.0])
-    resid = f - d.combine(coeffs, [1, 2])
-    assert set(resid.support) == {(-1,), (0,), (2,)}
-    assert abs(resid.coeffs[(-1,)]) < 1e-12
-    assert abs(resid.coeffs[(2,)] + 0.5) < 1e-12
+def test_stored_union_frequencies_and_coefficients():
+    g1 = TrigPolynomial({(1,): 2.0, (-1,): 0.0})
+    g2 = TrigPolynomial({(0,): 1j})
+    d = Dictionary([g1, g2], uniform_bound=2.0)
+    assert d.frequencies.tolist() == [[-1], [0], [1]]
+    assert np.array_equal(d.coefficients, [[0, 0], [0, 1j], [2, 0]])
+    assert not d.frequencies.flags.writeable and not d.coefficients.flags.writeable
+    # the stored zero term of g1 still belongs to its block
+    freqs, b = d._block([0])
+    assert freqs.tolist() == [[-1], [1]]
+    assert np.array_equal(b, [[0], [2]])
+    assert d.combine([1.0], [0]).coeffs == {(-1,): 0j, (1,): 2 + 0j}
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: d.combine([1.0], [-1]),
+    lambda d: d.combine([1.0], [7]),
+    lambda d: d.continuous_gram([-1, 0]),
+    lambda d: d.continuous_gram([0, 7]),
+], ids=["combine_negative", "combine_past_end", "gram_negative", "gram_past_end"])
+def test_indices_outside_the_dictionary_are_rejected(call):
+    with pytest.raises(ValueError, match="outside the dictionary"):
+        call(Dictionary.exponential_band(-3, 3))
+
+
+def _one_element(**constants):
+    return Dictionary([TrigPolynomial({(1,): 1.0})], **constants)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _one_element(uniform_bound=float("nan")),
+    lambda: _one_element(uniform_bound=float("inf")),
+    lambda: _one_element(uniform_bound=0.0),
+    lambda: _one_element(uniform_bound=1.0, riesz_constant=-1.0),
+    lambda: _one_element(uniform_bound=1.0, riesz_constant=float("nan")),
+    lambda: Dictionary.exponential_band(0.5, 2.5),
+    lambda: SubspaceCollection(Dictionary.exponential_band(-2, 2), v=2.5),
+], ids=["bound_nan", "bound_inf", "bound_zero", "riesz_negative", "riesz_nan",
+        "band_fractional", "v_fractional"])
+def test_bad_constants_rejected_at_construction(call):
+    with pytest.raises(ValueError):
+        call()

@@ -449,3 +449,20 @@ def test_find_usd_points_keeps_every_draw():
         assert len(res.draws) == res.trials_run
         assert res.certificate is res.draws[res.draw_index]
         assert "draws" not in res.to_json()
+
+
+def test_multistart_converges_when_its_optimum_is_stationary():
+    # other starts still creep at the iteration limit here, but the
+    # returned optimum's tangent gradient is below grad_tol
+    d = Dictionary.exponential_band(-3, 3)
+    xi = PointSet.random_uniform(512, 1, seed=9)
+    res = subspace_ratio_bounds((0, 4), d, xi, 4, seed_key=[0, 3])
+    assert res.converged
+
+
+def test_multistart_cut_after_one_iteration_is_not_converged():
+    coll = SubspaceCollection.all_subsets(Dictionary.exponential_band(-3, 3), 2)
+    cert = check_usd(PointSet.random_uniform(512, 1, seed=9), coll, 4,
+                     RatioOptions(max_iters=1))
+    assert not cert.converged
+    assert cert.notes == ["some sphere optimizations hit the iteration limit"]

@@ -483,12 +483,55 @@ def test_shipped_traversal_config_outputs_are_byte_stable(tmp_path, config,
                                                           subcommand, expected):
     # digests recorded from the fixed 64-column filter-and-refine traversal;
     # any exact pruning of the traversal must reproduce them
+    assert _output_digests(tmp_path, config, subcommand) == expected
+
+
+def _output_digests(tmp_path, config, subcommand):
+    """sha256 of every file a shipped config writes at ``--threads 1``."""
     path = os.path.join(CONFIG_DIR, config)
     assert main([subcommand, "--config", path, "--out", str(tmp_path),
                  "--threads", "1"]) == 0
-    digests = {entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
-               for entry in tmp_path.iterdir()}
-    assert digests == expected
+    return {entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
+            for entry in tmp_path.iterdir()}
+
+
+@pytest.mark.parametrize("config, subcommand, expected", [
+    ("usd_verify_equispaced.json", "usd-verify", {
+        "certificate.json":
+            "414dc35eb24184aca61bce2313c745d18dfb2d2ee2a62e8921e2a95901e9c23b",
+        "points.json":
+            "177548c53f03230ed35c8bb7ff74af8bd241a144dbf919a6de728b03cd1b1027",
+        "summary.json":
+            "f2a14179c4a5c278d6758a8bfb5f1e5bef02d93de041f28b0b91015e58544efc",
+        "usd_verify.csv":
+            "0853976e88f9657e5b882e73fa800a444e5c47ee2ed87ff513f98c6d3ef3d1af",
+    }),
+    ("usd_search_band7.json", "usd-search", {
+        "certificate.json":
+            "d4956cd91089736fd53801e3a6a3b8ab27d9da333a47cdb9b48cfb0afc005590",
+        "points.json":
+            "007397638279f3c07aa5d936d99661af3c617ef1b960dd14cc03f19d0d65478d",
+        "reference_budget.json":
+            "9aa670fb0b367d690d7021c9b9501e7dc4ae32942aa932f5b3e884a8e91d28b3",
+        "summary.json":
+            "da1f61382da4dc0ac777f2be9d1e6b40a6b7821ebf744ad7bc4654e905eee257",
+        "usd_search.csv":
+            "9199296e8767a50c42173caff3e73c3e50a644c0ea7c70da4d2e3a7bf13fb292",
+    }),
+    ("er_rate_sweep.json", "er-rate", {
+        "er_rate.csv":
+            "c53eebe0566f3d7e6b766e914713ea873849ab0d2f1e9641df8af763043fa581",
+        "er_rate.svg":
+            "270c1a36cc0e17c3770a05bf308bfbb6935b7bac28139db2da59a126fcd61a98",
+        "summary.json":
+            "09aaa60e48eedf81b777f90ea67dcc751b3a3a4d990901d0caedc5972ef0034c",
+    }),
+], ids=["usd_verify_equispaced", "usd_search_band7", "er_rate_sweep"])
+def test_shipped_dictionary_config_outputs_are_byte_stable(tmp_path, config,
+                                                           subcommand, expected):
+    # digests recorded from the element-list Dictionary, before the
+    # dictionary became one stored coefficient matrix
+    assert _output_digests(tmp_path, config, subcommand) == expected
 
 
 def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):

@@ -18,7 +18,7 @@ from usdlab.dictionary import Dictionary
 from usdlab.discretization import (RatioOptions, _LiftedRatio, _ratio_grad,
                                    _ratio_only, subspace_ratio_bounds)
 from usdlab.points import PointSet, tensor_grid_points
-from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size, _union_coefficients
+from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size
 
 TOL = 1e-12
 
@@ -39,7 +39,8 @@ def _case(seed, d, v, m, general):
         while len(keys) < v:
             keys.add(tuple(rng.integers(-4, 5, size=d).tolist()))
         elements = [TrigPolynomial({k: 1.0}, d) for k in sorted(keys)]
-    dictionary = Dictionary(elements, uniform_bound=100.0, check_bound=False)
+    bound = max(sum(map(abs, e.coeffs.values())) for e in elements)
+    dictionary = Dictionary(elements, uniform_bound=bound)
     x = rng.uniform(0.0, 2.0 * np.pi, size=(m, d))
     return dictionary, x, rng
 
@@ -65,7 +66,7 @@ cases = dict(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2),
 @given(**cases)
 def test_lifted_ratio_and_gradient_match_the_quadrature(seed, d, v, m, general, p):
     dictionary, x, rng = _case(seed, d, v, m, general)
-    freqs, coeffs = _union_coefficients(dictionary.elements, d)
+    freqs, coeffs = dictionary.frequencies, dictionary.coefficients
     assume(np.linalg.matrix_rank(coeffs) == v)
     lifted = _LiftedRatio(freqs, coeffs, x, p // 2)
     if not general:
@@ -88,7 +89,7 @@ def test_lifted_ratio_and_gradient_match_the_quadrature(seed, d, v, m, general, 
 def test_outer_window_contains_the_multistart_window_and_every_sample(
         seed, d, v, m, general, p):
     dictionary, x, rng = _case(seed, d, v, m, general)
-    _, coeffs = _union_coefficients(dictionary.elements, d)
+    coeffs = dictionary.coefficients
     assume(np.linalg.cond(coeffs) < 1e4)
     res = subspace_ratio_bounds(range(v), dictionary, PointSet.explicit(x), p,
                                 RatioOptions(starts=4, max_iters=40, seed=seed % 7))

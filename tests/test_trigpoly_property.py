@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary
 from usdlab.frequencies import FrequencySet, level_of
+from usdlab.points import PointSet
 from usdlab.recovery import block_greedy_approximant
 from usdlab.smoothness import (dyadic_blocks, kernel_coefficient,
                                level_a_norms, mixed_difference_seminorm,
@@ -106,28 +107,67 @@ def test_block_greedy_selection_equals_the_sorted_term_loop(data, d, n, beta):
     assert result.total_terms == len(keep)
 
 
+def l1_bound(elements):
+    """An honest uniform bound: the largest coefficient l1 norm, at least 1."""
+    return max([1.0] + [sum(map(abs, e.coeffs.values())) for e in elements])
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(data=st.data(), d=dims)
 def test_combine_and_projection_against_the_term_loops(data, d):
     elements = data.draw(st.lists(polys(d, max_terms=4).filter(lambda e: e.coeffs),
                                   min_size=1, max_size=5))
-    dictionary = Dictionary(elements, uniform_bound=1.0, check_bound=False)
-    c = [complex(data.draw(finite), data.draw(finite)) for _ in elements]
+    dictionary = Dictionary(elements, uniform_bound=l1_bound(elements))
+    idx = data.draw(st.one_of(st.none(), st.lists(
+        st.integers(0, len(elements) - 1), min_size=1, max_size=6)))
+    chosen = elements if idx is None else [elements[i] for i in idx]
+    c = [complex(data.draw(finite), data.draw(finite)) for _ in chosen]
     ref, scale = {}, {}
-    for ci, e in zip(c, elements):
+    for ci, e in zip(c, chosen):
         for k, a in e.coeffs.items():
             ref[k] = ref.get(k, 0.0) + ci * a
             scale[k] = scale.get(k, 0.0) + abs(ci) * abs(a)
-    assert close(dictionary.combine(c).coeffs, ref, scale)
+    got = dictionary.combine(c, idx).coeffs
+    assert set(got) == set(ref) and close(got, ref, scale)
     # unit monomials: every product is exact, so the sum is the loop's own
     ks = sorted({k for e in elements for k in e.coeffs})
     monomials = Dictionary.exponentials(FrequencySet.from_indices(ks, d))
     c = [complex(data.draw(finite), data.draw(finite)) for _ in ks]
     assert monomials.combine(c).coeffs == {k: 0.0 + ci for k, ci in zip(ks, c)}
-    f = data.draw(polys(d))
-    idx = list(range(0, len(ks), 2))
-    rhs = [f.coeffs.get(ks[i], 0.0) for i in idx]   # projection onto e^{i<k,x>}
-    assert np.array_equal(monomials.l2_project(f, idx), np.array(rhs, dtype=complex))
+    sub = list(range(0, len(ks), 2))
+    assert monomials.combine([c[i] for i in sub], sub).coeffs == {
+        ks[i]: 0.0 + c[i] for i in sub}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data(), d=st.integers(1, 2), general=st.booleans(),
+       m=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_dictionary_matrix_against_the_element_list(data, d, general, m, seed):
+    if general:
+        elements = data.draw(st.lists(polys(d, max_terms=4), min_size=1, max_size=6))
+    else:
+        keys = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * d),
+                                  min_size=1, max_size=8, unique=True))
+        elements = [TrigPolynomial({k: 1.0}, d) for k in keys]
+    dictionary = Dictionary(elements, uniform_bound=l1_bound(elements))
+    rng = np.random.default_rng(seed)
+    for x in (rng.uniform(0.0, 2.0 * np.pi, size=(m, d)),
+              PointSet.equispaced(m, d).points):
+        got = dictionary.values_at(x)
+        ref = np.stack([e.evaluate(x) for e in elements], axis=1)
+        if d == 1 and not general:
+            assert np.array_equal(got, ref)
+        else:
+            # for d > 1 BLAS may round the phase x @ k differently with the
+            # number of frequency columns; the sums differ in order
+            phase = np.abs(x).max() * np.abs(dictionary.frequencies).sum(axis=1).max(initial=0)
+            l1 = np.array([sum(map(abs, e.coeffs.values())) for e in elements])
+            assert (np.abs(got - ref) <= 8 * EPS * l1 * (1.0 + phase)).all()
+    idx = data.draw(st.lists(st.integers(0, len(elements) - 1), min_size=1, max_size=5))
+    freqs, b = _union_coefficients([elements[i] for i in idx], d)
+    got_freqs, got_b = dictionary._block(idx)
+    assert np.array_equal(got_freqs, freqs) and np.array_equal(got_b, b)
+    assert np.array_equal(dictionary.continuous_gram(idx), b.conj().T @ b)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
