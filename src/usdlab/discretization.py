@@ -33,10 +33,14 @@ from .dictionary import Dictionary, SubspaceCollection
 from .errors import CapExceededError, RankDeficiencyError
 from .points import PointSet, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _check_exponent,
-                       _half_spectrum, _quadrature_grid_size, _union_coefficients,
-                       _values_on, lp_norm)
+                       _half_spectrum, _phases, _quadrature_grid_size,
+                       _union_coefficients, _values_on, lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
+MULTISTART_GRAD_TOL = 1e-9
+MULTISTART_BACKTRACKS = 30
+MULTISTART_GRID_LEVEL = 6
+LIFT_CAP_BYTES = 1 << 28   # one array of the even-p lift; larger raises CapExceededError
 
 
 def discrete_lp_norm(values, p: float) -> float:
@@ -58,18 +62,18 @@ def blended_lp_norm(f: TrigPolynomial, xi: PointSet, p: float,
 
 @dataclass(frozen=True)
 class RatioOptions:
-    """Knobs for the p != 2 multistart sphere optimization.
+    """Start count, iteration budget and seed of the p != 2 multistart.
 
-    At odd and non-integer p the quadrature grid for the continuous norm
-    holds ``max(ceil(p) * maxfreq + 1, 2**grid_level)`` points per
-    dimension; even p needs no grid (the lifted norm is exact).
+    A start stops once its tangent gradient is at most
+    ``MULTISTART_GRAD_TOL`` or no step within ``MULTISTART_BACKTRACKS``
+    halvings improves it.  At odd and non-integer p the quadrature grid for
+    the continuous norm holds ``max(ceil(p) * maxfreq + 1,
+    2**MULTISTART_GRID_LEVEL)`` points per dimension; even p needs no grid
+    (the lifted norm is exact).
     """
 
     starts: int = 64
-    grad_tol: float = 1e-9
     max_iters: int = 500
-    backtracks: int = 30
-    grid_level: int = 6
     seed: int = 0
 
 
@@ -125,26 +129,14 @@ def _normalize_columns(c):
 
 
 def _abs_pow(u, p):
-    """|u|^p columnwise without complex abs; even p avoids pow entirely."""
+    """|u|^p columnwise without complex abs."""
     a2 = u.real * u.real + u.imag * u.imag
-    if p == 2:
-        return a2
-    if p == 4:
-        return a2 * a2
     return a2 ** (p / 2.0)
-
-
-def _power_mean(u, p):
-    return np.mean(_abs_pow(u, p), axis=0)
 
 
 def _dual_power(u, p):
     """|u|^(p-2) * u with the removable singularity at u = 0 set to 0."""
     a2 = u.real * u.real + u.imag * u.imag
-    if p == 2:
-        return u
-    if p == 4:
-        return a2 * u
     if p > 2:
         return a2 ** ((p - 2.0) / 2.0) * u
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,9 +145,8 @@ def _dual_power(u, p):
 
 
 def _ratio_only(v_emp, v_cont, c, p):
-    num = _power_mean(v_emp @ c, p)
-    den = _power_mean(v_cont @ c, p)
-    return num / den
+    return (np.mean(_abs_pow(v_emp @ c, p), axis=0)
+            / np.mean(_abs_pow(v_cont @ c, p), axis=0))
 
 
 def _ratio_grad(v_emp, v_cont, c, p):
@@ -185,6 +176,14 @@ def _sum_map(left, right):
     return rows, at.reshape(len(left), len(right))
 
 
+def _check_lift_bytes(predicted):
+    """Refuse a lifted-Gram array of more than ``LIFT_CAP_BYTES`` bytes."""
+    if predicted > LIFT_CAP_BYTES:
+        raise CapExceededError(
+            f"the lifted Gram needs a {predicted}-byte array, above the cap "
+            f"{LIFT_CAP_BYTES}", predicted=predicted, cap=LIFT_CAP_BYTES)
+
+
 class _LiftedRatio:
     """The p = 2r ratio of a subspace in the coefficients of f^r.
 
@@ -203,11 +202,13 @@ class _LiftedRatio:
         self.steps = []   # degrees 2..r: the pair map and its 0/1 scatter matrix
         level = freqs
         for _ in range(r - 1):
+            _check_lift_bytes(8 * len(level) * freqs.size)   # the int64 pair sums
             level, at = _sum_map(level, freqs)
+            _check_lift_bytes(8 * len(level) * at.size)      # the float64 scatter
             scatter = np.zeros((len(level), at.size))
             scatter[at.ravel(), np.arange(at.size)] = 1.0
             self.steps.append((at, scatter))
-        e = np.exp(1j * (points @ level.T))
+        e = np.exp(1j * _phases(points, level.T.astype(float)))
         gram = e.conj().T @ e / len(points)
         self.gram = 0.5 * (gram + gram.conj().T)
         # rounding allowance of the outer window, see outer_window
@@ -282,7 +283,7 @@ def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
         inner = np.sum(np.conj(c) * grad, axis=0)
         tang = grad - c * inner
         tnorm = np.linalg.norm(tang, axis=0)
-        done = active & (tnorm <= opts.grad_tol)
+        done = active & (tnorm <= MULTISTART_GRAD_TOL)
         active &= ~done
         if not active.any():
             break
@@ -292,7 +293,7 @@ def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
         sub_r = rho[idx]
         alpha = np.minimum(alpha_mem[idx] * 2.0, 1e3)
         accepted = np.zeros(len(idx), dtype=bool)
-        for _ in range(opts.backtracks):
+        for _ in range(MULTISTART_BACKTRACKS):
             todo = ~accepted
             cand = _normalize_columns(sub_c[:, todo] + sign * alpha[todo] * sub_t[:, todo])
             rho_c = ratio(cand)
@@ -320,7 +321,7 @@ def _method(p, opts: RatioOptions) -> dict:
     if p == 2:
         return {"kind": "eigen_exact"}
     return {"kind": "multistart", "starts": opts.starts,
-            "grad_tol": opts.grad_tol, "max_iters": opts.max_iters}
+            "grad_tol": MULTISTART_GRAD_TOL, "max_iters": opts.max_iters}
 
 
 def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
@@ -347,7 +348,7 @@ def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
         outer = lifted.outer_window()
     else:
         max_freq = int(np.abs(freqs).max(initial=0))
-        n_grid = _quadrature_grid_size(max_freq, opts.grid_level, math.ceil(p), 1)
+        n_grid = _quadrature_grid_size(max_freq, MULTISTART_GRID_LEVEL, math.ceil(p), 1)
         if n_grid not in grids:
             grids[n_grid] = dictionary.values_at(
                 tensor_grid_points(n_grid, dictionary.dimension))
@@ -459,7 +460,6 @@ def _one_sided_constant(min_ratios, p: float) -> float:
 
 def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
               opts: RatioOptions | None = None, epsilon: float = 0.5,
-              subset_cap: int = DEFAULT_SUBSET_CAP,
               _seed_prefix=None) -> UsdCertificate:
     """Certify the ratio window over every subspace in the collection.
 
@@ -473,10 +473,10 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     opts = opts or RatioOptions()
     count = coll.count()
-    if count > subset_cap:
+    if count > DEFAULT_SUBSET_CAP:
         raise CapExceededError(
-            f"collection holds {count} subspaces, above the cap {subset_cap}",
-            predicted=count, cap=subset_cap)
+            f"collection holds {count} subspaces, above the cap {DEFAULT_SUBSET_CAP}",
+            predicted=count, cap=DEFAULT_SUBSET_CAP)
     prefix = list(_seed_prefix) if _seed_prefix is not None else [opts.seed]
     values = coll.dictionary.values_at(xi)
     subsets, mins, maxs, outer_mins, outer_maxs = [], [], [], [], []
@@ -545,8 +545,7 @@ def usd_sample_budget(v: int, n_dict: int, constant: float = 1.0) -> float:
 def find_usd_points(coll: SubspaceCollection, p: float, m: int,
                     max_trials: int = 20, rng_seed: int = 0,
                     opts: RatioOptions | None = None,
-                    epsilon: float = 0.5,
-                    subset_cap: int = DEFAULT_SUBSET_CAP) -> UsdSearchResult:
+                    epsilon: float = 0.5) -> UsdSearchResult:
     """Draw i.i.d. uniform m-point sets until one certifies, or report the best.
 
     Each draw is derived from ``(rng_seed, draw_index)`` so the search is
@@ -561,8 +560,7 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
     draws, best = [], None
     for draw in range(max_trials):
         xi = PointSet.random_uniform(m, d, rng_seed, draw_index=draw)
-        cert = check_usd(xi, coll, p, opts, epsilon, subset_cap,
-                         _seed_prefix=[opts.seed, draw])
+        cert = check_usd(xi, coll, p, opts, epsilon, _seed_prefix=[opts.seed, draw])
         draws.append(cert)
         if (best is None or cert.passed
                 or cert.worst_violation() < best[1].worst_violation()):

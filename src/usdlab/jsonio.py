@@ -21,17 +21,17 @@ def format_float(x):
     return format(x, ".17g")
 
 
-def dumps(obj, indent=2):
-    """Serialize dicts/lists/scalars to JSON text with pinned float format."""
+def dumps(obj):
+    """Serialize dicts/lists/scalars to two-space-indented JSON, pinned floats."""
     out = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def dump_path(obj, path, indent=2):
+def dump_path(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj, indent=indent))
+        fh.write(dumps(obj))
 
 
 def _reject_constant(token):
@@ -48,11 +48,11 @@ def _atomic(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _write(obj, out, indent, level):
+def _write(obj, out, level):
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes, dict, list, tuple)):
         obj = obj.item()  # numpy scalar
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+    pad = "  " * level
+    inner = pad + "  "
     if obj is None or isinstance(obj, bool):
         out.append(json.dumps(obj))
     elif isinstance(obj, int):
@@ -69,7 +69,7 @@ def _write(obj, out, indent, level):
         items = list(obj.items())
         for i, (k, v) in enumerate(items):
             out.append(inner + json.dumps(str(k)) + ": ")
-            _write(v, out, indent, level + 1)
+            _write(v, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -85,14 +85,14 @@ def _write(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(seq):
             out.append(inner)
-            _write(v, out, indent, level + 1)
+            _write(v, out, level + 1)
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
     else:
         try:
             import numpy as np
             if isinstance(obj, np.ndarray):
-                _write(obj.tolist(), out, indent, level)
+                _write(obj.tolist(), out, level)
                 return
         except ImportError:
             pass

@@ -235,18 +235,15 @@ class SparseApproximant:
                    converged=obj["converged"], method=obj["method"])
 
 
-def weak_chebyshev_greedy(inst: DiscreteInstance, t: float = 1.0,
-                          max_iter: int = 100,
+def weak_chebyshev_greedy(inst: DiscreteInstance, max_iter: int = 100,
                           stop_tol: float = 1e-12) -> SparseApproximant:
     """Greedy selection by norming-functional action with full re-projection.
 
     Each iteration scores every unselected element by |F(g_i)| for the
-    current residual's norming functional, takes the maximizer (which
-    satisfies any weakness parameter t in (0, 1]; ties go to the lowest
-    index), and re-projects onto everything selected so far.
+    current residual's norming functional, takes the exact maximizer (the
+    weakness parameter t = 1; ties go to the lowest index), and re-projects
+    onto everything selected so far.
     """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("weakness parameter t must lie in (0, 1]")
     b = inst.f_values
     weights = inst.weights
     support: list = []
@@ -275,7 +272,7 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, t: float = 1.0,
                       "residual_norm": float(res_norm)})
     return SparseApproximant(tuple(support), coeffs, res_norm, trace,
                              converged=res_norm <= stop_tol,
-                             method=f"wcga(t={t})")
+                             method="wcga(t=1.0)")
 
 
 def wcga_iteration_budget(v: int, one_sided_constant: float,
@@ -527,32 +524,18 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
     """
     kind, params = method
     inst = DiscreteInstance.from_function(f, dictionary, xi, p)
-    if kind == "block":
-        result = block_greedy_approximant(f, params["n"], params["beta"])
-        approx_poly = result.approximant
-        discrete_residual = inst.norm(inst.f_values - approx_poly.evaluate(xi))
-        sparsity = result.total_terms
-        trace: list = []
-        label = f"block(n={params['n']}, beta={params['beta']})"
+    if kind == "wcga":
+        appr = weak_chebyshev_greedy(inst, max_iter=params.get("max_iter", max(v, 1)),
+                                     stop_tol=params.get("stop_tol", 1e-12))
+    elif kind == "oracle":
+        appr = best_v_term_oracle(inst, v)
     else:
-        if kind == "wcga":
-            appr = weak_chebyshev_greedy(inst, t=params.get("t", 1.0),
-                                         max_iter=params.get("max_iter", max(v, 1)),
-                                         stop_tol=params.get("stop_tol", 1e-12))
-        elif kind == "oracle":
-            appr = best_v_term_oracle(inst, v)
-        else:
-            raise ValueError(f"unknown recovery method {kind!r}")
-        approx_poly = dictionary.combine(appr.coefficients, appr.support)
-        discrete_residual = appr.residual_norm
-        sparsity = len(appr.support)
-        trace = appr.trace
-        label = appr.method
-
+        raise ValueError(f"unknown recovery method {kind!r}")
+    approx_poly = dictionary.combine(appr.coefficients, appr.support)
     continuous_error = lp_norm(f - approx_poly, p, grid_level)
     sigma_discrete = None
     if kind == "oracle":
-        sigma_discrete = discrete_residual  # the oracle above is sigma_v itself
+        sigma_discrete = appr.residual_norm  # the oracle above is sigma_v itself
     elif math.comb(inst.n_elements, v) <= ORACLE_SUBSET_CAP:
         sigma_discrete = best_v_term_oracle(inst, v).residual_norm
     sigma_blended = None
@@ -580,7 +563,7 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
                 and math.isfinite(one_sided):
             budget_ref = wcga_iteration_budget(v, one_sided,
                                                dictionary.riesz_constant)
-    return RecoveryReport(label, sparsity, float(discrete_residual),
+    return RecoveryReport(appr.method, len(appr.support), float(appr.residual_norm),
                           float(continuous_error), sigma_discrete,
-                          sigma_blended, one_sided, flags, trace, cert_json,
+                          sigma_blended, one_sided, flags, appr.trace, cert_json,
                           budget_ref)

@@ -217,8 +217,9 @@ def _run(idx):
 
 def _half_spectrum(freqs):
     """The k <-> -k map of an (n, d) int64 frequency array without repeated
-    rows, or ``_PLAIN`` where no row is mirrored or d > 1 (a phase summed
-    over several components need not round as the negated partner phase)."""
+    rows, or ``_PLAIN`` where no row is mirrored or d > 1.  The coordinate
+    sum of ``_phases`` would make the mirror exact for d > 1 too; d > 1 stays
+    plain only because no workload measures it."""
     if freqs.shape[1] != 1:
         return _PLAIN
     k = freqs[:, 0]
@@ -233,13 +234,25 @@ def _half_spectrum(freqs):
                          np.flatnonzero(k == 0))
 
 
+def _phases(points, kt):
+    """The (m, F) phases <x, k> for (d, F) float frequencies ``kt``, summed
+    coordinate by coordinate in a fixed order, so a column's bits do not
+    depend on which other columns share the call (a BLAS product's do for
+    d > 1).  For d = 1 this is the one rounded product ``x @ kt``."""
+    phase = points[:, 0:1] * kt[0]
+    for j in range(1, points.shape[1]):
+        phase += points[:, j:j + 1] * kt[j]
+    return phase
+
+
 def _values_on(points, freq_array, coeff_array, halves=None):
     """Chunked direct summation; fixed chunk size keeps runs bit-stable.
 
     A 2-D coefficient array gives one column of values per column.  The
-    values are byte-equal to ``np.exp(1j * (x @ k.T)) @ c`` per chunk at
-    finite points.  ``halves`` is ``_half_spectrum(freq_array)``, built here
-    when not given; a single row takes the plain product without a map.
+    values are byte-equal to ``np.exp(1j * _phases(x, k.T)) @ c`` per chunk
+    at finite points, so a column's exponentials are those of its
+    frequency alone.  ``halves`` is ``_half_spectrum(freq_array)``, built
+    here when not given; a single row takes the plain product without a map.
 
     Under a map, only the direct columns are exponentiated.  A mirror
     column is (re, 0.0 - im) of its partner's, which is bitwise ``exp`` at
@@ -259,7 +272,7 @@ def _values_on(points, freq_array, coeff_array, halves=None):
         halves = _half_spectrum(freq_array) if freq_array.shape[0] > 1 else _PLAIN
     kt = freq_array.T.astype(float)
     if halves is not _PLAIN:
-        kt = kt[:, halves.direct]
+        kt = np.ascontiguousarray(kt[:, halves.direct])
         # C order, so the product sums each row as for the plain matrix
         z = np.empty((min(m, _EVAL_CHUNK), freq_array.shape[0]), dtype=complex)
         z[:, halves.zero] = 1
@@ -267,9 +280,9 @@ def _values_on(points, freq_array, coeff_array, halves=None):
     for lo in range(0, m, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, m)
         if halves is _PLAIN:
-            vals = np.exp(1j * (points[lo:hi] @ kt))
+            vals = np.exp(1j * _phases(points[lo:hi], kt))
         else:
-            e = 1j * (points[lo:hi] @ kt)
+            e = 1j * _phases(points[lo:hi], kt)
             np.exp(e, out=e)
             vals = z[:hi - lo]
             vals[:, halves.direct] = e

@@ -128,7 +128,7 @@ def test_acceptance_06_wcga_exact_sparse_recovery():
         phases = np.exp(2j * np.pi * rng.random(4))
         f = d.combine(mags * phases, support)
         inst = u.DiscreteInstance.from_function(f, d, xi, 2)
-        appr = u.weak_chebyshev_greedy(inst, t=1.0, max_iter=4, stop_tol=1e-10)
+        appr = u.weak_chebyshev_greedy(inst, max_iter=4, stop_tol=1e-10)
         all_ok &= appr.residual_norm <= 1e-8
         all_ok &= len(appr.trace) == 4
         all_ok &= sorted(appr.support) == list(support)

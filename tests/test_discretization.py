@@ -1,10 +1,12 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import (RatioOptions, UsdCertificate,
+from usdlab.discretization import (LIFT_CAP_BYTES, RatioOptions, UsdCertificate,
                                    blended_lp_norm, check_usd,
                                    discrete_lp_norm,
                                    discretization_error_finite,
@@ -210,18 +212,38 @@ def test_odd_exponent_evaluates_each_quadrature_grid_once(monkeypatch):
     monkeypatch.setattr(Dictionary, "values_at", counting)
     coll = SubspaceCollection.all_subsets(Dictionary.exponential_band(-40, 2), 2)
     cert = check_usd(PointSet.random_uniform(16, 1, seed=2), coll, 3,
-                     RatioOptions(starts=1, max_iters=1, grid_level=2))
+                     RatioOptions(starts=1, max_iters=1))
     assert len(cert.subsets) == 903
-    # the nodes once, then one grid per distinct size 3 * maxfreq + 1
+    # the nodes once, then one grid per distinct size max(3 * maxfreq + 1, 64)
     assert calls[0] == 16
-    assert sorted(calls[1:]) == [3 * k + 1 for k in range(1, 41)]
+    assert sorted(calls[1:]) == [64] + [3 * k + 1 for k in range(22, 41)]
 
 
 def test_subset_cap_enforced():
     d = Dictionary.exponential_band(-15, 15)
-    coll = SubspaceCollection.all_subsets(d, 10)
+    coll = SubspaceCollection.all_subsets(d, 10)   # C(31, 10) = 44 352 165
     with pytest.raises(CapExceededError):
-        check_usd(PointSet.equispaced(64, 1), coll, 2, subset_cap=1000)
+        check_usd(PointSet.equispaced(64, 1), coll, 2)
+
+
+def test_lifted_gram_size_is_refused_before_it_is_allocated():
+    # a p = 4 pair of d = 2 polynomials whose union holds 201 frequencies:
+    # thousands of distinct pair sums, a scatter matrix of gigabytes
+    rng = np.random.default_rng(8)
+    keys = rng.permutation(np.array(list(itertools.product(range(-30, 31), repeat=2))))
+    elements = [TrigPolynomial({tuple(k): 1.0 for k in keys[:100].tolist()}, 2),
+                TrigPolynomial({tuple(k): 1.0 for k in keys[100:201].tolist()}, 2)]
+    d = Dictionary(elements, uniform_bound=101.0)
+    xi = PointSet.random_uniform(16, 2, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as exc:
+            subspace_ratio_bounds((0, 1), d, xi, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.cap == LIFT_CAP_BYTES < exc.value.predicted
+    assert peak < 2 ** 25
 
 
 def test_find_usd_points_full_space_succeeds():

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,14 +99,14 @@ def test_er_rate_run_and_byte_identical_outputs(tmp_path):
     r1 = run(er_config(out1))
     r2 = run(er_config(out2))
     assert r1.passed
-    csv1 = open(r1.csv_path, "rb").read()
-    csv2 = open(r2.csv_path, "rb").read()
+    csv1 = Path(r1.csv_path).read_bytes()
+    csv2 = Path(r2.csv_path).read_bytes()
     assert csv1 == csv2
-    s1 = json.load(open(r1.summary_path))
-    s2 = json.load(open(r2.summary_path))
+    s1 = json.loads(Path(r1.summary_path).read_text())
+    s2 = json.loads(Path(r2.summary_path).read_text())
     assert s1 == s2
     r3 = run(er_config(tmp_path / "c", seed=6))
-    assert open(r3.csv_path, "rb").read() != csv1
+    assert Path(r3.csv_path).read_bytes() != csv1
 
 
 def test_resummarize_reproduces_verdict(tmp_path):
@@ -138,7 +140,7 @@ def test_usd_search_writes_certificate(tmp_path):
     outcome = run(cfg)
     assert outcome.passed
     assert outcome.summary["results"]["found"]
-    cert = json.load(open(os.path.join(cfg["out"], "certificate.json")))
+    cert = json.loads(Path(cfg["out"], "certificate.json").read_text())
     assert cert["passed"]
     assert len(cert["min_ratios"]) == 10  # C(5, 2) subsets
 
@@ -167,7 +169,7 @@ def test_usd_search_records_the_rigorous_verdict_at_even_p(tmp_path):
     outcome = run(cfg, strict=True)
     header, rows = read_csv(os.path.join(cfg["out"], "usd_search.csv"))
     assert header[-1] == "rigorous_pass"
-    cert = json.load(open(os.path.join(cfg["out"], "certificate.json")))
+    cert = json.loads(Path(cfg["out"], "certificate.json").read_text())
     results = outcome.summary["results"]
     assert results["found"] and results["rigorous_pass"] is cert["rigorous_pass"]
     assert outcome.passed is cert["rigorous_pass"]
@@ -234,7 +236,7 @@ def test_threads_do_not_change_results(tmp_path):
     cfg2 = er_config(tmp_path / "t2")
     cfg2["threads"] = 4
     r1, r2 = run(cfg1), run(cfg2)
-    assert open(r1.csv_path).read() == open(r2.csv_path).read()
+    assert Path(r1.csv_path).read_text() == Path(r2.csv_path).read_text()
 
 
 def test_svg_emission(tmp_path):
@@ -242,7 +244,7 @@ def test_svg_emission(tmp_path):
     cfg["svg"] = True
     run(cfg)
     svg_path = os.path.join(cfg["out"], "er_rate.svg")
-    text = open(svg_path).read()
+    text = Path(svg_path).read_text()
     assert text.startswith("<svg") and "polyline" in text
 
 
@@ -276,6 +278,18 @@ def test_cli_exit_code_cap_exceeded(tmp_path):
         "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "cap"),
         "params": {"max_abs_freq": 12, "v": 8, "p": 2,
                    "points": {"equispaced": 64}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["usd-verify", "--config", path]) == 3
+
+
+def test_cli_exit_code_lifted_gram_cap_exceeded(tmp_path):
+    # p = 4 over one subset holding the whole band [-200, 200]: 401 pair sums
+    # of 160 801 pairs, a float64 scatter of about 1 GB
+    cfg = {
+        "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "lift"),
+        "params": {"band": [-200, 200], "subsets": [list(range(401))], "p": 4,
+                   "points": {"equispaced": 16}},
     }
     path = write_config(tmp_path, cfg)
     assert main(["usd-verify", "--config", path]) == 3
@@ -325,7 +339,7 @@ def test_cli_seed_and_out_overrides(tmp_path):
     other = tmp_path / "override"
     assert main(["er-rate", "--config", path, "--seed", "6",
                  "--out", str(other)]) == 0
-    summary = json.load(open(other / "summary.json"))
+    summary = json.loads((other / "summary.json").read_text())
     assert summary["seed"] == 6
 
 
@@ -337,16 +351,27 @@ def test_module_invocation_smoke(tmp_path):
     assert "PASS" in proc.stdout
 
 
-def test_unknown_opts_keys_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["bogus", "grad_tol", "backtracks", "grid_level"])
+def test_unknown_opts_keys_rejected(tmp_path, key):
     cfg = {
         "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "o"),
         "params": {"max_abs_freq": 2, "v": 2, "p": 2,
                    "points": {"equispaced": 16},
-                   "opts": {"starts": 4, "bogus": 1}},
+                   "opts": {"starts": 4, key: 1}},
     }
+    with pytest.raises(ConfigError) as exc:
+        validate_config(cfg)
+    assert exc.value.path == "params.opts"
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     assert main(["usd-verify", "--config", str(path)]) == 2
+
+
+def test_schema_opts_are_the_ratio_options_but_the_seed():
+    # the seed comes from the config's top-level seed
+    schema = json.loads(resources.files("usdlab").joinpath("config_schema.json").read_text())
+    fields = {f.name for f in dataclasses.fields(RatioOptions)}
+    assert set(schema["$defs"]["opts"]["properties"]) == fields - {"seed"}
 
 
 def test_fit_kind_missing_inputs_are_config_errors(tmp_path):

@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from usdlab.dictionary import Dictionary
+from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (RatioOptions, _LiftedRatio, _ratio_grad,
-                                   _ratio_only, subspace_ratio_bounds)
+                                   _ratio_only, check_usd, subspace_ratio_bounds)
 from usdlab.points import PointSet, tensor_grid_points
 from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size
 
@@ -99,6 +99,43 @@ def test_outer_window_contains_the_multistart_window_and_every_sample(
     slack = TOL * np.maximum(1.0, samples)   # the samples' own rounding
     assert (samples >= res.outer_min_ratio - slack).all()
     assert (samples <= res.outer_max_ratio + slack).all()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(lo=st.integers(-4, -1), width=st.integers(1, 4), v=st.integers(2, 3),
+       m=st.integers(4, 32), shift=st.integers(-50, 50), p=st.sampled_from([4, 6]),
+       seed=st.integers(0, 2 ** 16))
+def test_outer_windows_ignore_a_common_frequency_shift_and_point_order(
+        lo, width, v, m, shift, p, seed):
+    # shifting every frequency by s multiplies each lifted exponential at x
+    # by e^{i r s x}, and permuting the nodes permutes the sum: either way
+    # the lifted Gram is the same matrix, up to rounding; the bands start
+    # below zero, so sums of both signs meet in the unshifted sumsets
+    v = min(v, width + 1)
+    xi = PointSet.random_uniform(m, 1, seed)
+    perm = np.random.default_rng(seed).permutation(m)
+    band = Dictionary.exponential_band(lo, lo + width)
+    cases = [(band, xi),
+             (Dictionary.exponential_band(lo + shift, lo + width + shift), xi),
+             (band, PointSet.explicit(xi.points[perm]))]
+    opts = RatioOptions(starts=2, max_iters=10, seed=seed % 5)
+    certs = [check_usd(x, SubspaceCollection.all_subsets(d, v), p, opts)
+             for d, x in cases]
+    margins = [[_LiftedRatio(*d._block(s), x.points, p // 2).margin
+                for s in cert.subsets] for (d, x), cert in zip(cases, certs)]
+    base = certs[0]
+    for cert, margin in zip(certs, margins):
+        assert cert.subsets == base.subsets
+        for i, (a, b) in enumerate(zip(margin, margins[0])):
+            # each window is the eigen extremes widened by a margin that
+            # bounds their rounding, so two windows' extremes differ by at
+            # most the sum of the margins
+            assert abs((cert.outer_min_ratios[i] + a)
+                       - (base.outer_min_ratios[i] + b)) <= a + b
+            assert abs((cert.outer_max_ratios[i] - a)
+                       - (base.outer_max_ratios[i] - b)) <= a + b
+            assert (cert.outer_min_ratios[i] <= cert.min_ratios[i]
+                    <= cert.max_ratios[i] <= cert.outer_max_ratios[i])
 
 
 def test_odd_and_non_integer_exponents_carry_no_outer_window():

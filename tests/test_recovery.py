@@ -218,10 +218,11 @@ def test_wcga_tie_breaks_to_lowest_index():
     assert appr.support == (0,)  # index 0 carries frequency -1
 
 
-def test_wcga_rejects_bad_weakness():
-    d, f, inst, _, _ = make_instance()
-    with pytest.raises(ValueError):
-        weak_chebyshev_greedy(inst, t=0.0)
+def test_wcga_label_names_the_exact_weakness():
+    d, f, inst, support, _ = make_instance(seed=5, target_support=[3])
+    appr = weak_chebyshev_greedy(inst, max_iter=1)
+    assert appr.method == "wcga(t=1.0)"
+    assert appr.support == (3,)
 
 
 def test_oracle_full_support_equals_full_projection():
@@ -342,6 +343,9 @@ def test_pipeline_exact_sparse_oracle_recovery():
     assert report.continuous_error <= 1e-8
     assert report.discrete_residual <= 1e-10
     assert "uncertified_points" in report.flags
+    # the pipeline approximates from the dictionary; block greedy is called directly
+    with pytest.raises(ValueError, match="unknown recovery method 'block'"):
+        recovery_pipeline(f, d, xi, v=2, p=2, method=("block", {"n": 3, "beta": 0.5}))
 
 
 def test_pipeline_oracle_runs_once_and_reuses_its_residual(monkeypatch):
@@ -373,17 +377,6 @@ def test_pipeline_embeds_certificate_and_flags():
     assert "uncertified_points" not in report.flags
     payload = report.to_json()
     assert payload["certificate"]["p"] == 2.0
-
-
-def test_pipeline_block_method_reports_terms():
-    budget = SmoothnessBudget(1.0, 0.0, 1, 8)
-    f = level_budget_element(budget, support_rule=64, rng_seed=3)
-    d = Dictionary.exponential_band(-2, 2)  # dictionary unused by the block path
-    xi = PointSet.equispaced(64, 1)
-    report = recovery_pipeline(f, d, xi, v=0, p=2,
-                               method=("block", {"n": 3, "beta": 0.5}))
-    assert report.sparsity > 0
-    assert report.continuous_error >= 0.0
 
 
 def test_pipeline_reports_the_rigorous_constant_of_a_rigorous_certificate():
