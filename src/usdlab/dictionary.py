@@ -134,6 +134,8 @@ class SubspaceCollection:
             sizes = {len(s) for s in subsets}
             if len(sizes) != 1:
                 raise ValueError("all subsets must have the same size")
+            if 0 in sizes:
+                raise ValueError("a subset needs at least one index")
             for s in subsets:
                 if len(set(s)) != len(s):
                     raise ValueError(f"subset {s} repeats an index")

@@ -4,7 +4,8 @@ The central object is the ratio of the empirical p-th power mean
 ``(1/m) sum |f(xi_j)|^p`` to the continuous ``||f||_p^p`` over the unit
 sphere of a subspace.  At p = 2 both sides are quadratic forms and the
 extreme ratios are generalized eigenvalues of the pencil (empirical Gram,
-continuous Gram), which we solve exactly.  For other p the sphere problem
+continuous Gram), which we solve exactly, for a whole subset family at once
+in chunks of stacked Grams and eigensolves.  For other p the sphere problem
 is nonconvex and the extremes are estimated by multistart projected
 gradient ascent/descent; those certificates are flagged heuristic.
 
@@ -24,6 +25,7 @@ A point set certifies a collection when every subspace ratio lies in
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,6 +43,7 @@ MULTISTART_GRAD_TOL = 1e-9
 MULTISTART_BACKTRACKS = 30
 MULTISTART_GRID_LEVEL = 6
 LIFT_CAP_BYTES = 1 << 28   # one array of the even-p lift; larger raises CapExceededError
+_PENCIL_CHUNK_VALUES = 1 << 16   # complex node values gathered per chunk of subsets
 
 
 def discrete_lp_norm(values, p: float) -> float:
@@ -90,36 +93,66 @@ class SubspaceRatios:
     outer_max_ratio: float | None = None
 
 
-def _continuous_gram_checked(dictionary: Dictionary, subset):
-    """The subset's L2 Gram after a rank check; None when it is the identity."""
-    if dictionary.has_identity_gram(subset):
-        return None
-    gram = dictionary.continuous_gram(subset)
-    gram = 0.5 * (gram + gram.conj().T)
-    w = np.linalg.eigvalsh(gram)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
-        raise RankDeficiencyError(
-            f"subset {tuple(subset)} is numerically dependent in L2 "
-            f"(smallest Gram eigenvalue {w[0]:.3e})")
-    return gram
+def _adjoint(a):
+    """The conjugate transpose of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
-def _pencil_extremes(g_emp, g_cont):
-    """Eigen extremes of c^H g_emp c / c^H g_cont c via Cholesky reduction.
+def _reduced_eigh(g_emp, g_cont, chunk):
+    """Eigenpairs of each pencil (g_emp, g_cont) via Cholesky reduction.
 
-    ``g_cont`` None stands for the identity and skips the reduction.
+    The continuous Grams are rank-checked first; the eigenvectors are
+    mapped back to coefficients of the subset's elements.
     """
-    if g_cont is None:
-        w, u = np.linalg.eigh(0.5 * (g_emp + g_emp.conj().T))
-        return float(w[0]), float(w[-1]), u[:, 0], u[:, -1]
-    import scipy.linalg  # only here, so importing the package skips scipy
+    g_cont = 0.5 * (g_cont + _adjoint(g_cont))
+    w = np.linalg.eigvalsh(g_cont)
+    bad = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
+    if bad.size:
+        raise RankDeficiencyError(
+            f"subset {tuple(chunk[bad[0]].tolist())} is numerically dependent in L2 "
+            f"(smallest Gram eigenvalue {w[bad[0], 0]:.3e})")
     chol = np.linalg.cholesky(g_cont)
-    half = scipy.linalg.solve_triangular(chol, g_emp, lower=True)
-    mid = scipy.linalg.solve_triangular(chol, half.conj().T, lower=True).conj().T
-    mid = 0.5 * (mid + mid.conj().T)
-    w, u = np.linalg.eigh(mid)
-    back = scipy.linalg.solve_triangular(chol.conj().T, u, lower=False)
-    return float(w[0]), float(w[-1]), back[:, 0], back[:, -1]
+    half = np.linalg.solve(chol, g_emp)
+    mid = _adjoint(np.linalg.solve(chol, _adjoint(half)))
+    w, u = np.linalg.eigh(0.5 * (mid + _adjoint(mid)))
+    return w, np.linalg.solve(_adjoint(chol), u)
+
+
+def _pencil_family(values, subsets, gram, vectors=True):
+    """Extremes of ``c^H G_emp c / c^H G_cont c`` for every subset of a family.
+
+    ``values`` holds the (m, N) element values at the nodes, ``subsets`` the
+    (S, v) element indices and ``gram`` the (N, N) continuous Gram, None
+    standing for the identity (no reduction).  Each chunk of at most
+    ``_PENCIL_CHUNK_VALUES`` gathered values takes one stacked Gram product
+    and one stacked ``eigh``, so every subset gets the bits of its own
+    (v, v) problem.  Returns the (S,) smallest and largest eigenvalues and,
+    when ``vectors``, their (S, v) coefficient vectors (else None).  Raises
+    ``RankDeficiencyError`` for the first subset, in order, whose continuous
+    Gram is numerically singular.
+    """
+    m = values.shape[0]
+    n_sub, v = subsets.shape
+    cols = np.ascontiguousarray(values.T)
+    lo, hi = np.empty(n_sub), np.empty(n_sub)
+    vec_lo = vec_hi = None
+    if vectors:
+        vec_lo, vec_hi = np.empty((2, n_sub, v), dtype=complex)
+    step = max(1, _PENCIL_CHUNK_VALUES // (m * v))
+    for start in range(0, n_sub, step):
+        chunk = subsets[start:start + step]
+        rows = cols[chunk]                                          # (c, v, m)
+        g_emp = np.matmul(rows.conj(), rows.transpose(0, 2, 1)) / m
+        if gram is None:
+            w, u = np.linalg.eigh(0.5 * (g_emp + _adjoint(g_emp)))
+        else:
+            w, u = _reduced_eigh(g_emp, gram[chunk[:, :, None], chunk[:, None, :]],
+                                 chunk)
+        lo[start:start + step], hi[start:start + step] = w[:, 0], w[:, -1]
+        if vectors:
+            vec_lo[start:start + step] = u[:, :, 0]
+            vec_hi[start:start + step] = u[:, :, -1]
+    return lo, hi, vec_lo, vec_hi
 
 
 def _normalize_columns(c):
@@ -204,8 +237,9 @@ class _LiftedRatio:
         for _ in range(r - 1):
             _check_lift_bytes(8 * len(level) * freqs.size)   # the int64 pair sums
             level, at = _sum_map(level, freqs)
-            _check_lift_bytes(8 * len(level) * at.size)      # the float64 scatter
-            scatter = np.zeros((len(level), at.size))
+            # complex, as the products it scatters, so no call casts a copy
+            _check_lift_bytes(16 * len(level) * at.size)
+            scatter = np.zeros((len(level), at.size), dtype=complex)
             scatter[at.ravel(), np.arange(at.size)] = 1.0
             self.steps.append((at, scatter))
         e = np.exp(1j * _phases(points, level.T.astype(float)))
@@ -325,20 +359,14 @@ def _method(p, opts: RatioOptions) -> dict:
 
 
 def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
-                   opts: RatioOptions, seed_key, grids) -> SubspaceRatios:
-    """Ratio extremes over one subspace, given its (m, v) values at the nodes.
+                   opts: RatioOptions, seed_key, grids, warm) -> SubspaceRatios:
+    """Multistart ratio extremes at p != 2 over one subspace.
 
+    ``values`` are the subspace's (m, v) values at the nodes and ``warm``
+    its p = 2 extreme vectors, which both multistarts also start from.
     ``grids`` caches the dictionary's values on each quadrature grid size
     used at odd or non-integer p, so one certificate evaluates each once.
     """
-    m = values.shape[0]
-    g_emp = values.conj().T @ values / m
-    g_cont = _continuous_gram_checked(dictionary, subset)
-    lo2, hi2, vec_lo, vec_hi = _pencil_extremes(g_emp, g_cont)
-    if p == 2:
-        return SubspaceRatios(lo2, hi2, _method(p, opts), False, True,
-                              vec_lo, vec_hi)
-
     r = _even_half(p)
     outer = (None, None)
     freqs, coeffs = dictionary._block(subset)
@@ -355,7 +383,6 @@ def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
         v_cont = grids[n_grid][:, subset]
         ratio = functools.partial(_ratio_only, values, v_cont, p=p)
         ratio_grad = functools.partial(_ratio_grad, values, v_cont, p=p)
-    warm = [vec_lo, vec_hi]
     hi, vec_hi_p, conv_hi = _multistart_extreme(
         ratio, ratio_grad, warm, +1.0, seed_key + [1], opts)
     lo, vec_lo_p, conv_lo = _multistart_extreme(
@@ -377,9 +404,18 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     _check_exponent(p)
     opts = opts or RatioOptions()
     subset = tuple(dictionary._checked_indices(subset))
+    if not subset:
+        raise ValueError("a subset needs at least one index")
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
-    return _subset_ratios(dictionary.values_at(xi)[:, subset], xi.points, subset,
-                          dictionary, p, opts, key, {})
+    values = dictionary.values_at(xi)
+    gram = None if dictionary.has_identity_gram(subset) else dictionary.continuous_gram()
+    lo, hi, vec_lo, vec_hi = _pencil_family(
+        values, np.array([subset], dtype=np.intp), gram)
+    if p == 2:
+        return SubspaceRatios(float(lo[0]), float(hi[0]), _method(p, opts), False,
+                              True, vec_lo[0], vec_hi[0])
+    return _subset_ratios(values[:, subset], xi.points, subset, dictionary, p,
+                          opts, key, {}, [vec_lo[0], vec_hi[0]])
 
 
 @dataclass
@@ -478,19 +514,29 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
             f"collection holds {count} subspaces, above the cap {DEFAULT_SUBSET_CAP}",
             predicted=count, cap=DEFAULT_SUBSET_CAP)
     prefix = list(_seed_prefix) if _seed_prefix is not None else [opts.seed]
-    values = coll.dictionary.values_at(xi)
-    subsets, mins, maxs, outer_mins, outer_maxs = [], [], [], [], []
+    dictionary = coll.dictionary
+    values = dictionary.values_at(xi)
+    subsets = list(coll.iter_subsets())
+    index = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp,
+                        count=count * coll.v).reshape(count, coll.v)
+    # a collection never repeats an index within a subset
+    gram = None if dictionary.orthonormal_monomials else dictionary.continuous_gram()
+    lo2, hi2, vec_lo, vec_hi = _pencil_family(values, index, gram, vectors=p != 2)
     converged = True
-    grids = {}
-    for i, subset in enumerate(coll.iter_subsets()):
-        res = _subset_ratios(values[:, subset], xi.points, subset, coll.dictionary,
-                             p, opts, prefix + [i], grids)
-        subsets.append(subset)
-        mins.append(res.min_ratio)
-        maxs.append(res.max_ratio)
-        outer_mins.append(res.outer_min_ratio)
-        outer_maxs.append(res.outer_max_ratio)
-        converged = converged and res.converged
+    if p == 2:
+        mins, maxs = lo2.tolist(), hi2.tolist()
+    else:
+        mins, maxs, outer_mins, outer_maxs = [], [], [], []
+        grids = {}
+        for i, subset in enumerate(subsets):
+            res = _subset_ratios(values[:, subset], xi.points, subset, dictionary,
+                                 p, opts, prefix + [i], grids,
+                                 [vec_lo[i], vec_hi[i]])
+            mins.append(res.min_ratio)
+            maxs.append(res.max_ratio)
+            outer_mins.append(res.outer_min_ratio)
+            outer_maxs.append(res.outer_max_ratio)
+            converged = converged and res.converged
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     passed = all(lo <= a and b <= hi for a, b in zip(mins, maxs))
     one_sided = _one_sided_constant(mins, p)

@@ -192,12 +192,17 @@ def _format_cell(v):
     return str(v)
 
 
+# the plain cell types, one lookup each; anything else goes through _format_cell
+_CELL_TEXT = {str: str, int: str, float: lambda v: format(v, ".17g"),
+              bool: lambda v: "true" if v else "false"}
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        writer.writerows([_CELL_TEXT.get(type(v), _format_cell)(v) for v in row]
+                         for row in rows)
 
 
 def read_csv(path):

@@ -14,11 +14,11 @@ import math
 def format_float(x):
     """Render one float with 17 significant digits."""
     x = float(x)
+    if math.isfinite(x):
+        return format(x, ".17g")
     if math.isnan(x):
         return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
+    return '"inf"' if x > 0 else '"-inf"'
 
 
 def dumps(obj):
@@ -46,6 +46,20 @@ def load_path(path):
 
 def _atomic(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_NUMBER_TEXT = {int: str, float: format_float}
+
+
+def _number_line(seq):
+    """The items on one line, or None unless every one is a number."""
+    try:   # plain ints and floats, one lookup each
+        texts = [_NUMBER_TEXT[type(v)](v) for v in seq]
+    except KeyError:
+        if not all(_atomic(v) for v in seq):
+            return None
+        texts = [format_float(v) if isinstance(v, float) else str(v) for v in seq]
+    return "[" + ", ".join(texts) + "]"
 
 
 def _write(obj, out, level):
@@ -77,10 +91,15 @@ def _write(obj, out, level):
         if not seq:
             out.append("[]")
             return
-        if all(_atomic(v) for v in seq):
-            out.append("[" + ", ".join(
-                format_float(v) if isinstance(v, float) else str(v)
-                for v in seq) + "]")
+        line = _number_line(seq)
+        if line is not None:
+            out.append(line)
+            return
+        # rows of numbers, such as a certificate's subsets: one line each
+        lines = [_number_line(v) if isinstance(v, (list, tuple)) else None
+                 for v in seq]
+        if None not in lines:
+            out.append("[\n" + ",\n".join(inner + x for x in lines) + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(seq):

@@ -507,6 +507,10 @@ class RecoveryReport:
         }
 
 
+# the parameters each recovery_pipeline method takes
+_PIPELINE_PARAMS = {"wcga": {"max_iter", "stop_tol"}, "oracle": set()}
+
+
 def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
                       v: int, p: float, method=("oracle", {}),
                       grid_level: int = DEFAULT_GRID_LEVEL,
@@ -523,14 +527,19 @@ def recovery_pipeline(f: TrigPolynomial, dictionary: Dictionary, xi: PointSet,
     ``max_J outer_min(J)^(-1/p)``.
     """
     kind, params = method
+    if kind not in _PIPELINE_PARAMS:
+        raise ValueError(f"unknown recovery method {kind!r}")
+    unknown = sorted(set(params) - _PIPELINE_PARAMS[kind])
+    if unknown:
+        takes = ", ".join(sorted(_PIPELINE_PARAMS[kind])) or "none"
+        raise ValueError(f"unknown {kind} parameter {unknown[0]!r} "
+                         f"({kind} takes {takes})")
     inst = DiscreteInstance.from_function(f, dictionary, xi, p)
     if kind == "wcga":
         appr = weak_chebyshev_greedy(inst, max_iter=params.get("max_iter", max(v, 1)),
                                      stop_tol=params.get("stop_tol", 1e-12))
-    elif kind == "oracle":
-        appr = best_v_term_oracle(inst, v)
     else:
-        raise ValueError(f"unknown recovery method {kind!r}")
+        appr = best_v_term_oracle(inst, v)
     approx_poly = dictionary.combine(appr.coefficients, appr.support)
     continuous_error = lp_norm(f - approx_poly, p, grid_level)
     sigma_discrete = None

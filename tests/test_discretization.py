@@ -14,6 +14,7 @@ from usdlab.discretization import (LIFT_CAP_BYTES, RatioOptions, UsdCertificate,
                                    expected_sup_estimate, find_usd_points,
                                    subspace_ratio_bounds, usd_sample_budget)
 from usdlab.errors import CapExceededError, RankDeficiencyError
+from usdlab.frequencies import FrequencySet
 from usdlab.points import PointSet
 from usdlab.recovery import DiscreteInstance
 from usdlab.trigpoly import TrigPolynomial, lp_norm
@@ -413,13 +414,17 @@ def _band_collection():
                                   PointSet.equispaced(16), 2),
     lambda: subspace_ratio_bounds((0, 7), Dictionary.exponential_band(-3, 3),
                                   PointSet.equispaced(16), 2),
+    lambda: subspace_ratio_bounds((), Dictionary.exponential_band(-3, 3),
+                                  PointSet.equispaced(16), 2),
+    lambda: SubspaceCollection.from_subsets(Dictionary.exponential_band(-3, 3), [()]),
     lambda: find_usd_points(_band_collection(), 2, m=16, max_trials=0),
     lambda: PointSet([0.1, float("nan")]),
     lambda: discretization_error_trials([TrigPolynomial({(1,): 1.0})], 2, 0, 3),
     lambda: discretization_error_trials([TrigPolynomial({(1,): 1.0})], 2, -1, 3),
     lambda: expected_sup_estimate([TrigPolynomial({(1,): 1.0})], 2, 0, 3),
 ], ids=["p_half", "p_zero", "p_nan", "epsilon_two", "ratio_p_half",
-        "ratio_negative_index", "ratio_index_past_end", "no_trials",
+        "ratio_negative_index", "ratio_index_past_end", "ratio_empty_subset",
+        "collection_empty_subset", "no_trials",
         "nan_point", "trials_no_points", "trials_negative_points",
         "sup_estimate_no_points"])
 def test_bad_input_rejected_at_the_boundary(call):
@@ -458,6 +463,25 @@ def test_check_usd_evaluates_the_dictionary_once_per_certificate(monkeypatch):
     cert = check_usd(PointSet.random_uniform(64, 1, seed=2), coll, 2)
     assert len(cert.subsets) == 35
     assert len(calls) == 1
+
+
+def test_p2_certificate_holds_one_chunk_of_subsets_at_a_time():
+    # the search shape of the recover benchmark: the 924 6-subsets of
+    # +-1..+-6 at m = 256; a chunk of 2^16 gathered values and its conjugate
+    # take 2 MiB, so a chunk twice as wide passes the 3 MiB bound
+    d = Dictionary.exponentials(
+        FrequencySet.from_indices([(k,) for k in range(-6, 7) if k]))
+    coll = SubspaceCollection.all_subsets(d, 6)
+    xi = PointSet.random_uniform(256, 1, seed=0)
+    check_usd(xi, coll, 2)   # first-call allocations of numpy and LAPACK
+    tracemalloc.start()
+    try:
+        cert = check_usd(xi, coll, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.subsets) == 924
+    assert peak < 3 * 2 ** 20
 
 
 def test_find_usd_points_keeps_every_draw():

@@ -285,7 +285,7 @@ def test_cli_exit_code_cap_exceeded(tmp_path):
 
 def test_cli_exit_code_lifted_gram_cap_exceeded(tmp_path):
     # p = 4 over one subset holding the whole band [-200, 200]: 401 pair sums
-    # of 160 801 pairs, a float64 scatter of about 1 GB
+    # of 160 801 pairs, a complex scatter of about 2 GB
     cfg = {
         "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "lift"),
         "params": {"band": [-200, 200], "subsets": [list(range(401))], "p": 4,

@@ -343,9 +343,17 @@ def test_pipeline_exact_sparse_oracle_recovery():
     assert report.continuous_error <= 1e-8
     assert report.discrete_residual <= 1e-10
     assert "uncertified_points" in report.flags
-    # the pipeline approximates from the dictionary; block greedy is called directly
-    with pytest.raises(ValueError, match="unknown recovery method 'block'"):
-        recovery_pipeline(f, d, xi, v=2, p=2, method=("block", {"n": 3, "beta": 0.5}))
+    # the pipeline approximates from the dictionary; block greedy is called
+    # directly; a misspelt or removed parameter is named, not ignored
+    for method, message in ((("block", {"n": 3, "beta": 0.5}),
+                             "unknown recovery method 'block'"),
+                            (("wcga", {"max_iters": 1}),
+                             r"unknown wcga parameter 'max_iters' \(wcga takes max_iter, stop_tol\)"),
+                            (("wcga", {"t": 1.0}), "unknown wcga parameter 't'"),
+                            (("oracle", {"v": 2}),
+                             r"unknown oracle parameter 'v' \(oracle takes none\)")):
+        with pytest.raises(ValueError, match=message):
+            recovery_pipeline(f, d, xi, v=2, p=2, method=method)
 
 
 def test_pipeline_oracle_runs_once_and_reuses_its_residual(monkeypatch):

@@ -1,12 +1,20 @@
-"""Property checks of certificates: per-subset reference, invariances, pencil reduction."""
+"""Property checks of certificates: per-subset reference, invariances, pencil kernel."""
+import itertools
+import re
+
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import (RatioOptions, _pencil_extremes, check_usd,
+from usdlab.discretization import (_PENCIL_CHUNK_VALUES, RatioOptions,
+                                   _pencil_family, check_usd,
                                    subspace_ratio_bounds)
+from usdlab.errors import RankDeficiencyError
 from usdlab.points import PointSet
+from usdlab.trigpoly import TrigPolynomial
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -33,14 +41,132 @@ def test_check_usd_ratios_equal_the_per_subset_reference(lo, width, v, m, p, see
        seed=st.integers(0, 2 ** 32 - 1))
 def test_identity_gram_reduction_equals_the_plain_eigen_path(v, complex_entries, seed):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(v + 3, v))
+    a = rng.normal(size=(v + 3, v + 2))
     if complex_entries:
-        a = a + 1j * rng.normal(size=(v + 3, v))
-    g = a.conj().T @ a / (v + 3)
-    reduced = _pencil_extremes(g, np.eye(v))
-    plain = _pencil_extremes(g, None)
+        a = a + 1j * rng.normal(size=(v + 3, v + 2))
+    subsets = np.array(list(itertools.combinations(range(v + 2), v)))
+    reduced = _pencil_family(a, subsets, np.eye(v + 2))
+    plain = _pencil_family(a, subsets, None)
     for x, y in zip(reduced, plain):
         assert np.array_equal(x, y)
+
+
+def _eigh_reference(values, subset):
+    """One subset's pencil as a per-subset loop solves it: its own (m, v)
+    slice, v x v Gram and eigh."""
+    a = values[:, list(subset)]
+    g = a.conj().T @ a / a.shape[0]
+    w, u = np.linalg.eigh(0.5 * (g + g.conj().T))
+    return w[0], w[-1], u[:, 0], u[:, -1]
+
+
+# (m, elements, v) of each chunk regime of the kernel
+KERNEL_SHAPES = {
+    "several chunks": (300, 12, 3),       # 72 subsets a chunk, 220 subsets
+    "one subset a chunk": (17000, 6, 4),  # m * v above the chunk size
+    "v = 1": (40, 9, 1),
+    "m < v": (2, 8, 5),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(dm=st.integers(0, 2), shuffle=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pencil_kernel_equals_the_per_subset_eigh_bit_for_bit(shape, dm, shuffle, seed):
+    m, n, v = KERNEL_SHAPES[shape]
+    m += dm
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    subsets = np.array(list(itertools.combinations(range(n), v)))
+    if shuffle:   # any order, any index order within a subset
+        subsets = rng.permuted(rng.permutation(subsets), axis=1)
+    step = max(1, _PENCIL_CHUNK_VALUES // (m * v))
+    assert {"several chunks": 1 < step < len(subsets) // 2, "one subset a chunk":
+            m * v > _PENCIL_CHUNK_VALUES, "v = 1": v == 1, "m < v": m < v}[shape]
+    lo, hi, vec_lo, vec_hi = _pencil_family(values, subsets, None)
+    bare = _pencil_family(values, subsets, None, vectors=False)
+    assert np.array_equal(bare[0], lo) and np.array_equal(bare[1], hi)
+    assert bare[2] is None and bare[3] is None
+    for i, subset in enumerate(subsets):
+        ref = _eigh_reference(values, subset)
+        assert (lo[i], hi[i]) == ref[:2]
+        assert np.array_equal(vec_lo[i], ref[2]) and np.array_equal(vec_hi[i], ref[3])
+
+
+def _general_dictionary(rng, n):
+    """n independent polynomials: each holds its own frequency in -6..5 with
+    coefficient 1, plus up to three shared ones in 10..14 with complex
+    coefficients."""
+    elements = []
+    for k in rng.choice(np.arange(-6, 6), size=n, replace=False):
+        extra = rng.choice(np.arange(10, 15), size=int(rng.integers(0, 4)), replace=False)
+        coeffs = {int(q): complex(*rng.standard_normal(2)) for q in extra}
+        coeffs[int(k)] = 1.0
+        elements.append(TrigPolynomial(coeffs))
+    bound = max(sum(map(abs, e.coeffs.values())) for e in elements)
+    return Dictionary(elements, uniform_bound=bound)
+
+
+def _scipy_reference(values, dictionary, subset):
+    """One subset's pencil reduced by triangular solves on its own Gram."""
+    a = values[:, list(subset)]
+    g_emp = a.conj().T @ a / a.shape[0]
+    g_cont = dictionary.continuous_gram(subset)
+    chol = np.linalg.cholesky(0.5 * (g_cont + g_cont.conj().T))
+    half = scipy.linalg.solve_triangular(chol, g_emp, lower=True)
+    mid = scipy.linalg.solve_triangular(chol, half.conj().T, lower=True).conj().T
+    w, u = np.linalg.eigh(0.5 * (mid + mid.conj().T))
+    return w, scipy.linalg.solve_triangular(chol.conj().T, u, lower=False)
+
+
+def _same_direction(x, y, tol):
+    """x equals y after removing the phase eigh is free to choose."""
+    phase = np.vdot(y, x)
+    return np.abs(x * (abs(phase) / phase) - y).max() <= tol * max(1.0, np.abs(y).max())
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.integers(2, 6), v=st.integers(1, 3), m=st.integers(2, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_general_dictionary_pencils_match_the_triangular_solve_reference(n, v, m, seed):
+    rng = np.random.default_rng(seed)
+    d = _general_dictionary(rng, n)
+    coll = SubspaceCollection.all_subsets(d, min(v, n))
+    xi = PointSet.random_uniform(m, 1, seed)
+    values = d.values_at(xi)
+    subsets = np.array(list(coll.iter_subsets()))
+    lo, hi, vec_lo, vec_hi = _pencil_family(values, subsets, d.continuous_gram())
+    cert = check_usd(xi, coll, 2)
+    assert cert.min_ratios == lo.tolist() and cert.max_ratios == hi.tolist()
+    for i, subset in enumerate(coll.iter_subsets()):
+        w, back = _scipy_reference(values, d, subset)
+        scale = max(1.0, abs(w[-1]))
+        assert abs(lo[i] - w[0]) <= 1e-12 * scale
+        assert abs(hi[i] - w[-1]) <= 1e-12 * scale
+        # an extreme vector is one direction when its eigenvalue is apart
+        if len(w) == 1 or w[1] - w[0] > 1e-2 * scale:
+            assert _same_direction(vec_lo[i], back[:, 0], 1e-12)
+        if len(w) == 1 or w[-1] - w[-2] > 1e-2 * scale:
+            assert _same_direction(vec_hi[i], back[:, -1], 1e-12)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(n=st.integers(3, 7), v=st.integers(2, 3), pair=st.data(),
+       m=st.sampled_from([8, 9000]), seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_deficiency_names_the_first_dependent_subset(n, v, pair, m, seed):
+    # element j is a multiple of element i; with m = 9000 each chunk holds
+    # at most 3 subsets, so the first dependent subset may sit in any chunk
+    i, j = sorted(pair.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                     unique=True)))
+    elements = [TrigPolynomial({k: 1.0, k + 10: 0.5j}) for k in range(n)]
+    elements[j] = elements[i].scale(-2.0)
+    d = Dictionary(elements, uniform_bound=3.0)
+    coll = SubspaceCollection.all_subsets(d, v)
+    first = next(s for s in coll.iter_subsets() if i in s and j in s)
+    with pytest.raises(RankDeficiencyError,
+                       match=rf"^subset {re.escape(str(first))} is numerically "
+                             r"dependent in L2 \(smallest Gram eigenvalue "):
+        check_usd(PointSet.random_uniform(m, 1, seed), coll, 2)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
