@@ -9,8 +9,7 @@ recovery with greedy algorithms in discrete Lp norms.
 
 from .dictionary import Dictionary, SubspaceCollection, nikolskii_ratio_estimate
 from .discretization import (RatioOptions, UsdCertificate, UsdSearchResult,
-                             blended_lp_norm, check_usd, discrete_lp_norm,
-                             discretization_error_finite,
+                             check_usd, discrete_lp_norm,
                              expected_sup_estimate, find_usd_points,
                              subspace_ratio_bounds, usd_sample_budget)
 from .entropy import (EntropyProfile, SampledClass, chaining_bound,

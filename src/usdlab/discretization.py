@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary, SubspaceCollection
-from .errors import CapExceededError, RankDeficiencyError
+from .errors import CapExceededError, DimensionMismatchError, RankDeficiencyError
 from .points import PointSet, tensor_grid_points
-from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _check_exponent,
-                       _half_spectrum, _phases, _quadrature_grid_size,
+from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _half_spectrum,
+                       _phases, _quadrature_grid_size, _run,
                        _union_coefficients, _values_on, lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
@@ -44,6 +44,7 @@ MULTISTART_BACKTRACKS = 30
 MULTISTART_GRID_LEVEL = 6
 LIFT_CAP_BYTES = 1 << 28   # one array of the even-p lift; larger raises CapExceededError
 _PENCIL_CHUNK_VALUES = 1 << 16   # complex node values gathered per chunk of subsets
+_MOMENT_CHUNK_VALUES = 1 << 16   # complex node powers held per chunk of p = 2 gap-trial nodes
 
 
 def discrete_lp_norm(values, p: float) -> float:
@@ -53,14 +54,6 @@ def discrete_lp_norm(values, p: float) -> float:
         raise ValueError("discrete norm of an empty value list")
     _check_exponent(p)
     return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
-
-
-def blended_lp_norm(f: TrigPolynomial, xi: PointSet, p: float,
-                    grid_level: int = DEFAULT_GRID_LEVEL) -> float:
-    """Lp norm under the half-continuous, half-empirical measure on xi."""
-    cont = lp_norm(f, p, grid_level) ** p
-    disc = discrete_lp_norm(f.evaluate(xi), p) ** p
-    return float((0.5 * cont + 0.5 * disc) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -619,23 +612,92 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
                            draws)
 
 
-def discretization_error_finite(functions, xi: PointSet, p: float,
-                                grid_level: int = DEFAULT_GRID_LEVEL) -> float:
-    """``max_f | ||f||_p^p - (1/m) sum_j |f(xi_j)|^p |`` over a finite list."""
-    if not functions:
-        raise ValueError("need at least one function")
-    worst = 0.0
-    for f in functions:
-        cont = lp_norm(f, p, grid_level) ** p
-        disc = float(np.mean(np.abs(f.evaluate(xi)) ** p))
-        worst = max(worst, abs(cont - disc))
-    return worst
+def _integer_argument(name, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises ``ValueError``."""
+    try:
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
+def _difference_correlations(k, coeffs):
+    """The sorted positive differences D of the ascending distinct
+    frequencies ``k`` and the (len(D), n) array whose row for j in D holds,
+    per column c of ``coeffs``, ``R_j = sum conj(c_a) c_b`` over the pairs
+    a < b with ``k_b - k_a = j``, accumulated in increasing a."""
+    diffs = np.subtract.outer(k, k)
+    diffs = np.unique(diffs[diffs > 0])
+    corr = np.zeros((len(diffs), coeffs.shape[1]), dtype=complex)
+    for a in range(len(k) - 1):   # the differences from one k_a are distinct
+        corr[np.searchsorted(diffs, k[a + 1:] - k[a])] += coeffs[a].conj() * coeffs[a + 1:]
+    return diffs, corr
+
+
+def _power_sums(theta, powers):
+    """``sum_x z^j`` with ``z = exp(1j * x)`` over the nodes ``theta``, for
+    each j of the sorted distinct positive ``powers``.
+
+    One ``exp`` per node; row n + i of the power buffer is row i times row
+    n for n = 1, 2, 4, ..., so ``z^j`` is a product of j rounded factors.
+    The nodes go in chunks of ``_MOMENT_CHUNK_VALUES // max(powers)``, so
+    the buffer holds at most ``max(_MOMENT_CHUNK_VALUES, max(powers))``
+    values whatever m is; each row is summed pairwise within a chunk and
+    the chunk sums are added in order.
+    """
+    sums = np.zeros(len(powers), dtype=complex)
+    if not len(powers):
+        return sums
+    order = int(powers[-1])
+    rows = _run(powers - 1)
+    step = max(1, _MOMENT_CHUNK_VALUES // order)
+    buf = np.empty((order, min(step, len(theta))), dtype=complex)
+    for lo in range(0, len(theta), step):
+        z = buf[:, :min(step, len(theta) - lo)]
+        np.exp(1j * theta[lo:lo + step], out=z[0])
+        n = 1
+        while n < order:
+            take = min(n, order - n)
+            np.multiply(z[:take], z[n - 1], out=z[n:n + take])
+            n += take
+        sums += z[rows].sum(axis=1)
+    return sums
 
 
 def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
                                 rng_seed: int = 0,
                                 grid_level: int = DEFAULT_GRID_LEVEL) -> np.ndarray:
-    """Per-trial worst discretization gaps over i.i.d. uniform draws."""
+    """Per-trial worst discretization gaps over i.i.d. uniform draws.
+
+    Trial t draws m nodes uniformly on [0, 2 pi)^d from the seed
+    ``rng_seed + [t]`` and records ``max_f |(1/m) sum_x |f(x)|^p -
+    ||f||_p^p|`` over the functions.
+
+    At p = 2 and d = 1 no node values are formed.  With the empirical
+    moments ``s_j = (1/m) sum_x e^{ijx}`` (from ``_power_sums``), the
+    discrete norm is the quadratic form ``c^H T c`` with the Toeplitz matrix
+    ``T[a, b] = s_{k_b - k_a}``; its diagonal is ``s_0 = 1``, so the gap is
+    ``2 Re sum_j s_j R_j`` summed along the diagonals of T, with the
+    correlations ``R_j`` of ``_difference_correlations`` computed once per
+    call.  A trial costs J m complex products for J = max k - min k, and
+    |D| n more for the |D| distinct differences and n functions.
+
+    Rounding on that path, with u = 2^-53: ``exp`` is within u of
+    ``e^{ix}`` per component and a complex product adds a relative error of
+    at most 2 sqrt(2) u, so ``z^j`` is within 4 j u of ``e^{ijx}``.  The
+    phase error of ``e^{ix}`` grows j-fold in ``z^j``, as the rounded phase
+    ``j x`` does in a direct ``exp``.  With the node sums (pairwise within
+    each of the c node chunks), every gap is within ``(6 J + 2 log2 m +
+    2 c + 40) u ||c||_1^2`` of the exact gap at the drawn nodes, where
+    ``||c||_1`` is the l1 norm of the function's coefficients.
+
+    Other (d, p) evaluate every function at the nodes (``_values_on``) and
+    take the continuous norm from ``lp_norm``.
+    """
+    mc_trials = _integer_argument("mc_trials", mc_trials)
+    m = _integer_argument("m", m)
     if mc_trials < 1:
         raise ValueError("need at least one trial")
     if m < 1:
@@ -643,20 +705,32 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     if not functions:
         raise ValueError("need at least one function")
     d = functions[0].dimension
+    if any(f.dimension != d for f in functions):
+        raise DimensionMismatchError(
+            f"functions of dimensions {sorted({f.dimension for f in functions})}")
+    _check_exponent(p)
+    base = [_integer_argument("rng_seed", s) for s in
+            (rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed])]
     karr, coeff = _union_coefficients(functions, d)
-    halves = _half_spectrum(karr)
-    cont = np.array([lp_norm(f, p, grid_level) ** p for f in functions])
-    base = (list(int(s) for s in rng_seed)
-            if isinstance(rng_seed, (list, tuple)) else [int(rng_seed)])
+    moments = p == 2 and d == 1
+    if moments:
+        diffs, corr = _difference_correlations(karr[:, 0], coeff)
+    else:
+        halves = _half_spectrum(karr)
+        cont = np.array([lp_norm(f, p, grid_level) ** p for f in functions])
     errs = np.empty(mc_trials)
     for t in range(mc_trials):
         rng = np.random.default_rng(base + [t])
         x = rng.uniform(0.0, 2.0 * np.pi, size=(m, d))
-        # kept bound until the next trial rebinds it: the inlined form
-        # measured about 25 % slower at m = 4096 (memory is reused differently)
-        vals = _values_on(x, karr, coeff, halves)
-        disc = np.mean(np.abs(vals) ** p, axis=0)
-        errs[t] = np.max(np.abs(disc - cont))
+        if moments:
+            sums = _power_sums(x[:, 0], diffs)
+            gaps = (corr * sums[:, None]).real.sum(axis=0) * (2.0 / m)
+        else:
+            # kept bound until the next trial rebinds it: the inlined form
+            # measured about 25 % slower at m = 4096 (memory is reused differently)
+            vals = _values_on(x, karr, coeff, halves)
+            gaps = np.mean(np.abs(vals) ** p, axis=0) - cont
+        errs[t] = np.max(np.abs(gaps))
     return errs
 
 
@@ -664,6 +738,7 @@ def expected_sup_estimate(functions, p: float, m: int, mc_trials: int,
                           rng_seed: int = 0,
                           grid_level: int = DEFAULT_GRID_LEVEL):
     """Monte-Carlo mean and standard error of the worst discretization gap."""
+    mc_trials = _integer_argument("mc_trials", mc_trials)
     if mc_trials < 2:
         raise ValueError("need at least two trials for a standard error")
     errs = discretization_error_trials(functions, p, m, mc_trials, rng_seed,

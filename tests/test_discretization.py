@@ -7,13 +7,12 @@ import pytest
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (LIFT_CAP_BYTES, RatioOptions, UsdCertificate,
-                                   blended_lp_norm, check_usd,
-                                   discrete_lp_norm,
-                                   discretization_error_finite,
+                                   check_usd, discrete_lp_norm,
                                    discretization_error_trials,
                                    expected_sup_estimate, find_usd_points,
                                    subspace_ratio_bounds, usd_sample_budget)
-from usdlab.errors import CapExceededError, RankDeficiencyError
+from usdlab.errors import (CapExceededError, DimensionMismatchError,
+                           RankDeficiencyError)
 from usdlab.frequencies import FrequencySet
 from usdlab.points import PointSet
 from usdlab.recovery import DiscreteInstance
@@ -27,33 +26,6 @@ def test_discrete_lp_norm_cases():
     assert discrete_lp_norm([1, -1, 2j], 2) == pytest.approx(math.sqrt(2))
     with pytest.raises(ValueError):
         discrete_lp_norm([], 2)
-
-
-def test_blended_norm_trivial_cases():
-    one = TrigPolynomial({(0,): 1.0})
-    xi = PointSet.random_uniform(8, 1, seed=0)
-    assert blended_lp_norm(one, xi, 3.0) == pytest.approx(1.0, rel=1e-12)
-    wave = TrigPolynomial({(2,): 1.0})
-    assert blended_lp_norm(wave, xi, 5.0) == pytest.approx(1.0, rel=1e-12)
-    # f vanishing on xi: 2 sin(x/...) style construction at a single point
-    f = TrigPolynomial({1: 1.0, 0: -1.0})  # e^{ix} - 1 vanishes at x = 0
-    zero_pt = PointSet.explicit(np.array([0.0]))
-    for p in (2.0, 4.0):
-        expect = 2 ** (-1.0 / p) * lp_norm(f, p)
-        assert blended_lp_norm(f, zero_pt, p) == pytest.approx(expect, rel=1e-12)
-
-
-def test_blended_norm_power_identity():
-    rng = np.random.default_rng(4)
-    xi = PointSet.random_uniform(16, 1, seed=5)
-    for _ in range(10):
-        coeffs = {int(k): complex(a, b) for k, a, b in
-                  zip(rng.integers(-6, 7, 4), rng.normal(size=4), rng.normal(size=4))}
-        f = TrigPolynomial(coeffs)
-        p = float(rng.uniform(1.5, 5.0))
-        lhs = blended_lp_norm(f, xi, p) ** p
-        rhs = 0.5 * lp_norm(f, p) ** p + 0.5 * discrete_lp_norm(f.evaluate(xi), p) ** p
-        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_equispaced_quadrature_is_exact():
@@ -306,18 +278,23 @@ def test_ratio_dilution_under_point_addition():
 
 
 def test_discretization_error_trivial_members():
-    xi = PointSet.random_uniform(10, 1, seed=8)
+    # a constant and a single wave have |f| = 1 at every node, so every gap
+    # is 0, exactly so at p = 2, where one frequency has no difference to sum
     const = TrigPolynomial({(0,): 1.0})
     wave = TrigPolynomial({(3,): 1.0})
-    assert discretization_error_finite([const], xi, 2) == pytest.approx(0.0, abs=1e-15)
-    assert discretization_error_finite([wave], xi, 4) == pytest.approx(0.0, abs=1e-12)
+    for f in (const, wave):
+        assert discretization_error_trials([f], 2, 10, 3).tolist() == [0.0] * 3
+    assert discretization_error_trials([wave], 4, 10, 3) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_discretization_error_hand_value():
-    # W = {sqrt(2) cos x} at xi = {0}: ||f||_2^2 = 1, f(0)^2 = 2, gap = 1
+    # W = {sqrt(2) cos x} at one node x: ||f||_2^2 = 1 and |f(x)|^2 = 2 cos^2 x,
+    # so each trial's gap is |cos 2x| at its node
     f = TrigPolynomial({1: math.sqrt(2) / 2, -1: math.sqrt(2) / 2})
-    xi = PointSet.explicit(np.array([0.0]))
-    assert discretization_error_finite([f], xi, 2) == pytest.approx(1.0, rel=1e-12)
+    gaps = discretization_error_trials([f], 2, 1, 4, rng_seed=6)
+    x = [np.random.default_rng([6, t]).uniform(0.0, 2.0 * np.pi, size=(1, 1))[0, 0]
+         for t in range(4)]
+    assert gaps == pytest.approx(np.abs(np.cos(2 * np.array(x))), rel=1e-13, abs=1e-15)
 
 
 def test_expected_sup_trivial_classes():
@@ -432,6 +409,43 @@ def test_bad_input_rejected_at_the_boundary(call):
         call()
 
 
+_WAVE = [TrigPolynomial({(1,): 1.0})]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: discretization_error_trials(_WAVE, 2, 8.5, 3), "m"),
+    (lambda: discretization_error_trials(_WAVE, 2, True, 3), "m"),
+    (lambda: discretization_error_trials(_WAVE, 2, "8", 3), "m"),
+    (lambda: discretization_error_trials(_WAVE, 2, 8, 2.5), "mc_trials"),
+    (lambda: expected_sup_estimate(_WAVE, 2, 8, 2.5), "mc_trials"),
+    (lambda: expected_sup_estimate(_WAVE, 3, 8, False), "mc_trials"),
+    (lambda: discretization_error_trials(_WAVE, 2, 8, 3, rng_seed=1.5), "rng_seed"),
+    (lambda: expected_sup_estimate(_WAVE, 2, 8, 3, rng_seed=[4, 0.5]), "rng_seed"),
+], ids=["m_fractional", "m_bool", "m_string", "trials_fractional",
+        "sup_estimate_trials_fractional", "sup_estimate_trials_bool",
+        "seed_fractional", "seed_list_fractional"])
+def test_gap_trial_counts_and_seeds_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_gap_trials_reject_functions_of_mixed_dimension(p):
+    mixed = [TrigPolynomial({(1,): 1.0}), TrigPolynomial({(1, 0): 1.0})]
+    with pytest.raises(DimensionMismatchError):
+        discretization_error_trials(mixed, p, 8, 3)
+    with pytest.raises(DimensionMismatchError):
+        expected_sup_estimate(mixed, p, 8, 3)
+
+
+def test_integral_counts_and_seeds_of_any_integer_type_are_accepted():
+    f = [TrigPolynomial({(1,): 1.0, (-2,): 0.5})]
+    ref = discretization_error_trials(f, 2, 8, 3, rng_seed=[4, 2])
+    same = discretization_error_trials(f, 2, np.int64(8), 3.0,
+                                       rng_seed=(np.uint32(4), 2.0))
+    assert np.array_equal(ref, same)
+
+
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5],
                          ids=["nan", "inf", "half"])
 @pytest.mark.parametrize("call", [
@@ -482,6 +496,22 @@ def test_p2_certificate_holds_one_chunk_of_subsets_at_a_time():
         tracemalloc.stop()
     assert len(cert.subsets) == 924
     assert peak < 3 * 2 ** 20
+
+
+def test_p2_gap_trials_hold_one_chunk_of_powers_at_a_time():
+    # a spread of 3000 at m = 4096: every power at every node would take
+    # 188 MiB; a chunk holds 21 nodes' powers, 2^16 values or 1 MiB, so a
+    # chunk twice as wide fails the 2 MiB bound
+    fs = [TrigPolynomial({(0,): 0.6, (3000,): 0.8j})]
+    discretization_error_trials(fs, 2, 16, 1)
+    tracemalloc.start()
+    try:
+        errs = discretization_error_trials(fs, 2, 4096, 1, rng_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errs.shape == (1,)
+    assert peak < 2 * 2 ** 20
 
 
 def test_find_usd_points_keeps_every_draw():

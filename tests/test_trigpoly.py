@@ -242,8 +242,14 @@ def test_er_rate_band_exponentiates_its_positive_half_only(monkeypatch):
           for _ in range(20)]
     shapes, exp = [], np.exp
     monkeypatch.setattr(np, "exp", lambda a, **kw: shapes.append(a.shape) or exp(a, **kw))
+    # p = 3 evaluates each function on the 1024-point quadrature grid once,
+    # then all of them at each trial's 300 nodes
+    discretization_error_trials(fs, 3.0, 300, 3, rng_seed=5)
+    assert shapes == [(1024, 16)] * 20 + [(300, 16)] * 3
+    # p = 2 forms no node values: one exp per node, then products of powers
+    shapes.clear()
     discretization_error_trials(fs, 2.0, 300, 3, rng_seed=5)
-    assert shapes == [(300, 16)] * 3
+    assert shapes == [(300,)] * 3
 
 
 def test_values_on_takes_the_plain_product_for_several_dimensions():
