@@ -95,6 +95,25 @@ class Dictionary:
         rows = np.flatnonzero(self._held[:, indices].any(axis=1))
         return self.frequencies[rows], self.coefficients[np.ix_(rows, indices)]
 
+    def _union_mask(self, subsets):
+        """The (S, F) mask of the union rows held by each row of the (S, v)
+        index array ``subsets``."""
+        return self._held[:, subsets].any(axis=2).T
+
+    def _blocks(self, subsets):
+        """``_block`` of every row of the (S, v) index array ``subsets``,
+        grouped by union size: per size, the member rows and their stacked
+        (S_g, F, d) frequencies and (S_g, F, v) blocks of B."""
+        mask = self._union_mask(subsets)
+        # with an inverse, np.unique skips the numpy.ma check (a 25 ms
+        # import on first use)
+        sizes, kind = np.unique(mask.sum(axis=1), return_inverse=True)
+        for j, size in enumerate(sizes.tolist()):
+            members = np.flatnonzero(kind == j)
+            rows = np.nonzero(mask[members])[1].reshape(len(members), size)
+            yield (members, self.frequencies[rows],
+                   self.coefficients[rows[:, :, None], subsets[members][:, None, :]])
+
     def values_at(self, points) -> np.ndarray:
         """Matrix of element values, one column per element."""
         if not isinstance(points, PointSet):

@@ -7,7 +7,9 @@ extreme ratios are generalized eigenvalues of the pencil (empirical Gram,
 continuous Gram), which we solve exactly, for a whole subset family at once
 in chunks of stacked Grams and eigensolves.  For other p the sphere problem
 is nonconvex and the extremes are estimated by multistart projected
-gradient ascent/descent; those certificates are flagged heuristic.
+gradient ascent/descent, every start of every subspace of one shape and
+both directions in one stacked loop; those certificates are flagged
+heuristic.
 
 At even p = 2r the ratio of f is the p = 2 ratio of f^r, which lies in the
 span of the exponentials of the merged r-fold sumset of the subspace's
@@ -24,7 +26,6 @@ A point set certifies a collection when every subspace ratio lies in
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,6 +45,10 @@ MULTISTART_BACKTRACKS = 30
 MULTISTART_GRID_LEVEL = 6
 LIFT_CAP_BYTES = 1 << 28   # one array of the even-p lift; larger raises CapExceededError
 _PENCIL_CHUNK_VALUES = 1 << 16   # complex node values gathered per chunk of subsets
+_MULTISTART_CHUNK_VALUES = 1 << 18   # complex values per array of one multistart evaluation
+# step halvings tried per evaluation: a cheap lifted row prefers few calls,
+# a quadrature row (m node values) few wasted candidates
+_HALVING_BLOCKS = ((0, 2), (2, 6), (6, MULTISTART_BACKTRACKS))
 _MOMENT_CHUNK_VALUES = 1 << 16   # complex node powers held per chunk of p = 2 gap-trial nodes
 
 
@@ -60,17 +65,32 @@ def discrete_lp_norm(values, p: float) -> float:
 class RatioOptions:
     """Start count, iteration budget and seed of the p != 2 multistart.
 
-    A start stops once its tangent gradient is at most
-    ``MULTISTART_GRAD_TOL`` or no step within ``MULTISTART_BACKTRACKS``
-    halvings improves it.  At odd and non-integer p the quadrature grid for
-    the continuous norm holds ``max(ceil(p) * maxfreq + 1,
-    2**MULTISTART_GRID_LEVEL)`` points per dimension; even p needs no grid
-    (the lifted norm is exact).
+    ``starts`` and ``max_iters`` are integers >= 1 and ``seed`` is an
+    integer >= 0, stored as int; anything else, a bool included, raises
+    ``ValueError``.
+
+    Each subspace and direction (ascent, descent) starts from ``starts``
+    seeded random vectors and the subspace's two p = 2 extreme vectors.
+    One stacked loop runs every start of every subspace of one shape in a
+    certificate, both directions included.  A start stops once its tangent
+    gradient is at most ``MULTISTART_GRAD_TOL`` or no step within
+    ``MULTISTART_BACKTRACKS`` halvings improves it; the halvings are tried
+    in blocks, one evaluation per block.  At odd and non-integer p the
+    quadrature grid for the continuous norm holds ``max(ceil(p) * maxfreq
+    + 1, 2**MULTISTART_GRID_LEVEL)`` points per dimension; even p needs no
+    grid (the lifted norm is exact).
     """
 
     starts: int = 64
     max_iters: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
+            value = _integer_argument(name, getattr(self, name))
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -148,14 +168,26 @@ def _pencil_family(values, subsets, gram, vectors=True):
     return lo, hi, vec_lo, vec_hi
 
 
-def _normalize_columns(c):
-    norms = np.linalg.norm(c, axis=0)
+def _dot(a, b):
+    """``sum_j conj(a_j) b_j`` along the last axis.
+
+    ``einsum`` without ``optimize`` accumulates each output in order in its
+    own loop, so a row's bits do not depend on the other rows of the call
+    (a BLAS product's do), and on short axes it runs several times faster
+    than a product and a reduction.
+    """
+    return np.einsum("...j,...j->...", a.conj(), b)
+
+
+def _normalize_rows(c):
+    """c scaled to unit norm along its last axis; a zero row stays zero."""
+    norms = np.sqrt(_dot(c, c).real)[..., None]
     norms[norms == 0.0] = 1.0
     return c / norms
 
 
 def _abs_pow(u, p):
-    """|u|^p columnwise without complex abs."""
+    """|u|^p elementwise without complex abs."""
     a2 = u.real * u.real + u.imag * u.imag
     return a2 ** (p / 2.0)
 
@@ -170,21 +202,10 @@ def _dual_power(u, p):
     return w * u
 
 
-def _ratio_only(v_emp, v_cont, c, p):
-    return (np.mean(_abs_pow(v_emp @ c, p), axis=0)
-            / np.mean(_abs_pow(v_cont @ c, p), axis=0))
-
-
-def _ratio_grad(v_emp, v_cont, c, p):
-    u = v_emp @ c
-    g = v_cont @ c
-    num = np.mean(_abs_pow(u, p), axis=0)
-    den = np.mean(_abs_pow(g, p), axis=0)
-    rho = num / den
-    gnum = (p / (2.0 * v_emp.shape[0])) * (v_emp.conj().T @ _dual_power(u, p))
-    gden = (p / (2.0 * v_cont.shape[0])) * (v_cont.conj().T @ _dual_power(g, p))
-    grad = (gnum - gden * rho) / den
-    return rho, grad
+def _apply(stack, owner, c):
+    """``stack[owner[k]] @ c[k]`` for every row k of c, as a gather and an
+    ``einsum`` (see ``_dot``)."""
+    return np.einsum("kij,kj->ki", stack[owner], c)
 
 
 def _even_half(p):
@@ -194,85 +215,115 @@ def _even_half(p):
     return None
 
 
-def _sum_map(left, right):
-    """The distinct row sums of two frequency arrays, in lexicographic order,
-    and the (len(left), len(right)) map of each pair to the row of its sum."""
-    sums = (left[:, None, :] + right[None, :, :]).reshape(-1, left.shape[1])
-    rows, at = np.unique(sums, axis=0, return_inverse=True)
-    return rows, at.reshape(len(left), len(right))
-
-
 def _check_lift_bytes(predicted):
-    """Refuse a lifted-Gram array of more than ``LIFT_CAP_BYTES`` bytes."""
+    """Refuse an array of the even-p lift of more than ``LIFT_CAP_BYTES`` bytes."""
     if predicted > LIFT_CAP_BYTES:
         raise CapExceededError(
-            f"the lifted Gram needs a {predicted}-byte array, above the cap "
+            f"the lifted ratio needs a {predicted}-byte array, above the cap "
             f"{LIFT_CAP_BYTES}", predicted=predicted, cap=LIFT_CAP_BYTES)
 
 
-class _LiftedRatio:
-    """The p = 2r ratio of a subspace in the coefficients of f^r.
+def _lifted_shapes(freqs, r):
+    """Split subsets with (S, F, d) union frequencies into groups of one
+    lifted shape: the sizes of their merged j-fold sumsets, j = 2..r, and
+    the maps of each (row of level j - 1, frequency) pair to the row of
+    its sum in level j.  Returns (members, (S_g, L, d) r-fold sumsets in
+    lexicographic order, pair maps) per group."""
+    groups = [(np.arange(len(freqs)), freqs, [])]
+    for _ in range(r - 1):
+        split = []
+        for members, level, maps in groups:
+            n, width, d = level.shape
+            _check_lift_bytes(8 * width * freqs[0].size)   # one subset's pair sums
+            sums = (level[:, :, None, :] + freqs[members][:, None, :, :]).reshape(-1, d)
+            member = np.repeat(np.arange(n), len(sums) // n)
+            rows, at = np.unique(np.column_stack([member, sums]), axis=0,
+                                 return_inverse=True)
+            first = np.searchsorted(rows[:, 0], np.arange(n + 1))
+            at = at.reshape(n, -1) - first[:n, None]
+            keys, kind = np.unique(np.column_stack([np.diff(first), at]), axis=0,
+                                   return_inverse=True)
+            for j, key in enumerate(keys):
+                sub = np.flatnonzero(kind.reshape(-1) == j)
+                level_j = rows[first[sub][:, None] + np.arange(key[0]), 1:]
+                split.append((members[sub], level_j, maps + [key[1:].reshape(width, -1)]))
+        groups = split
+    return groups
+
+
+class _LiftedFamily:
+    """The p = 2r ratios of a group of subspaces of one lifted shape, in the
+    coefficients of f^r.
 
     A span element ``f = sum_k a_k e^{i<k,x>}`` with ``a = B c`` (B the
-    subset's union coefficient matrix) has ``|f|^p = |f^r|^2``, and
+    subset's union coefficient block) has ``|f|^p = |f^r|^2``, and
     ``f^r = sum_s g_s e^{i<s,x>}`` over the merged r-fold sumset S of the
     union frequencies.  Distinct exponentials are orthonormal, so
     ``||f||_p^p = ||g||^2`` exactly and ``(1/m) sum_j |f(xi_j)|^p`` is
     ``g^H G g`` with ``G = E^H E / m``, E the exponentials of S at the
-    nodes.  A ratio costs O(L^2) per column for L = len(S), and the eigen
-    extremes of G bound every ratio of the subspace.
+    nodes.  A ratio costs O(L^2) per row for L = len(S), and the eigen
+    extremes of G bound every ratio of the subspace.  The group's blocks
+    B and Grams G are stacked; row k of a call is evaluated in subspace
+    ``owner[k]``, and each pair-sum scatter adds its pairs in a fixed order.
     """
 
-    def __init__(self, freqs, coeffs, points, r):
-        self.coeffs, self.r = coeffs, r
-        self.steps = []   # degrees 2..r: the pair map and its 0/1 scatter matrix
-        level = freqs
-        for _ in range(r - 1):
-            _check_lift_bytes(8 * len(level) * freqs.size)   # the int64 pair sums
-            level, at = _sum_map(level, freqs)
-            # complex, as the products it scatters, so no call casts a copy
-            _check_lift_bytes(16 * len(level) * at.size)
-            scatter = np.zeros((len(level), at.size), dtype=complex)
-            scatter[at.ravel(), np.arange(at.size)] = 1.0
-            self.steps.append((at, scatter))
-        e = np.exp(1j * _phases(points, level.T.astype(float)))
-        gram = e.conj().T @ e / len(points)
-        self.gram = 0.5 * (gram + gram.conj().T)
-        # rounding allowance of the outer window, see outer_window
+    def __init__(self, coeffs, level, maps, points, r):
+        self.coeffs, self.r = np.ascontiguousarray(coeffs), r
+        self.coeffs_h = np.ascontiguousarray(_adjoint(coeffs))
+        self.at = maps[-1]
+        size = level.shape[1]
+        self.rows = self.row_values(coeffs, size, maps)
+        self.scatters = []   # per degree 2..r: pairs sorted by sum row, each row's first
+        for at in maps:
+            order = np.argsort(at.ravel(), kind="stable")
+            self.scatters.append((order, np.flatnonzero(np.diff(at.ravel()[order],
+                                                                prepend=-1))))
+        kt = level.transpose(2, 0, 1)[:, :, None, :].astype(float)   # (d, S, 1, L)
+        e = np.exp(1j * _phases(points, kt))
+        gram = np.matmul(_adjoint(e), e) / len(points)
+        self.gram = np.ascontiguousarray(0.5 * (gram + _adjoint(gram)))
+        # rounding allowance of the outer window, see outer_windows
         phase = points.shape[1] * float(np.abs(points).max(initial=0.0)) \
-            * float(np.abs(level).sum(axis=1).max())
-        size = len(level)
+            * np.abs(level).sum(axis=2).max(axis=1)
         self.margin = np.finfo(float).eps * size * (
             2.0 * phase + len(points) + 8.0 + 4.0 * size * size)
 
-    def _lift(self, c):
-        """Coefficients of f^(r-1) and of f^r, one column per column of c."""
-        a = self.coeffs @ c
+    @staticmethod
+    def row_values(coeffs, size, maps):
+        """The most values one row of an evaluation holds: its gathered
+        block of B or Gram, or its pair products."""
+        return max(coeffs[0].size, size * size, *(at.size for at in maps))
+
+    def _lift(self, c, owner):
+        """Coefficients of f^(r-1) and of f^r, one row per row of c."""
+        a = _apply(self.coeffs, owner, c)
         prev = h = a
-        for _, scatter in self.steps:
+        for order, first in self.scatters:
             prev = h
-            h = scatter @ (prev[:, None, :] * a[None, :, :]).reshape(-1, a.shape[1])
+            pairs = (prev[:, :, None] * a[:, None, :]).reshape(len(a), -1)
+            h = np.add.reduceat(np.take(pairs, order, axis=1), first, axis=1)
         return prev, h
 
-    def _quotient(self, g):
+    def _quotient(self, g, owner):
         """The Rayleigh quotients g^H G g / ||g||^2, G g and ||g||^2."""
-        gg = self.gram @ g
-        den = np.sum(g.real * g.real + g.imag * g.imag, axis=0)
-        return np.sum(g.conj() * gg, axis=0).real / den, gg, den
+        gg = _apply(self.gram, owner, g)
+        den = _dot(g, g).real
+        return _dot(g, gg).real / den, gg, den
 
-    def ratio(self, c):
-        return self._quotient(self._lift(c)[1])[0]
+    def ratio(self, c, owner):
+        return self._quotient(self._lift(c, owner)[1], owner)[0]
 
-    def ratio_grad(self, c):
-        h, g = self._lift(c)
-        rho, gg, den = self._quotient(g)
+    def gradient(self, c, owner):
+        """The conjugate Wirtinger gradient of each row's ratio."""
+        h, g = self._lift(c, owner)
+        rho, gg, den = self._quotient(g, owner)
         # d g_s / d a_l = r h_t for the sumset row s = row t + k_l
-        y = (gg - rho * g)[self.steps[-1][0]]
-        back = self.r * np.sum(h.conj()[:, None, :] * y, axis=0)
-        return rho, self.coeffs.conj().T @ back / den
+        y = np.take(gg - rho[:, None] * g, self.at.T, axis=1)
+        back = self.r * _dot(h[:, None, :], y)
+        return _apply(self.coeffs_h, owner, back) / den[:, None]
 
-    def outer_window(self):
-        """Rigorous bounds on every ratio of the subspace.
+    def outer_windows(self):
+        """Rigorous bounds on every ratio of each subspace.
 
         The eigen extremes of G, widened by ``margin`` = eps * L *
         (2 P + m + 8 + 4 L^2), with P = d * max|x| * max_s ||s||_1 bounding
@@ -282,65 +333,157 @@ class _LiftedRatio:
         by 4 L^2 eps (||G|| <= L since |G_st| <= 1).
         """
         w = np.linalg.eigvalsh(self.gram)
-        return float(w[0] - self.margin), float(w[-1] + self.margin)
+        return w[:, 0] - self.margin, w[:, -1] + self.margin
 
 
-def _multistart_extreme(ratio, ratio_grad, warm, sign, seed_key, opts):
-    """Projected-gradient ascent (sign=+1) or descent (sign=-1) on the sphere.
-
-    ``ratio(c)`` and ``ratio_grad(c)`` evaluate the ratio of each column
-    of c, and the ratio with its conjugate Wirtinger gradient; ``warm``
-    holds the vectors started from besides ``opts.starts`` random ones.
-    Returns the best ratio, its vector, and whether that vector stopped as
-    stationary before the iteration limit, whatever the other starts do.
+class _QuadratureFamily:
+    """The p-th power ratios of a group of subspaces on one quadrature grid:
+    ``mean_nodes |V_emp c|^p / mean_grid |V_cont c|^p``, with the (S, m, v)
+    node values and (S, n, v) grid values of the (S, v) index array
+    ``subsets`` stacked from the dictionary's (m, N) ``values`` and (n, N)
+    ``grid`` values; row k of a call is evaluated in subspace ``owner[k]``.
     """
-    v, starts = warm[0].shape[0], opts.starts
-    rng = np.random.default_rng(list(seed_key))
-    c0 = rng.standard_normal((v, starts)) + 1j * rng.standard_normal((v, starts))
-    c0 = np.concatenate([c0] + [w.reshape(-1, 1) for w in warm], axis=1)
-    c = _normalize_columns(c0.astype(complex))
-    n_cols = c.shape[1]
-    rho = ratio(c)
-    active = np.ones(n_cols, dtype=bool)
-    alpha_mem = np.ones(n_cols)  # per-column step memory across iterations
+
+    def __init__(self, subsets, values, grid, p):
+        self.p = p
+        stacks = [a[:, subsets].transpose(1, 0, 2) for a in (values, grid)]
+        self.stacks = [tuple(map(np.ascontiguousarray, (a, _adjoint(a)))) for a in stacks]
+        self.rows = subsets.shape[1] * max(len(values), len(grid))
+
+    def _values(self, c, owner):
+        return [_apply(v, owner, c) for v, _ in self.stacks]
+
+    def ratio(self, c, owner):
+        u, g = self._values(c, owner)
+        return (np.mean(_abs_pow(u, self.p), axis=1)
+                / np.mean(_abs_pow(g, self.p), axis=1))
+
+    def gradient(self, c, owner):
+        """The conjugate Wirtinger gradient of each row's ratio."""
+        p = self.p
+        (num, gnum), (den, gden) = [
+            (np.mean(_abs_pow(u, p), axis=1),
+             (p / (2.0 * u.shape[1])) * _apply(v_h, owner, _dual_power(u, p)))
+            for u, (_, v_h) in zip(self._values(c, owner), self.stacks)]
+        return (gnum - gden * (num / den)[:, None]) / den[:, None]
+
+
+def _families(dictionary: Dictionary, values, points, subsets, p, columns, grids):
+    """The stacked ratio problems of the (S, v) index array ``subsets``.
+
+    Subsets are grouped by shape: at even p by lifted shape, else by
+    quadrature grid size ``max(ceil(p) * maxfreq + 1,
+    2**MULTISTART_GRID_LEVEL)`` (``grids`` caches the dictionary's values
+    on each grid size, so a certificate evaluates each once).  Each group
+    is cut into chunks whose evaluation over ``columns`` rows per subset
+    holds at most ``_MULTISTART_CHUNK_VALUES`` values per array, or one
+    subset's.  Yields (member rows, family) per chunk.
+    """
+    r = _even_half(p)
+    # (members, values held per subset, family class, stacks cut along the
+    # members, fixed arguments)
+    groups = []
+    if r is not None:
+        for members, freqs, coeffs in dictionary._blocks(subsets):
+            for sub, level, maps in _lifted_shapes(freqs, r):
+                size = level.shape[1]
+                rows = _LiftedFamily.row_values(coeffs, size, maps)
+                held = max(columns * rows, len(points) * size)   # evaluations, E
+                _check_lift_bytes(16 * held)   # one subset's largest array
+                groups.append((members[sub], held, _LiftedFamily,
+                               (coeffs[sub], level), (maps, points, r)))
+    else:
+        mask = dictionary._union_mask(subsets)
+        max_freq = np.where(mask, np.abs(dictionary.frequencies).max(axis=1), 0).max(axis=1)
+        sizes, kind = np.unique([_quadrature_grid_size(int(k), MULTISTART_GRID_LEVEL,
+                                                       math.ceil(p), 1) for k in max_freq],
+                                return_inverse=True)
+        for j, n_grid in enumerate(sizes.tolist()):
+            if n_grid not in grids:
+                grids[n_grid] = dictionary.values_at(
+                    tensor_grid_points(n_grid, dictionary.dimension))
+            members = np.flatnonzero(kind == j)
+            held = columns * subsets.shape[1] * max(len(points), n_grid)
+            groups.append((members, held, _QuadratureFamily, (subsets[members],),
+                           (values, grids[n_grid], p)))
+    for members, held, family, stacks, fixed in groups:
+        step = max(1, _MULTISTART_CHUNK_VALUES // held)
+        for lo in range(0, len(members), step):
+            yield members[lo:lo + step], family(*(a[lo:lo + step] for a in stacks), *fixed)
+
+
+def _evaluate(fn, c, owner, width):
+    """``fn(c, owner)`` over slices of at most ``width`` rows."""
+    if len(c) <= width:
+        return fn(c, owner)
+    return np.concatenate([fn(c[lo:lo + width], owner[lo:lo + width])
+                           for lo in range(0, len(c), width)])
+
+
+def _multistart_extreme(family, starts, opts):
+    """Projected-gradient ascent and descent on the sphere, every subspace
+    of ``family`` and both directions in one loop.
+
+    ``starts`` holds the (S, 2, n, v) unit starting vectors: n for the
+    ascent of subspace i, then n for its descent.  Each start is one row
+    of the stacked problem.  An iteration takes the gradient of every
+    moving row; a row whose tangent gradient is at most
+    ``MULTISTART_GRAD_TOL`` stops.  The others try the steps
+    ``alpha * 2^-k``, k < ``MULTISTART_BACKTRACKS``, alpha being twice the
+    row's last accepted step (at most 1e3), with one evaluation per block
+    of halvings in ``_HALVING_BLOCKS``; a row takes the largest step that
+    strictly improves its ratio, and stops when none does.
+
+    Returns the (S, 2) best ratio of each subspace and direction, its
+    (S, 2, v) vector, whether every one of those vectors stopped as
+    stationary before the iteration limit (whatever the other starts do),
+    and the (S, 2) flag of each.
+    """
+    n_sub, _, n, v = starts.shape
+    c = starts.reshape(-1, v).copy()
+    owner = np.repeat(np.arange(n_sub), 2 * n)
+    sign = np.tile(np.repeat([1.0, -1.0], n), n_sub)
+    width = max(2 * n, _MULTISTART_CHUNK_VALUES // family.rows)
+    rho = _evaluate(family.ratio, c, owner, width)
+    active = np.ones(len(c), dtype=bool)
+    alpha = np.ones(len(c))   # per-row step memory across iterations
     for _ in range(opts.max_iters):
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
-        _, grad = ratio_grad(c)
-        inner = np.sum(np.conj(c) * grad, axis=0)
-        tang = grad - c * inner
-        tnorm = np.linalg.norm(tang, axis=0)
-        done = active & (tnorm <= MULTISTART_GRAD_TOL)
-        active &= ~done
-        if not active.any():
-            break
-        idx = np.where(active)[0]
-        sub_c = c[:, idx]
-        sub_t = tang[:, idx]
-        sub_r = rho[idx]
-        alpha = np.minimum(alpha_mem[idx] * 2.0, 1e3)
-        accepted = np.zeros(len(idx), dtype=bool)
-        for _ in range(MULTISTART_BACKTRACKS):
-            todo = ~accepted
-            cand = _normalize_columns(sub_c[:, todo] + sign * alpha[todo] * sub_t[:, todo])
-            rho_c = ratio(cand)
-            improve = (rho_c > sub_r[todo]) if sign > 0 else (rho_c < sub_r[todo])
-            where_todo = np.where(todo)[0]
-            fresh = where_todo[improve]
-            sub_c[:, fresh] = cand[:, improve]
-            sub_r[fresh] = rho_c[improve]
-            accepted[fresh] = True
-            if accepted.all():
+        cur, own = c[idx], owner[idx]
+        grad = family.gradient(cur, own)
+        tang = grad - cur * _dot(cur, grad)[:, None]
+        done = np.sqrt(_dot(tang, tang).real) <= MULTISTART_GRAD_TOL
+        active[idx[done]] = False
+        keep = ~done
+        idx, cur, tang, own = idx[keep], cur[keep], tang[keep], own[keep]
+        step = np.minimum(alpha[idx] * 2.0, 1e3)
+        for lo, hi in _HALVING_BLOCKS:
+            if not idx.size:
                 break
-            alpha[~accepted] *= 0.5
-        c[:, idx] = sub_c
-        rho[idx] = sub_r
-        alpha_mem[idx] = alpha
-        # a column that cannot improve within the backtracking budget sits
-        # at a numerical stationary point; freeze it
-        active[idx[~accepted]] = False
-    best = int(np.argmax(sign * rho))
-    return float(rho[best]), c[:, best], not active[best]
+            ks = np.arange(lo, hi)
+            trial = np.ldexp(step[:, None], -ks) * sign[idx, None]   # exact halvings
+            cand = _normalize_rows(cur[:, None, :] + trial[:, :, None] * tang[:, None, :])
+            got = _evaluate(family.ratio, cand.reshape(-1, v),
+                            np.repeat(own, len(ks)), width).reshape(len(idx), -1)
+            toward = sign[idx, None]
+            better = toward * got > toward * rho[idx, None]
+            first = np.argmax(better, axis=1)
+            hit = better[np.arange(len(idx)), first]
+            take = idx[hit]
+            c[take] = cand[hit, first[hit]]
+            rho[take] = got[hit, first[hit]]
+            alpha[take] = np.ldexp(step[hit], -ks[first[hit]])
+            miss = ~hit
+            idx, cur, tang, own, step = idx[miss], cur[miss], tang[miss], own[miss], step[miss]
+        # a row that cannot improve within the backtracking budget sits at
+        # a numerical stationary point; freeze it
+        active[idx] = False
+    best = np.argmax((sign * rho).reshape(2 * n_sub, n), axis=1) + n * np.arange(2 * n_sub)
+    converged = ~active[best].reshape(n_sub, 2)
+    return (rho[best].reshape(n_sub, 2), c[best].reshape(n_sub, 2, v),
+            bool(converged.all()), converged)
 
 
 def _method(p, opts: RatioOptions) -> dict:
@@ -351,37 +494,57 @@ def _method(p, opts: RatioOptions) -> dict:
             "grad_tol": MULTISTART_GRAD_TOL, "max_iters": opts.max_iters}
 
 
-def _subset_ratios(values, points, subset, dictionary: Dictionary, p: float,
-                   opts: RatioOptions, seed_key, grids, warm) -> SubspaceRatios:
-    """Multistart ratio extremes at p != 2 over one subspace.
+def _starts(keys, warm, starts):
+    """The (S, 2, starts + 2, v) unit starting vectors of each subset and
+    direction: ``starts`` complex Gaussian draws from the seed
+    ``key + [1]`` (ascent) or ``key + [2]`` (descent), then the subset's
+    two (S, 2, v) warm vectors."""
+    n_sub, _, v = warm.shape
+    out = np.empty((n_sub, 2, starts + 2, v), dtype=complex)
+    for i, key in enumerate(keys):
+        for j in (0, 1):
+            rng = np.random.default_rng(list(key) + [j + 1])
+            draw = rng.standard_normal((v, starts)) + 1j * rng.standard_normal((v, starts))
+            out[i, j, :starts] = draw.T
+    out[:, :, starts:] = warm[:, None]
+    return _normalize_rows(out)
 
-    ``values`` are the subspace's (m, v) values at the nodes and ``warm``
-    its p = 2 extreme vectors, which both multistarts also start from.
-    ``grids`` caches the dictionary's values on each quadrature grid size
-    used at odd or non-integer p, so one certificate evaluates each once.
+
+def _subset_ratios(values, points, subsets, dictionary: Dictionary, p: float,
+                   opts: RatioOptions, keys, warm):
+    """Multistart ratio extremes at p != 2 over every subspace of a family.
+
+    ``values`` holds the dictionary's (m, N) values at the nodes,
+    ``subsets`` the (S, v) element indices, ``keys`` one seed key per
+    subset and ``warm`` the (S, 2, v) p = 2 extreme vectors (lowest,
+    highest), which both directions also start from.  The subsets of one
+    shape run in one loop (``_multistart_extreme``), halvings in blocks;
+    see ``_families`` for the shapes and chunks.  Returns the (S, 2)
+    lowest and highest ratios, their (S, 2, v) vectors, the (S,)
+    converged flags and, at even p > 2, the (2, S) rigorous outer windows
+    (else None).
     """
-    r = _even_half(p)
-    outer = (None, None)
-    freqs, coeffs = dictionary._block(subset)
-    if r is not None:
-        lifted = _LiftedRatio(freqs, coeffs, points, r)
-        ratio, ratio_grad = lifted.ratio, lifted.ratio_grad
-        outer = lifted.outer_window()
-    else:
-        max_freq = int(np.abs(freqs).max(initial=0))
-        n_grid = _quadrature_grid_size(max_freq, MULTISTART_GRID_LEVEL, math.ceil(p), 1)
-        if n_grid not in grids:
-            grids[n_grid] = dictionary.values_at(
-                tensor_grid_points(n_grid, dictionary.dimension))
-        v_cont = grids[n_grid][:, subset]
-        ratio = functools.partial(_ratio_only, values, v_cont, p=p)
-        ratio_grad = functools.partial(_ratio_grad, values, v_cont, p=p)
-    hi, vec_hi_p, conv_hi = _multistart_extreme(
-        ratio, ratio_grad, warm, +1.0, seed_key + [1], opts)
-    lo, vec_lo_p, conv_lo = _multistart_extreme(
-        ratio, ratio_grad, warm, -1.0, seed_key + [2], opts)
-    return SubspaceRatios(lo, hi, _method(p, opts), True, conv_hi and conv_lo,
-                          vec_lo_p, vec_hi_p, *outer)
+    n_sub, v = subsets.shape
+    columns = 2 * (opts.starts + 2)
+    ratios = np.empty((n_sub, 2))
+    vectors = np.empty((n_sub, 2, v), dtype=complex)
+    converged = np.empty(n_sub, dtype=bool)
+    outer = np.empty((2, n_sub)) if _even_half(p) is not None else None
+    grids = {}
+    # the starting vectors of one chunk of subsets at a time
+    step = max(1, _MULTISTART_CHUNK_VALUES // (columns * v))
+    for lo in range(0, n_sub, step):
+        starts = _starts(keys[lo:lo + step], warm[lo:lo + step], opts.starts)
+        for members, family in _families(dictionary, values, points,
+                                         subsets[lo:lo + step], p, columns, grids):
+            best, vecs, _, flags = _multistart_extreme(family, starts[members], opts)
+            at = lo + members
+            # the descent's best is the lowest ratio, the ascent's the highest
+            ratios[at], vectors[at] = best[:, ::-1], vecs[:, ::-1]
+            converged[at] = flags.all(axis=1)
+            if outer is not None:
+                outer[:, at] = family.outer_windows()
+    return ratios, vectors, converged, outer
 
 
 def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
@@ -401,14 +564,18 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
         raise ValueError("a subset needs at least one index")
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
     values = dictionary.values_at(xi)
+    index = np.array([subset], dtype=np.intp)
     gram = None if dictionary.has_identity_gram(subset) else dictionary.continuous_gram()
-    lo, hi, vec_lo, vec_hi = _pencil_family(
-        values, np.array([subset], dtype=np.intp), gram)
+    lo, hi, vec_lo, vec_hi = _pencil_family(values, index, gram)
     if p == 2:
         return SubspaceRatios(float(lo[0]), float(hi[0]), _method(p, opts), False,
                               True, vec_lo[0], vec_hi[0])
-    return _subset_ratios(values[:, subset], xi.points, subset, dictionary, p,
-                          opts, key, {}, [vec_lo[0], vec_hi[0]])
+    ratios, vectors, converged, outer = _subset_ratios(
+        values, xi.points, index, dictionary, p, opts, [key],
+        np.stack([vec_lo, vec_hi], axis=1))
+    return SubspaceRatios(float(ratios[0, 0]), float(ratios[0, 1]), _method(p, opts),
+                          True, bool(converged[0]), vectors[0, 0], vectors[0, 1],
+                          *((None, None) if outer is None else outer[:, 0].tolist()))
 
 
 @dataclass
@@ -515,28 +682,23 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     # a collection never repeats an index within a subset
     gram = None if dictionary.orthonormal_monomials else dictionary.continuous_gram()
     lo2, hi2, vec_lo, vec_hi = _pencil_family(values, index, gram, vectors=p != 2)
-    converged = True
+    converged, outer = True, None
     if p == 2:
         mins, maxs = lo2.tolist(), hi2.tolist()
     else:
-        mins, maxs, outer_mins, outer_maxs = [], [], [], []
-        grids = {}
-        for i, subset in enumerate(subsets):
-            res = _subset_ratios(values[:, subset], xi.points, subset, dictionary,
-                                 p, opts, prefix + [i], grids,
-                                 [vec_lo[i], vec_hi[i]])
-            mins.append(res.min_ratio)
-            maxs.append(res.max_ratio)
-            outer_mins.append(res.outer_min_ratio)
-            outer_maxs.append(res.outer_max_ratio)
-            converged = converged and res.converged
+        ratios, _, flags, outer = _subset_ratios(
+            values, xi.points, index, dictionary, p, opts,
+            [prefix + [i] for i in range(count)], np.stack([vec_lo, vec_hi], axis=1))
+        mins, maxs = ratios[:, 0].tolist(), ratios[:, 1].tolist()
+        converged = bool(flags.all())
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     passed = all(lo <= a and b <= hi for a, b in zip(mins, maxs))
     one_sided = _one_sided_constant(mins, p)
     notes = [] if converged else ["some sphere optimizations hit the iteration limit"]
     cert = UsdCertificate(p, epsilon, subsets, mins, maxs, _method(p, opts),
                           p != 2, passed, one_sided, converged, notes)
-    if _even_half(p) is not None:
+    if outer is not None:
+        outer_mins, outer_maxs = outer.tolist()
         cert.outer_min_ratios, cert.outer_max_ratios = outer_mins, outer_maxs
         cert.rigorous_pass = all(lo <= a and b <= hi
                                  for a, b in zip(outer_mins, outer_maxs))
@@ -727,9 +889,12 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
             gaps = (corr * sums[:, None]).real.sum(axis=0) * (2.0 / m)
         else:
             # kept bound until the next trial rebinds it: the inlined form
-            # measured about 25 % slower at m = 4096 (memory is reused differently)
-            vals = _values_on(x, karr, coeff, halves)
-            gaps = np.mean(np.abs(vals) ** p, axis=0) - cont
+            # measured about 25 % slower at m = 4096 (memory is reused
+            # differently); one contiguous row per function, so each mean
+            # sums its nodes pairwise (down the columns of the (m, n)
+            # values it would add them one node at a time)
+            vals = np.ascontiguousarray(_values_on(x, karr, coeff, halves).T)
+            gaps = np.mean(np.abs(vals) ** p, axis=1) - cont
         errs[t] = np.max(np.abs(gaps))
     return errs
 

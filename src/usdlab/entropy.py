@@ -68,10 +68,6 @@ class SampledClass:
     def grid_size(self) -> int:
         return self.values.shape[1]
 
-    def distances_from(self, i: int) -> np.ndarray:
-        """Uniform-metric distances from representative i to all others."""
-        return np.abs(self.values - self.values[i]).max(axis=1)
-
     @classmethod
     def from_l1_ball(cls, dictionary: Dictionary, n_representatives: int = 4096,
                      grid_level: int = 10, seed: int = 0,

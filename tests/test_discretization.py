@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -427,6 +428,31 @@ _WAVE = [TrigPolynomial({(1,): 1.0})]
 def test_gap_trial_counts_and_seeds_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"starts": -1}, "starts must be at least 1, got -1"),
+    ({"starts": 0}, "starts must be at least 1, got 0"),
+    ({"starts": 2.5}, "starts must be an integer, got 2.5"),
+    ({"starts": True}, "starts must be an integer, got True"),
+    ({"max_iters": -1}, "max_iters must be at least 1, got -1"),
+    ({"max_iters": 0}, "max_iters must be at least 1, got 0"),
+    ({"max_iters": "40"}, "max_iters must be an integer, got '40'"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": False}, "seed must be an integer, got False"),
+], ids=["starts_negative", "starts_zero", "starts_fractional", "starts_bool",
+        "max_iters_negative", "max_iters_zero", "max_iters_string",
+        "seed_negative", "seed_fractional", "seed_bool"])
+def test_ratio_options_check_their_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RatioOptions(**fields)
+
+
+def test_ratio_options_store_integral_values_as_int():
+    opts = RatioOptions(starts=np.int64(4), max_iters=30.0, seed=np.uint8(2))
+    assert opts == RatioOptions(starts=4, max_iters=30, seed=2)
+    assert all(type(x) is int for x in (opts.starts, opts.max_iters, opts.seed))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -51,7 +51,8 @@ def test_greedy_cover_tie_goes_to_lowest_index():
 def exhaustive_min_cover(sampled, eps):
     """Smallest number of representative-centered balls covering the set."""
     n = sampled.count
-    dist = np.array([sampled.distances_from(i) for i in range(n)])
+    # uniform-metric distances between every pair of representatives
+    dist = np.abs(sampled.values[:, None, :] - sampled.values[None, :, :]).max(axis=2)
     for size in range(1, n + 1):
         for centers in itertools.combinations(range(n), size):
             if np.all(dist[list(centers)].min(axis=0) <= eps):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from usdlab.discretization import _MOMENT_CHUNK_VALUES, discretization_error_trials
 from usdlab.experiments import run
-from usdlab.trigpoly import TrigPolynomial
+from usdlab.trigpoly import TrigPolynomial, lp_norm
 
 U = 2.0 ** -53
 
@@ -78,16 +78,16 @@ BAND = [[j] for j in range(-6, 7)]
 GRID_2D = [[a, b] for a in range(-2, 3) for b in range(-1, 2)]
 
 
-# digests of the trial outputs before p = 2, d = 1 moved to the moment path:
-# every other (d, p) keeps the values path, bit for bit
+# digests of the values path, which every (d, p) but p = 2, d = 1 takes,
+# recorded once each function's node mean summed pairwise
 @pytest.mark.parametrize("freqs, seed, p, digest", [
-    (BAND, 1, 3.0, "1af89c382c664d432238e2594189a5655e61dd82f9a347df9ea979bbe836b3b5"),
+    (BAND, 1, 3.0, "e22958d34695a1c2b10fec602351388d45d7df0dc7f549b05380ea566abaf3f7"),
     ([[-9], [-2], [0], [5], [11]], 2, 4.0,
-     "22c91855a7a4a358b4d46d264322981f9bef507f92a441a2ebe7e619da83105c"),
+     "c5cfc46baa98316ed7263c377d7eaddd69258d46c04414f44df873b08b050f97"),
     ([[j] for j in range(-3, 5)], 3, 2.5,
      "d32fc857276ffee802d4faa2b6057b05079fea2be4151830fbd7ae5d87270b09"),
-    (GRID_2D, 4, 2.0, "dc79114084489f98d2328e6e4f67895e060398a91bfa45e5df2e39e2754b3e5b"),
-    (GRID_2D, 5, 3.0, "97bbb8312c0ae17cf381c7bee30b7a6504b6da02780448026b31a4203a820f1d"),
+    (GRID_2D, 4, 2.0, "dd4ad56c9b750fe9590d5a5b205f2ea62cdd5644967a666845955de5afbf6b5b"),
+    (GRID_2D, 5, 3.0, "4ba2f6a35b316a1fc76455382c127cdead531baaed9c9340440791a6aee28208"),
 ], ids=["p3_band", "p4_gapped", "p2.5_band", "p2_d2", "p3_d2"])
 def test_gap_trials_off_the_moment_path_keep_their_bits(freqs, seed, p, digest):
     count = 4 if freqs is BAND else 3
@@ -96,10 +96,26 @@ def test_gap_trials_off_the_moment_path_keep_their_bits(freqs, seed, p, digest):
     assert hashlib.sha256(errs.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("m", [997, 1000, 1024])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_values_path_means_sum_the_nodes_pairwise(m, p):
+    # a constant takes one value at every node; adding m equal values one
+    # node at a time rounds at every partial sum (about 370 u at m = 1000),
+    # a pairwise sum stays within (log2 m + 16) u of the correctly rounded
+    # math.fsum mean
+    coeffs = [0.7, 1.3j, 0.9 + 0.2j]
+    fs = [TrigPolynomial({(0,): c}) for c in coeffs]
+    got = discretization_error_trials(fs, p, m, 2, rng_seed=[4, 2])
+    powers = [float(np.abs(np.complex128(c)) ** p) for c in coeffs]
+    ref = max(abs(math.fsum([x] * m) / m - lp_norm(f, p) ** p)
+              for x, f in zip(powers, fs))
+    assert np.all(np.abs(got - ref) <= (math.log2(m) + 16) * U * max(powers))
+
+
 def test_odd_p_er_rate_output_keeps_its_bits(tmp_path):
     run({"kind": "er_rate", "seed": 5, "out": str(tmp_path),
          "params": {"max_abs_freq": 4, "n_functions": 4, "p": 3,
                     "m_sweep": [16, 32, 64], "mc_trials": 4},
          "assertions": {"slope_range": [-100, 100]}})
     assert hashlib.sha256((tmp_path / "er_rate.csv").read_bytes()).hexdigest() == (
-        "2b0e92987a8a14fbba506c70edf7f973a5de703c22199f2cfd049d5ed11e0d2b")
+        "9c74ce800b2770b2d0a67d716d98e436c80e170afe388b15e0a6a68883af3345")

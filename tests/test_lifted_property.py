@@ -1,12 +1,14 @@
-"""Property checks of the lifted even-p ratio against the direct quadrature form.
+"""Property checks of the stacked ratio kernels against the direct quadrature form.
 
 At p = 2r the ratio of a span element f equals the p = 2 ratio of f^r in
 the exponentials of the r-fold sumset.  The reference is the direct form
-that the odd and non-integer exponents still use: the p-th power means of
-``values @ c`` at the nodes and on a tensor grid with ``p * maxfreq + 1``
-points per dimension, where the rectangle rule is exact for even p.  Ratios
-sit around 1, so every tolerance is relative with a floor of 1; a ratio
-near 0 (one node close to a zero of f) is the difference of terms of size 1.
+``_ratio_only``/``_ratio_grad``: the p-th power means of ``values @ c`` at
+the nodes and on a tensor grid with ``p * maxfreq + 1`` points per
+dimension, where the rectangle rule is exact for even p.  The odd and
+non-integer exponents' stacked kernel computes the same form row by row.
+Ratios sit around 1, so every tolerance is relative with a floor of 1; a
+ratio near 0 (one node close to a zero of f) is the difference of terms of
+size 1.
 """
 import math
 
@@ -15,8 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import (RatioOptions, _LiftedRatio, _ratio_grad,
-                                   _ratio_only, check_usd, subspace_ratio_bounds)
+from usdlab.discretization import (RatioOptions, _abs_pow, _dual_power,
+                                   _families, check_usd, subspace_ratio_bounds)
 from usdlab.points import PointSet, tensor_grid_points
 from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size
 
@@ -45,6 +47,37 @@ def _case(seed, d, v, m, general):
     return dictionary, x, rng
 
 
+def _ratio_only(v_emp, v_cont, c, p):
+    return (np.mean(_abs_pow(v_emp @ c, p), axis=0)
+            / np.mean(_abs_pow(v_cont @ c, p), axis=0))
+
+
+def _ratio_grad(v_emp, v_cont, c, p):
+    u = v_emp @ c
+    g = v_cont @ c
+    num = np.mean(_abs_pow(u, p), axis=0)
+    den = np.mean(_abs_pow(g, p), axis=0)
+    rho = num / den
+    gnum = (p / (2.0 * v_emp.shape[0])) * (v_emp.conj().T @ _dual_power(u, p))
+    gden = (p / (2.0 * v_cont.shape[0])) * (v_cont.conj().T @ _dual_power(g, p))
+    grad = (gnum - gden * rho) / den
+    return rho, grad
+
+
+def _family(dictionary, x, p, subset):
+    """The stacked kernel of one subset, and its rows' owner for n rows."""
+    [(_, family)] = _families(dictionary, dictionary.values_at(x), x,
+                              np.array([subset]), p, 2, {})
+    return family, lambda n: np.zeros(n, dtype=np.intp)
+
+
+def _margins(dictionary, points, subsets, p):
+    out = np.empty(len(subsets))
+    for members, family in _families(dictionary, None, points, np.array(subsets), p, 2, {}):
+        out[members] = family.margin
+    return out
+
+
 def _direct(dictionary, x, p):
     """(values at the nodes, values on the exact quadrature grid)."""
     n = _quadrature_grid_size(dictionary.max_component_frequency(), 0, p, 1)
@@ -66,19 +99,17 @@ cases = dict(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2),
 @given(**cases)
 def test_lifted_ratio_and_gradient_match_the_quadrature(seed, d, v, m, general, p):
     dictionary, x, rng = _case(seed, d, v, m, general)
-    freqs, coeffs = dictionary.frequencies, dictionary.coefficients
-    assume(np.linalg.matrix_rank(coeffs) == v)
-    lifted = _LiftedRatio(freqs, coeffs, x, p // 2)
+    assume(np.linalg.matrix_rank(dictionary.coefficients) == v)
+    lifted, owner = _family(dictionary, x, p, range(v))
     if not general:
-        assert len(lifted.gram) <= math.comb(v + p // 2 - 1, p // 2)
+        assert lifted.gram.shape[1] <= math.comb(v + p // 2 - 1, p // 2)
     v_emp, v_cont = _direct(dictionary, x, p)
     c = rng.standard_normal((v, 9)) + 1j * rng.standard_normal((v, 9))
     ref = _ratio_only(v_emp, v_cont, c, p)
-    ref_rho, ref_grad = _ratio_grad(v_emp, v_cont, c, p)
-    rho, grad = lifted.ratio_grad(c)
+    _, ref_grad = _ratio_grad(v_emp, v_cont, c, p)
+    grad = lifted.gradient(c.T, owner(9)).T
     scale = np.maximum(1.0, np.abs(ref))
-    assert (np.abs(lifted.ratio(c) - ref) <= TOL * scale).all()
-    assert (np.abs(rho - ref_rho) <= TOL * scale).all()
+    assert (np.abs(lifted.ratio(c.T, owner(9)) - ref) <= TOL * scale).all()
     # the gradient of a ratio of degree-p forms scales like ratio / |c|
     grad_scale = np.linalg.norm(ref_grad, axis=0) + scale / np.linalg.norm(c, axis=0)
     assert (np.linalg.norm(grad - ref_grad, axis=0) <= TOL * grad_scale).all()
@@ -121,8 +152,7 @@ def test_outer_windows_ignore_a_common_frequency_shift_and_point_order(
     opts = RatioOptions(starts=2, max_iters=10, seed=seed % 5)
     certs = [check_usd(x, SubspaceCollection.all_subsets(d, v), p, opts)
              for d, x in cases]
-    margins = [[_LiftedRatio(*d._block(s), x.points, p // 2).margin
-                for s in cert.subsets] for (d, x), cert in zip(cases, certs)]
+    margins = [_margins(d, x.points, cert.subsets, p) for (d, x), cert in zip(cases, certs)]
     base = certs[0]
     for cert, margin in zip(certs, margins):
         assert cert.subsets == base.subsets
@@ -144,3 +174,19 @@ def test_odd_and_non_integer_exponents_carry_no_outer_window():
     for p in (2, 3, 5, 4.5):
         res = subspace_ratio_bounds((1, 3), d, xi, p, RatioOptions(starts=2, max_iters=5))
         assert res.outer_min_ratio is None and res.outer_max_ratio is None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2), v=st.integers(1, 3),
+       m=st.integers(1, 40), general=st.booleans(), p=st.sampled_from([3, 5, 2.5, 1.5]))
+def test_quadrature_kernel_matches_the_direct_form(seed, d, v, m, general, p):
+    dictionary, x, rng = _case(seed, d, v, m, general)
+    family, owner = _family(dictionary, x, p, range(v))
+    [(v_emp, _), (v_cont, _)] = family.stacks
+    c = rng.standard_normal((v, 9)) + 1j * rng.standard_normal((v, 9))
+    ref_rho, ref_grad = _ratio_grad(v_emp[0], v_cont[0], c, p)
+    scale = np.maximum(1.0, np.abs(ref_rho))
+    assert (np.abs(family.ratio(c.T, owner(9)) - ref_rho) <= TOL * scale).all()
+    grad_scale = np.linalg.norm(ref_grad, axis=0) + scale / np.linalg.norm(c, axis=0)
+    grad = family.gradient(c.T, owner(9)).T
+    assert (np.linalg.norm(grad - ref_grad, axis=0) <= TOL * grad_scale).all()
