@@ -7,15 +7,15 @@ profiles of function classes, and for sparse approximation and sampling
 recovery with greedy algorithms in discrete Lp norms.
 """
 
-from .dictionary import Dictionary, SubspaceCollection, nikolskii_ratio_estimate
+from .dictionary import Dictionary, SubspaceCollection
 from .discretization import (RatioOptions, UsdCertificate, UsdSearchResult,
-                             check_usd, discrete_lp_norm,
-                             expected_sup_estimate, find_usd_points,
-                             subspace_ratio_bounds, usd_sample_budget)
+                             check_usd, expected_sup_estimate,
+                             find_usd_points, subspace_ratio_bounds,
+                             usd_sample_budget)
 from .entropy import (EntropyProfile, SampledClass, chaining_bound,
                       chaining_bound_dyadic, double_exponential_tail_constant,
                       double_exponential_tail_sum, entropy_numbers,
-                      finite_dim_decay_check, greedy_cover)
+                      greedy_cover)
 from .errors import (CapExceededError, ConfigError, DimensionMismatchError,
                      GridTooCoarseError, NormBudgetError, ProfileTooShortError,
                      RankDeficiencyError, UsdlabError, ZeroResidualError)
@@ -28,15 +28,12 @@ from .points import PointSet
 from .recovery import (BlockGreedyResult, DiscreteInstance, RecoveryReport,
                        SparseApproximant, best_v_term_error_blended,
                        best_v_term_oracle, block_greedy_approximant,
-                       block_term_count, block_term_schedule,
-                       chebyshev_projection, norming_functional_action,
-                       recovery_pipeline, weak_chebyshev_greedy,
-                       wcga_iteration_budget)
+                       block_term_schedule, chebyshev_projection,
+                       norming_functional_action, recovery_pipeline,
+                       weak_chebyshev_greedy, wcga_iteration_budget)
 from .smoothness import (SmoothnessBudget, bernoulli_kernel,
-                         bernoulli_kernel_tail_bound, dyadic_blocks,
-                         kernel_coefficient, level_a_norms,
-                         level_budget_element, mixed_difference_seminorm,
-                         mixed_smoothness_element)
+                         bernoulli_kernel_tail_bound, kernel_coefficient,
+                         level_a_norms, level_budget_element)
 from .trigpoly import TrigPolynomial, lp_norm, sup_norm, sup_norm_info
 
 __version__ = "0.1.0"

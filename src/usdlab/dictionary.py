@@ -3,9 +3,11 @@
 A ``Dictionary`` stores the sorted union of its elements' frequencies (F, d)
 and their coefficient matrix B (F, N), and records which union rows each
 element holds (a stored zero counts), so every subset has its own union and
-block of B.  It also keeps a uniform bound on the elements and an optional
+block of B.  It also keeps a uniform bound on the elements, an optional
 l2 Riesz-type constant K (coefficient l2 dominated by ``sqrt(K)`` times the
-function L2 norm).
+function L2 norm), and whether its elements are distinct unit monomials,
+whose continuous Gram is the identity.  A ``SubspaceCollection`` names the
+v-element subsets of a dictionary that a certificate must cover.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NormBudgetError
 from .frequencies import FrequencySet
 from .points import PointSet
-from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _stack, _values_on,
-                       lp_norm, sup_norm)
+from .trigpoly import TrigPolynomial, _stack, _values_on, sup_norm
 
 _BOUND_CHECK_GRID_LEVEL = 8
 
@@ -120,10 +121,6 @@ class Dictionary:
             points = PointSet.explicit(points)
         return _values_on(points.points, self.frequencies, self.coefficients)
 
-    def has_identity_gram(self, indices) -> bool:
-        """Whether the selected elements are distinct orthonormal monomials."""
-        return self.orthonormal_monomials and len(set(indices)) == len(indices)
-
     def continuous_gram(self, indices=None) -> np.ndarray:
         """Exact L2 Gram ``b^H b`` of the selected elements' block b of B."""
         b = self._block(self._checked_indices(indices))[1]
@@ -183,30 +180,3 @@ class SubspaceCollection:
         if self.subsets is not None:
             return iter(self.subsets)
         return itertools.combinations(range(self.dictionary.size), self.v)
-
-
-def nikolskii_ratio_estimate(dictionary: Dictionary, q: float, trials: int,
-                             rng_seed: int = 0,
-                             grid_level: int = DEFAULT_GRID_LEVEL) -> float:
-    """Lower estimate of the Nikol'skii constant H on the span.
-
-    Maximizes ``sup|f| / ||f||_q`` over random span elements with
-    rotation-invariant complex Gaussian coefficients, plus the
-    deterministic all-equal-coefficients candidate (the extremal vector for
-    orthonormal exponentials at q = 2).
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng([int(rng_seed), 0])
-    n = dictionary.size
-    best = 0.0
-    draws = [np.ones(n, dtype=complex)]
-    for _ in range(trials):
-        draws.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for a in draws:
-        f = dictionary.combine(a)
-        denom = lp_norm(f, q, grid_level)
-        if denom == 0.0:
-            continue
-        best = max(best, sup_norm(f, grid_level) / denom)
-    return best

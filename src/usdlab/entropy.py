@@ -357,24 +357,6 @@ def chaining_bound_dyadic(profile: EntropyProfile, p: float, sup_bound: float,
     return _chaining_prefactor(p, sup_bound, m) * entropy_sum_dyadic(profile, theta, m)
 
 
-def finite_dim_decay_check(sampled: SampledClass, dim: int, k0: int, k: int,
-                           profile: EntropyProfile | None = None) -> bool:
-    """Check ``e_k <= 3 * 2^(2^k0/dim) * e_k0 * 2^(-2^k/dim)`` on estimates.
-
-    The left side is an upper-type estimate, so a failure flags an
-    estimator bug rather than a mathematical violation.
-    """
-    if k <= k0:
-        raise ValueError("need k > k0")
-    if profile is not None:
-        lhs, base = profile.e_at(k), profile.e_at(k0)
-    else:
-        lhs = _eps_for_budget(sampled, 2 ** (2 ** k))
-        base = _eps_for_budget(sampled, 2 ** (2 ** k0))
-    rhs = 3.0 * 2.0 ** (2 ** k0 / dim) * base * 2.0 ** (-(2 ** k) / dim)
-    return lhs <= rhs + 1e-12
-
-
 def double_exponential_tail_sum(a: float, b: float, m: int,
                                 rel_tol: float = 1e-18) -> float:
     """``sum_{k >= ceil(log2 m)} (2^{ak} 2^{-2^k/m})^b`` by direct summation."""

@@ -396,13 +396,11 @@ def best_v_term_error_blended(f: TrigPolynomial, dictionary: Dictionary,
     return best_v_term_oracle(inst, v).residual_norm
 
 
-def block_term_count(n: int, beta: float, d: int, j: int) -> int:
-    """Scheduled term count ``floor(2^{n - beta (j - n)} max(j,1)^{d-1})``."""
-    return int(math.floor(2.0 ** (n - beta * (j - n)) * max(j, 1) ** (d - 1)))
-
-
 def block_term_schedule(n: int, beta: float, d: int) -> list:
-    """Pairs (level, term count) from level n until the counts vanish."""
+    """Pairs (level j, term count) from level n until the counts vanish.
+
+    The count at level j is ``floor(2^{n - beta (j - n)} max(j,1)^{d-1})``.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     out = []

@@ -113,14 +113,6 @@ class TrigPolynomial:
     def __neg__(self):
         return self.scale(-1.0)
 
-    def restrict(self, frequencies) -> "TrigPolynomial":
-        """The terms whose frequency is among ``frequencies`` (given without repeats)."""
-        query = TrigPolynomial([(k, 0.0) for k in frequencies], self.dimension)
-        _, at, owner, _ = _stack([self, query], self.dimension)
-        keep = np.isin(at[owner == 0], at[owner == 1])
-        return TrigPolynomial.from_arrays(self._freqs[keep], self._coeffs[keep],
-                                          self.dimension)
-
     # -- evaluation -------------------------------------------------------
 
     def evaluate(self, points):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from usdlab.dictionary import (Dictionary, SubspaceCollection,
-                               nikolskii_ratio_estimate)
+from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.errors import DimensionMismatchError, NormBudgetError
 from usdlab.frequencies import hyperbolic_cross
 from usdlab.points import PointSet
@@ -108,46 +107,6 @@ def test_collection_counts_and_enumeration():
         SubspaceCollection.from_subsets(d, [(0, 1), (2,)])
     with pytest.raises(ValueError):
         SubspaceCollection.from_subsets(d, [(0, 9)])
-
-
-def test_nikolskii_singleton_is_one():
-    single = Dictionary([TrigPolynomial({(1,): 1.0})], uniform_bound=1.0)
-    assert nikolskii_ratio_estimate(single, 3.0, trials=5) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_nikolskii_band_reaches_cauchy_schwarz_extreme():
-    # for the full band at q = 2 the constant is exactly sqrt(2N + 1),
-    # attained by equal coefficients
-    for n_param in (2, 4):
-        d = Dictionary.exponential_band(-n_param, n_param)
-        est = nikolskii_ratio_estimate(d, 2.0, trials=20, rng_seed=1)
-        exact = math.sqrt(2 * n_param + 1)
-        assert est >= 0.999 * exact
-        assert est <= exact * (1 + 1e-12)
-
-
-def test_nikolskii_trend_with_cross_size():
-    # desk-scale trend check: the estimate grows like sqrt(dim) for d = 1
-    ests = []
-    for n_param in (2, 4, 8):
-        d = Dictionary.exponentials(hyperbolic_cross(n_param, 1))
-        ests.append(nikolskii_ratio_estimate(d, 2.0, trials=10, rng_seed=0))
-    assert ests[0] < ests[1] < ests[2]
-    for n_param, est in zip((2, 4, 8), ests):
-        assert est == pytest.approx(math.sqrt(2 * n_param + 1), rel=1e-3)
-
-
-def test_nikolskii_trend_two_dimensional_cross():
-    # the estimate should track N^{1/q} (log N)^{(d-1)(1-1/q)} at desk scale:
-    # the ratio estimate/shape stays within a narrow band as N grows
-    q = 2.0
-    ratios = []
-    for n_param in (2, 4, 8):
-        d = Dictionary.exponentials(hyperbolic_cross(n_param, 2))
-        est = nikolskii_ratio_estimate(d, q, trials=8, rng_seed=3, grid_level=6)
-        shape = n_param ** (1 / q) * math.log2(2 * n_param) ** (1 - 1 / q)
-        ratios.append(est / shape)
-    assert max(ratios) / min(ratios) < 2.0
 
 
 def test_stored_union_frequencies_and_coefficients():

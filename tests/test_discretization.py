@@ -8,8 +8,7 @@ import pytest
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (LIFT_CAP_BYTES, RatioOptions, UsdCertificate,
-                                   check_usd, discrete_lp_norm,
-                                   discretization_error_trials,
+                                   check_usd, discretization_error_trials,
                                    expected_sup_estimate, find_usd_points,
                                    subspace_ratio_bounds, usd_sample_budget)
 from usdlab.errors import (CapExceededError, DimensionMismatchError,
@@ -18,15 +17,6 @@ from usdlab.frequencies import FrequencySet
 from usdlab.points import PointSet
 from usdlab.recovery import DiscreteInstance
 from usdlab.trigpoly import TrigPolynomial, lp_norm
-
-
-def test_discrete_lp_norm_cases():
-    assert discrete_lp_norm([1, 1, 1, 1], 3.7) == pytest.approx(1.0)
-    assert discrete_lp_norm([0, 0, 0], 2) == 0.0
-    # (|1|^2 + |-1|^2 + |2i|^2)/3 = 2
-    assert discrete_lp_norm([1, -1, 2j], 2) == pytest.approx(math.sqrt(2))
-    with pytest.raises(ValueError):
-        discrete_lp_norm([], 2)
 
 
 def test_equispaced_quadrature_is_exact():
@@ -475,7 +465,6 @@ def test_integral_counts_and_seeds_of_any_integer_type_are_accepted():
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5],
                          ids=["nan", "inf", "half"])
 @pytest.mark.parametrize("call", [
-    lambda p: discrete_lp_norm([1.0, 2.0], p),
     lambda p: lp_norm(TrigPolynomial({(1,): 1.0}), p),
     lambda p: check_usd(PointSet.equispaced(16), _band_collection(), p),
     lambda p: subspace_ratio_bounds((0, 1), Dictionary.exponential_band(-2, 2),
@@ -483,8 +472,7 @@ def test_integral_counts_and_seeds_of_any_integer_type_are_accepted():
     lambda p: DiscreteInstance.from_function(
         TrigPolynomial({(1,): 1.0}), Dictionary.exponential_band(-2, 2),
         PointSet.equispaced(16), p),
-], ids=["discrete_lp_norm", "lp_norm", "check_usd", "subspace_ratio_bounds",
-        "discrete_instance"])
+], ids=["lp_norm", "check_usd", "subspace_ratio_bounds", "discrete_instance"])
 def test_every_exponent_boundary_rejects_bad_p(call, p):
     with pytest.raises(ValueError):
         call(p)

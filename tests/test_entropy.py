@@ -12,8 +12,7 @@ from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
                             chaining_bound_dyadic,
                             double_exponential_tail_constant,
                             double_exponential_tail_sum, entropy_numbers,
-                            farthest_point_radii, finite_dim_decay_check,
-                            greedy_cover)
+                            farthest_point_radii, greedy_cover)
 from usdlab.errors import ProfileTooShortError
 
 
@@ -245,22 +244,6 @@ def test_dyadic_flat_sum_inequality():
             dy = chaining_bound_dyadic(profile, p, 1.0, m)
             flat = chaining_bound(profile, p, 1.0, m)
             assert dy <= 2.0 * math.sqrt(2.0) * flat + 1e-12
-
-
-def test_finite_dim_decay_check_singleton():
-    s = cls_from_rows([[0.3, 0.4]])
-    assert finite_dim_decay_check(s, dim=1, k0=1, k=2)
-
-
-def test_finite_dim_decay_check_two_dim_span():
-    d = Dictionary.exponential_band(0, 1)
-    rng = np.random.default_rng(5)
-    coeff = rng.standard_normal((2, 10**4)) + 1j * rng.standard_normal((2, 10**4))
-    coeff /= np.linalg.norm(coeff, axis=0)
-    grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)[:, None]
-    basis = d.values_at(grid)
-    s = SampledClass((basis @ coeff).T)
-    assert finite_dim_decay_check(s, dim=2, k0=1, k=4)
 
 
 def brute_force_tail_sum(a, b, m, terms=80):

@@ -469,16 +469,19 @@ def test_cli_rejects_out_of_schema_params(tmp_path, subcommand, config, key, val
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_import_does_not_load_scipy_stats():
-    code = "import sys, usdlab; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "False"
-
-
 def test_import_loads_no_scipy_module():
-    code = ("import sys, usdlab, usdlab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # nor numpy.ma, a 25 ms import that np.unique makes on first use unless
+    # it returns an inverse; d > 1 level unranking, level norms and p = 2
+    # gap trials all call np.unique
+    code = "\n".join([
+        "import sys, numpy as np, usdlab, usdlab.cli",
+        "from usdlab.discretization import discretization_error_trials",
+        "usdlab.unrank_level(4, 2, np.arange(usdlab.level_size(4, 2)))",
+        "usdlab.level_a_norms(usdlab.TrigPolynomial({(1, 2): 1.0, (5, 0): 1j}))",
+        "discretization_error_trials([usdlab.TrigPolynomial({1: 1.0, -2: 0.5})], 2, 8, 3)",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
+        "             or m.split('.')[:2] == ['numpy', 'ma']))",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"

@@ -14,10 +14,10 @@ from usdlab.frequencies import FrequencySet, frequency_levels, level_of
 from usdlab.points import PointSet
 from usdlab.recovery import (DiscreteInstance, SparseApproximant,
                              best_v_term_error_blended, best_v_term_oracle,
-                             block_greedy_approximant, block_term_count,
-                             block_term_schedule, chebyshev_projection,
-                             norming_functional_action, recovery_pipeline,
-                             wcga_iteration_budget, weak_chebyshev_greedy)
+                             block_greedy_approximant, block_term_schedule,
+                             chebyshev_projection, norming_functional_action,
+                             recovery_pipeline, wcga_iteration_budget,
+                             weak_chebyshev_greedy)
 from usdlab.smoothness import SmoothnessBudget, level_budget_element
 from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size, lp_norm
 
@@ -261,15 +261,12 @@ def test_oracle_dominates_wcga_fifty_instances():
         assert oracle.residual_norm <= greedy.residual_norm + 1e-12
 
 
-def test_block_term_count_hand_schedule():
-    # n = 3, beta = 1/2, d = 1: floor(2^{3 - (j-3)/2})
+def test_block_term_schedule_hand_values():
+    # n = 3, beta = 1/2, d = 1: floor(2^{3 - (j-3)/2}), which is 0 from j = 10
     expected = {3: 8, 4: 5, 5: 4, 6: 2, 7: 2, 8: 1, 9: 1, 10: 0}
     for j, v in expected.items():
-        brute = math.floor(2.0 ** (3 - 0.5 * (j - 3)) * j ** 0)
-        assert brute == v  # hand evaluation of the floor formula
-        assert block_term_count(3, 0.5, 1, j) == v
-    schedule = block_term_schedule(3, 0.5, 1)
-    assert schedule == [(3, 8), (4, 5), (5, 4), (6, 2), (7, 2), (8, 1), (9, 1)]
+        assert math.floor(2.0 ** (3 - 0.5 * (j - 3))) == v  # the floor formula by hand
+    assert block_term_schedule(3, 0.5, 1) == [(j, v) for j, v in expected.items() if v]
 
 
 def test_block_term_schedule_d2_nonmonotone_guard():

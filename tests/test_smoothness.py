@@ -6,14 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from usdlab.errors import CapExceededError, NormBudgetError
-from usdlab.frequencies import level_frequencies, level_of
+from usdlab.errors import CapExceededError
+from usdlab.frequencies import level_frequencies
 from usdlab.smoothness import (SmoothnessBudget, bernoulli_kernel,
-                               bernoulli_kernel_tail_bound, dyadic_blocks,
-                               kernel_coefficient, level_a_norms,
-                               level_budget_element, mixed_difference_seminorm,
-                               mixed_smoothness_element)
-from usdlab.trigpoly import TrigPolynomial, lp_norm, tensor_grid_points
+                               bernoulli_kernel_tail_bound, level_a_norms,
+                               level_budget_element)
+from usdlab.trigpoly import TrigPolynomial, tensor_grid_points
 
 
 def test_kernel_constant_term_is_one():
@@ -54,42 +52,6 @@ def test_kernel_values_match_cosine_series():
 def test_kernel_tail_bound():
     assert bernoulli_kernel_tail_bound(2.0, 100) == pytest.approx(2 / 100)
     assert math.isinf(bernoulli_kernel_tail_bound(0.9, 100))
-
-
-def test_smoothed_element_of_constant_is_constant():
-    phi = TrigPolynomial({(0,): 1.0})
-    f = mixed_smoothness_element(phi, 1.5, 2)
-    assert f.coeffs == {(0,): 1.0}
-
-
-def test_smoothed_element_coefficient_product():
-    phi = TrigPolynomial({(2,): 1.0})
-    f = mixed_smoothness_element(phi, 1.0, 2)
-    expected = 0.5 * cmath.exp(-1j * math.pi / 2)
-    assert f.coeffs[(2,)] == pytest.approx(expected)
-
-
-def test_smoothed_element_support_preserved():
-    rng = np.random.default_rng(9)
-    coeffs = {(int(k),): complex(v, w) for k, v, w in
-              zip(rng.integers(-6, 7, 5), rng.normal(size=5), rng.normal(size=5))}
-    phi = TrigPolynomial(coeffs)
-    phi = phi.scale(0.5 / max(lp_norm(phi, 3), 1e-9))
-    f = mixed_smoothness_element(phi, 0.8, 3)
-    assert set(f.support) == set(phi.support)
-
-
-def test_smoothed_element_tensor_kernel_d2():
-    phi = TrigPolynomial({(1, 2): 1.0})
-    f = mixed_smoothness_element(phi, 1.0, 2)
-    expected = kernel_coefficient(1, 1.0) * kernel_coefficient(2, 1.0)
-    assert f.coeffs[(1, 2)] == pytest.approx(expected)
-
-
-def test_smoothed_element_rejects_large_phi():
-    phi = TrigPolynomial({(0,): 3.0})
-    with pytest.raises(NormBudgetError):
-        mixed_smoothness_element(phi, 1.0, 2)
 
 
 def test_budget_element_level_zero_is_unit_constant():
@@ -212,76 +174,3 @@ def test_budget_element_accepts_numpy_integer_rules():
 def test_budget_element_level_cap_still_applies_to_integer_rules():
     with pytest.raises(CapExceededError):
         level_budget_element(SmoothnessBudget(1.0, 0.0, 1, 24), support_rule=8)
-
-
-def test_dyadic_blocks_reassemble():
-    budget = SmoothnessBudget(1.0, 0.0, 1, 4)
-    f = level_budget_element(budget, rng_seed=2)
-    blocks = dyadic_blocks(f)
-    total = None
-    for block in blocks.values():
-        total = block if total is None else total + block
-    assert total.coeffs == f.coeffs
-    for j, block in blocks.items():
-        assert all(level_of(k) == j for k in block.support)
-
-
-def test_mixed_difference_empty_subset_is_identity():
-    f = TrigPolynomial({2: 1.5, -1: 0.5})
-    assert mixed_difference_seminorm(f, 0.5, 2, [0.3], [], 2) == pytest.approx(
-        lp_norm(f, 2))
-
-
-def test_mixed_difference_kills_constants():
-    f = TrigPolynomial({(0,): 4.2})
-    assert mixed_difference_seminorm(f, 1.0, 1, [0.7], [0], 2) == 0.0
-
-
-def test_mixed_difference_single_exponential_hand_value():
-    # first difference of e^{ix} at step pi has norm |e^{i pi} - 1| = 2
-    f = TrigPolynomial({1: 1.0})
-    r = 0.6
-    val = mixed_difference_seminorm(f, r, 1, [math.pi], [0], 2)
-    assert val == pytest.approx(2.0 / math.pi ** r, rel=1e-12)
-
-
-def test_mixed_difference_multiplier_power():
-    # the order-l difference multiplies each coefficient by (e^{i k t} - 1)^l
-    f = TrigPolynomial({3: 2.0})
-    t, l = 0.37, 3
-    val = mixed_difference_seminorm(f, 0.0, l, [t], [0], 2)
-    assert val == pytest.approx(2.0 * abs(cmath.exp(1j * 3 * t) - 1) ** l,
-                                rel=1e-12)
-
-
-def test_mixed_difference_matches_function_space_oracle():
-    # independent oracle: apply the difference to sampled values directly
-    rng = np.random.default_rng(17)
-    f = TrigPolynomial({(int(k),): complex(a, b) for k, a, b in
-                        zip(rng.integers(-5, 6, 4), rng.normal(size=4),
-                            rng.normal(size=4))})
-    t, l = 0.9, 2
-    grid = tensor_grid_points(256, 1)
-    diff_vals = np.zeros(256, dtype=complex)
-    for i in range(l + 1):
-        diff_vals += math.comb(l, i) * (-1) ** (l - i) * f.evaluate(grid + i * t)
-    oracle = (np.mean(np.abs(diff_vals) ** 2.0)) ** 0.5
-    lib = mixed_difference_seminorm(f, 0.0, l, [t], [0], 2)
-    assert lib == pytest.approx(oracle, rel=1e-10)
-
-
-def test_mixed_difference_d2_subset():
-    f = TrigPolynomial({(1, 2): 1.0})
-    t = [0.5, 0.25]
-    val = mixed_difference_seminorm(f, 1.0, 1, t, [0, 1], 2)
-    expect = (abs(cmath.exp(1j * 0.5) - 1) * abs(cmath.exp(2j * 0.25) - 1)
-              / (0.5 * 0.25))
-    assert val == pytest.approx(expect, rel=1e-12)
-
-
-def test_mixed_difference_validates_input():
-    f = TrigPolynomial({1: 1.0})
-    with pytest.raises(ValueError):
-        mixed_difference_seminorm(f, 1.0, 0, [0.5], [0], 2)
-    with pytest.raises(ValueError):
-        mixed_difference_seminorm(f, 1.0, 1, [0.0], [0], 2)

@@ -137,14 +137,12 @@ def test_sup_dominates_lp_on_shared_grids():
             assert s >= lp_norm(f, p) - 1e-8
 
 
-def test_algebra_and_restrict():
+def test_algebra():
     f = TrigPolynomial({1: 1.0, 2: 2.0})
     g = TrigPolynomial({1: -1.0, 3: 1.0})
     h = f + g
     assert h.coeffs[(2,)] == 2.0 and h.coeffs[(3,)] == 1.0
     assert h.coeffs[(1,)] == 0.0
-    r = h.restrict([(2,), (3,)])
-    assert set(r.support) == {(2,), (3,)}
     assert (f - f).coefficient_l2() == 0.0
 
 
@@ -310,8 +308,6 @@ def test_from_arrays_sorts_rows_and_validates():
         TrigPolynomial.from_arrays([[1, 2]], [1.0], 1)
     with pytest.raises(DimensionMismatchError):
         TrigPolynomial({(1,): 1.0, (1, 2): 1.0})
-    with pytest.raises(DimensionMismatchError):
-        TrigPolynomial({(1,): 1.0}).restrict([(1, 0)])
 
 
 def test_storage_is_a_read_only_copy_and_the_mapping_a_view():
