@@ -27,6 +27,8 @@ from .points import PointSet
 # and the most values a level after the first gathers at once.
 _LADDER_POINTS = (8, 64)
 _REFINE_ELEMS = 1 << 16
+# rows per block of the single-precision cast of a sample's values
+_CAST_ROWS = 64
 
 
 def l1_ball_draws(n: int, count: int, seed: int, sparse_supports: bool = True):
@@ -148,11 +150,16 @@ def _ladder_levels(values):
     reduction across a few rows; the later ones row-major, so surviving
     rows gather contiguously.
     """
+    # equal to the parts of values.astype(np.complex64), without that complex
+    # intermediate; C order keeps every row gather contiguous, and blocks of
+    # rows keep the transposing reads of F-ordered values within the cache
+    re = np.empty(values.shape, dtype=np.float32)
+    im = np.empty(values.shape, dtype=np.float32)
     with np.errstate(over="ignore"):  # overflow is rejected just below
-        # equal to the parts of values.astype(np.complex64), without that
-        # complex intermediate; C order keeps every row gather contiguous
-        re = values.real.astype(np.float32, order="C")
-        im = values.imag.astype(np.float32, order="C")
+        for lo in range(0, values.shape[0], _CAST_ROWS):
+            block = values[lo:lo + _CAST_ROWS]
+            re[lo:lo + _CAST_ROWS] = block.real
+            im[lo:lo + _CAST_ROWS] = block.imag
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("sample values must be finite in single precision")
     strides = [max(1, re.shape[1] // w) for w in _LADDER_POINTS]

