@@ -2,7 +2,8 @@
 
 Subcommands map one to one onto experiment kinds; every subcommand takes a
 JSON config file plus optional overrides.  Exit codes: 0 all assertions
-passed, 1 assertion failure, 2 configuration error, 3 a runtime cap was
+passed, 1 assertion failure, 2 configuration error (including a malformed
+input file or a non-integer ``$USDLAB_THREADS``), 3 a runtime cap was
 exceeded.
 """
 
@@ -65,7 +66,12 @@ def _load_config(args):
     if args.threads is not None:
         raw["threads"] = args.threads
     elif "threads" not in raw:
-        raw["threads"] = int(os.environ.get(THREADS_ENV, "1"))
+        text = os.environ.get(THREADS_ENV, "1")
+        try:
+            raw["threads"] = int(text)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {text!r}",
+                              path=THREADS_ENV) from None
     return validate_config(raw)
 
 

@@ -34,10 +34,10 @@ import numpy as np
 
 from .dictionary import Dictionary, SubspaceCollection
 from .errors import CapExceededError, DimensionMismatchError, RankDeficiencyError
-from .points import PointSet, tensor_grid_points
-from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _half_spectrum,
-                       _phases, _quadrature_grid_size, _run,
-                       _union_coefficients, _values_on, lp_norm)
+from .points import PointSet, _integer_argument, tensor_grid_points
+from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _phases,
+                       _quadrature_grid_size, _union_coefficients, _values_on,
+                       lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
 MULTISTART_GRAD_TOL = 1e-9
@@ -744,6 +744,8 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
     Each draw is derived from ``(rng_seed, draw_index)`` so the search is
     reproducible and individual draws can be regenerated from the result.
     """
+    m = _integer_argument("m", m)
+    max_trials = _integer_argument("max_trials", max_trials)
     if m < 1:
         raise ValueError("need at least one sample point")
     if max_trials < 1:
@@ -766,17 +768,6 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
                            draws)
 
 
-def _integer_argument(name, value) -> int:
-    """``value`` as an int; a bool or a non-integral value raises ``ValueError``."""
-    try:
-        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        whole = None
-    if whole is None or whole != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return whole
-
-
 def _difference_correlations(k, coeffs):
     """The sorted positive differences D of the ascending distinct
     frequencies ``k`` and the (len(D), n) array whose row for j in D holds,
@@ -789,6 +780,16 @@ def _difference_correlations(k, coeffs):
     for a in range(len(k) - 1):   # the differences from one k_a are distinct
         corr[np.searchsorted(diffs, k[a + 1:] - k[a])] += coeffs[a].conj() * coeffs[a + 1:]
     return diffs, corr
+
+
+def _run(idx):
+    """``idx`` as a slice when it steps by +1 or -1 throughout, else as is."""
+    if len(idx) > 1:
+        step = int(idx[1] - idx[0])
+        if abs(step) == 1 and (np.diff(idx) == step).all():
+            stop = int(idx[-1]) + step
+            return slice(int(idx[0]), stop if stop >= 0 else None, step)
+    return idx
 
 
 def _power_sums(theta, powers):
@@ -871,7 +872,6 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     if moments:
         diffs, corr = _difference_correlations(karr[:, 0], coeff)
     else:
-        halves = _half_spectrum(karr)
         cont = np.array([lp_norm(f, p, grid_level) ** p for f in functions])
     errs = np.empty(mc_trials)
     for t in range(mc_trials):
@@ -881,12 +881,10 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
             sums = _power_sums(x[:, 0], diffs)
             gaps = (corr * sums[:, None]).real.sum(axis=0) * (2.0 / m)
         else:
-            # kept bound until the next trial rebinds it: the inlined form
-            # measured about 25 % slower at m = 4096 (memory is reused
-            # differently); one contiguous row per function, so each mean
-            # sums its nodes pairwise (down the columns of the (m, n)
-            # values it would add them one node at a time)
-            vals = np.ascontiguousarray(_values_on(x, karr, coeff, halves).T)
+            # one contiguous row per function, so each mean sums its nodes
+            # pairwise (down the columns of the (m, n) values it would add
+            # them one node at a time)
+            vals = np.ascontiguousarray(_values_on(x, karr, coeff).T)
             gaps = np.mean(np.abs(vals) ** p, axis=1) - cont
         errs[t] = np.max(np.abs(gaps))
     return errs

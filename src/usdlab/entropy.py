@@ -20,7 +20,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .errors import ProfileTooShortError
-from .points import PointSet
+from .points import PointSet, _integer_argument
 
 # Pruning ladder of the farthest-point traversal: about this many strided
 # grid columns per level, coarsest first (the full grid is the last level),
@@ -310,6 +310,7 @@ def entropy_numbers(sampled: SampledClass, n_max: int) -> EntropyProfile:
     at every radius simultaneously.  Budgets of at least the sample size
     give radius zero outright.
     """
+    n_max = _integer_argument("n_max", n_max)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n_reps = sampled.count

@@ -391,6 +391,9 @@ def _points_from_config(spec, dimension, seed):
     except FileNotFoundError:
         raise ConfigError(f"params.points.file: no such file {spec['file']}",
                           path="params.points.file") from None
+    except (KeyError, TypeError):
+        raise ConfigError(f"params.points.file: {spec['file']} is not an object "
+                          'with a "points" list', path="params.points.file") from None
 
 
 def _run_usd_verify(cfg: ExperimentConfig):
@@ -606,13 +609,18 @@ def _run_fit(cfg: ExperimentConfig):
     except FileNotFoundError:
         raise ConfigError(f"params.input_csv: no such file {p['input_csv']}",
                           path="params.input_csv") from None
+    except StopIteration:
+        raise ConfigError(f"params.input_csv: {p['input_csv']} has no header row",
+                          path="params.input_csv") from None
+    columns = []
     for axis in ("x_column", "y_column"):
         if p[axis] not in header_in:
             raise ConfigError(
                 f"params.{axis}: column {p[axis]!r} not in {header_in}",
                 path=f"params.{axis}")
-    xs = _column(header_in, rows_in, p["x_column"])
-    ys = _column(header_in, rows_in, p["y_column"])
+        with _building(axis):
+            columns.append([float(v) for v in _column(header_in, rows_in, p[axis])])
+    xs, ys = columns
     if p.get("aggregate", "none") == "mean_by_x":
         groups: dict = {}
         for x, y in zip(xs, ys):
@@ -620,7 +628,7 @@ def _run_fit(cfg: ExperimentConfig):
         pairs = [(x, float(np.mean(v))) for x, v in sorted(groups.items())]
     else:
         pairs = list(zip(xs, ys))
-    return ["x", "y"], [(float(x), float(y)) for x, y in pairs], {}
+    return ["x", "y"], pairs, {}
 
 
 def _summarize_fit(cfg, header, rows, strict):

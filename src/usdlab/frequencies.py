@@ -73,6 +73,13 @@ class FrequencySet:
         return cls.from_indices(obj["indices"], dimension=obj["dimension"])
 
 
+def _refuse_above_cap(size: int, what: str):
+    if size > DEFAULT_FREQUENCY_CAP:
+        raise CapExceededError(
+            f"{what} holds {size} indices, above the cap {DEFAULT_FREQUENCY_CAP}",
+            predicted=size, cap=DEFAULT_FREQUENCY_CAP)
+
+
 @lru_cache(maxsize=None)
 def hyperbolic_cross_size(n_param: int, d: int) -> int:
     """Cardinality of ``{k in Z^d : prod_j max(|k_j|, 1) <= n_param}``."""
@@ -86,20 +93,16 @@ def hyperbolic_cross_size(n_param: int, d: int) -> int:
     return total
 
 
-def hyperbolic_cross(n_param: int, d: int, cap: int = DEFAULT_FREQUENCY_CAP) -> FrequencySet:
+def hyperbolic_cross(n_param: int, d: int) -> FrequencySet:
     """All k in Z^d with ``prod_j max(|k_j|, 1) <= n_param``, sorted.
 
     Refuses (with the predicted cardinality) when the set would exceed
-    ``cap`` entries.
+    ``DEFAULT_FREQUENCY_CAP`` entries.
     """
     if n_param < 1 or d < 1:
         raise ValueError("n_param and d must be >= 1")
     predicted = hyperbolic_cross_size(n_param, d)
-    if predicted > cap:
-        raise CapExceededError(
-            f"hyperbolic cross with N={n_param}, d={d} holds {predicted} "
-            f"indices, above the cap {cap}",
-            predicted=predicted, cap=cap)
+    _refuse_above_cap(predicted, f"hyperbolic cross with N={n_param}, d={d}")
     out = []
 
     def recurse(prefix, budget, remaining):
@@ -124,7 +127,7 @@ def dyadic_annulus(s: int) -> list:
     return list(range(-hi + 1, -lo + 1)) + list(range(lo, hi))
 
 
-def dyadic_block(s, cap: int = DEFAULT_FREQUENCY_CAP) -> FrequencySet:
+def dyadic_block(s) -> FrequencySet:
     """Product of per-coordinate dyadic annuli for the index vector ``s``."""
     s = tuple(int(v) for v in (s if not isinstance(s, int) else (s,)))
     if any(v < 0 for v in s):
@@ -132,10 +135,7 @@ def dyadic_block(s, cap: int = DEFAULT_FREQUENCY_CAP) -> FrequencySet:
     size = 1
     for v in s:
         size *= 1 if v == 0 else 2 ** v
-    if size > cap:
-        raise CapExceededError(
-            f"dyadic block {s} holds {size} indices, above the cap {cap}",
-            predicted=size, cap=cap)
+    _refuse_above_cap(size, f"dyadic block {s}")
     annuli = [dyadic_annulus(v) for v in s]
     indices = tuple(itertools.product(*annuli))
     return FrequencySet(indices, len(s))
@@ -169,14 +169,11 @@ def level_size(j: int, d: int) -> int:
                                       for s in range(1, j + 1))
 
 
-def _checked_level_size(j: int, d: int, cap: int = DEFAULT_FREQUENCY_CAP) -> int:
+def _checked_level_size(j: int, d: int) -> int:
     if j < 0 or d < 1:
         raise ValueError("level must be >= 0 and d >= 1")
     size = level_size(j, d)
-    if size > cap:
-        raise CapExceededError(
-            f"level {j} in dimension {d} holds {size} indices, above the cap {cap}",
-            predicted=size, cap=cap)
+    _refuse_above_cap(size, f"level {j} in dimension {d}")
     return size
 
 
@@ -227,12 +224,12 @@ def frequency_levels(freq_array) -> np.ndarray:
     return np.frexp(np.abs(np.asarray(freq_array, dtype=np.int64)))[1].sum(axis=1)
 
 
-def level_frequencies(j: int, d: int, cap: int = DEFAULT_FREQUENCY_CAP) -> FrequencySet:
+def level_frequencies(j: int, d: int) -> FrequencySet:
     """Union of the dyadic blocks with ``|s|_1 = j`` in dimension ``d``.
 
     Every rank of the level is unranked by :func:`unrank_level`, the one
     source of the level's lexicographic order.
     """
-    size = _checked_level_size(j, d, cap)
+    size = _checked_level_size(j, d)
     indices = unrank_level(j, d, np.arange(size)).tolist()
     return FrequencySet(tuple(map(tuple, indices)), d)

@@ -13,6 +13,17 @@ TWO_PI = 2.0 * np.pi
 GRID_POINT_CAP = 1 << 24
 
 
+def _integer_argument(name, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises ``ValueError``."""
+    try:
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
 def tensor_grid_points(n: int, d: int) -> np.ndarray:
     """Equispaced tensor quadrature grid as an (n^d, d) array."""
     if n ** d > GRID_POINT_CAP:
@@ -74,10 +85,10 @@ class PointSet:
 
         Grids above ``GRID_POINT_CAP`` points raise ``GridTooCoarseError``.
         """
+        n, d = _integer_argument("n", n), _integer_argument("d", d)
         if n < 1:
             raise ValueError("need at least one point per dimension")
-        return cls(tensor_grid_points(n, d),
-                   {"kind": "equispaced", "n_per_dim": int(n)})
+        return cls(tensor_grid_points(n, d), {"kind": "equispaced", "n_per_dim": n})
 
     def append(self, other: "PointSet") -> "PointSet":
         if other.dimension != self.dimension:

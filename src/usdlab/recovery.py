@@ -37,7 +37,7 @@ from .dictionary import Dictionary
 from .discretization import UsdCertificate, _one_sided_constant
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
 from .frequencies import frequency_levels
-from .points import PointSet, tensor_grid_points
+from .points import PointSet, _integer_argument, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _quadrature_grid_size,
                        lp_norm)
 
@@ -244,6 +244,7 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, max_iter: int = 100,
     weakness parameter t = 1; ties go to the lowest index), and re-projects
     onto everything selected so far.
     """
+    max_iter = _integer_argument("max_iter", max_iter)
     b = inst.f_values
     weights = inst.weights
     support: list = []
@@ -341,8 +342,7 @@ def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
     return out
 
 
-def best_v_term_oracle(inst: DiscreteInstance, v: int,
-                       cap: int = ORACLE_SUBSET_CAP) -> SparseApproximant:
+def best_v_term_oracle(inst: DiscreteInstance, v: int) -> SparseApproximant:
     """Best v-term approximation in the instance norm by exact pruned search.
 
     Every subset gets a Hoelder-duality lower bound on its residual norm
@@ -354,9 +354,9 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int,
     subset: the smallest residual, ties to the lexicographically first
     subset.  A rank-deficient subset raises ``RankDeficiencyError`` for
     the lexicographically first one, whether or not it could win.
-    Refuses when the subset count C(N, v) exceeds the cap.
+    Refuses when the subset count C(N, v) exceeds ``ORACLE_SUBSET_CAP``.
     """
-    n = inst.n_elements
+    n, v = inst.n_elements, _integer_argument("v", v)
     if v < 0 or v > n:
         raise ValueError("sparsity v must satisfy 0 <= v <= N")
     if v == 0:
@@ -364,10 +364,10 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int,
                                  inst.norm(inst.f_values), [], True,
                                  "exhaustive(v=0)")
     count = math.comb(n, v)
-    if count > cap:
+    if count > ORACLE_SUBSET_CAP:
         raise CapExceededError(
-            f"exhaustive search over {count} subsets exceeds the cap {cap}",
-            predicted=count, cap=cap)
+            f"exhaustive search over {count} subsets exceeds the cap {ORACLE_SUBSET_CAP}",
+            predicted=count, cap=ORACLE_SUBSET_CAP)
     subsets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), v)),
         dtype=np.intp, count=count * v).reshape(count, v)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -178,54 +177,6 @@ def _combination(polys, weights, dimension):
     return TrigPolynomial.from_arrays(union, total, dimension)
 
 
-class _HalfSpectrum(NamedTuple):
-    """The k <-> -k map of a one-column frequency array as column selectors.
-
-    ``direct`` selects the rows that are exponentiated: k > 0 and every
-    k < 0 without a mirror.  Row ``mirror[i]`` is the negation of direct row
-    number ``source[i]``; ``zero`` selects the k = 0 row, if any.  A
-    selector that steps by +1 or -1 is a slice, so a sorted set closed
-    under negation is filled by strided block copies.
-    """
-
-    direct: object
-    mirror: object
-    source: object
-    zero: np.ndarray
-
-
-_PLAIN = _HalfSpectrum(*[np.zeros(0, dtype=np.intp)] * 4)   # exponentiate every column
-
-
-def _run(idx):
-    """``idx`` as a slice when it steps by +1 or -1 throughout, else as is."""
-    if len(idx) > 1:
-        step = int(idx[1] - idx[0])
-        if abs(step) == 1 and (np.diff(idx) == step).all():
-            stop = int(idx[-1]) + step
-            return slice(int(idx[0]), stop if stop >= 0 else None, step)
-    return idx
-
-
-def _half_spectrum(freqs):
-    """The k <-> -k map of an (n, d) int64 frequency array without repeated
-    rows, or ``_PLAIN`` where no row is mirrored or d > 1.  The coordinate
-    sum of ``_phases`` would make the mirror exact for d > 1 too; d > 1 stays
-    plain only because no workload measures it."""
-    if freqs.shape[1] != 1:
-        return _PLAIN
-    k = freqs[:, 0]
-    order = np.argsort(k)
-    partner = order[np.searchsorted(k, -k, sorter=order).clip(max=len(k) - 1)]
-    mirrored = (k < 0) & (k[partner] == -k)
-    if not mirrored.any():
-        return _PLAIN
-    direct = ~mirrored & (k != 0)
-    return _HalfSpectrum(_run(np.flatnonzero(direct)), _run(np.flatnonzero(mirrored)),
-                         _run((np.cumsum(direct) - 1)[partner[mirrored]]),
-                         np.flatnonzero(k == 0))
-
-
 def _phases(points, kt):
     """The (m, F) phases <x, k> for (d, F) float frequencies ``kt``, summed
     coordinate by coordinate in a fixed order, so a column's bits do not
@@ -237,21 +188,12 @@ def _phases(points, kt):
     return phase
 
 
-def _values_on(points, freq_array, coeff_array, halves=None):
+def _values_on(points, freq_array, coeff_array):
     """Chunked direct summation; fixed chunk size keeps runs bit-stable.
 
     A 2-D coefficient array gives one column of values per column.  The
-    values are byte-equal to ``np.exp(1j * _phases(x, k.T)) @ c`` per chunk
-    at finite points, so a column's exponentials are those of its
-    frequency alone.  ``halves`` is ``_half_spectrum(freq_array)``, built
-    here when not given; a single row takes the plain product without a map.
-
-    Under a map, only the direct columns are exponentiated.  A mirror
-    column is (re, 0.0 - im) of its partner's, which is bitwise ``exp`` at
-    the negated phase: for d = 1 each phase is one rounded product, so the
-    mirror phase is exactly the negated partner phase, cos is even, and
-    ``0.0 - sin(y)`` is ``sin(-y)`` except at y = 0, where ``exp`` returns
-    +0.0 for either sign.  The k = 0 column is 1.
+    values are ``np.exp(1j * _phases(x, k.T)) @ c`` per chunk, so a
+    column's exponentials are those of its frequency alone.
     """
     if points.shape[1] != freq_array.shape[1]:
         raise DimensionMismatchError(
@@ -260,27 +202,13 @@ def _values_on(points, freq_array, coeff_array, halves=None):
     shape = (m,) + coeff_array.shape[1:]
     if freq_array.shape[0] == 0:
         return np.zeros(shape, dtype=complex)
-    if halves is None:
-        halves = _half_spectrum(freq_array) if freq_array.shape[0] > 1 else _PLAIN
     kt = freq_array.T.astype(float)
-    if halves is not _PLAIN:
-        kt = np.ascontiguousarray(kt[:, halves.direct])
-        # C order, so the product sums each row as for the plain matrix
-        z = np.empty((min(m, _EVAL_CHUNK), freq_array.shape[0]), dtype=complex)
-        z[:, halves.zero] = 1
     out = np.empty(shape, dtype=complex)
     for lo in range(0, m, _EVAL_CHUNK):
         hi = min(lo + _EVAL_CHUNK, m)
-        if halves is _PLAIN:
-            vals = np.exp(1j * _phases(points[lo:hi], kt))
-        else:
-            e = 1j * _phases(points[lo:hi], kt)
-            np.exp(e, out=e)
-            vals = z[:hi - lo]
-            vals[:, halves.direct] = e
-            vals.real[:, halves.mirror] = e.real[:, halves.source]
-            vals.imag[:, halves.mirror] = 0.0 - e.imag[:, halves.source]
-        np.matmul(vals, coeff_array, out=out[lo:hi])
+        # exp in place: one complex temporary per chunk, not two
+        vals = 1j * _phases(points[lo:hi], kt)
+        np.matmul(np.exp(vals, out=vals), coeff_array, out=out[lo:hi])
     return out
 
 

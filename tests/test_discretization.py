@@ -11,11 +11,13 @@ from usdlab.discretization import (LIFT_CAP_BYTES, RatioOptions, UsdCertificate,
                                    check_usd, discretization_error_trials,
                                    expected_sup_estimate, find_usd_points,
                                    subspace_ratio_bounds, usd_sample_budget)
+from usdlab.entropy import SampledClass, entropy_numbers
 from usdlab.errors import (CapExceededError, DimensionMismatchError,
                            RankDeficiencyError)
 from usdlab.frequencies import FrequencySet
 from usdlab.points import PointSet
-from usdlab.recovery import DiscreteInstance
+from usdlab.recovery import (DiscreteInstance, best_v_term_oracle,
+                             weak_chebyshev_greedy)
 from usdlab.trigpoly import TrigPolynomial, lp_norm
 
 
@@ -416,6 +418,35 @@ _WAVE = [TrigPolynomial({(1,): 1.0})]
         "sup_estimate_trials_fractional", "sup_estimate_trials_bool",
         "seed_fractional", "seed_list_fractional"])
 def test_gap_trial_counts_and_seeds_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def _band_instance():
+    band = Dictionary.exponential_band(-2, 2)
+    return DiscreteInstance.from_function(TrigPolynomial({(1,): 1.0}), band,
+                                          PointSet.equispaced(16), 2)
+
+
+def _band_pairs():
+    return SubspaceCollection.all_subsets(Dictionary.exponential_band(-2, 2), 2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: find_usd_points(_band_pairs(), 2, 2.5), "m"),
+    (lambda: find_usd_points(_band_pairs(), 2, True), "m"),
+    (lambda: find_usd_points(_band_pairs(), 2, 16, max_trials=2.5), "max_trials"),
+    (lambda: best_v_term_oracle(_band_instance(), 2.5), "v"),
+    (lambda: weak_chebyshev_greedy(_band_instance(), 2.5), "max_iter"),
+    (lambda: entropy_numbers(SampledClass.from_l1_ball(
+        Dictionary.exponential_band(-2, 2), 8, grid_level=4), 2.5), "n_max"),
+    (lambda: PointSet.equispaced(2.5), "n"),
+    (lambda: PointSet.equispaced(4, 1.5), "d"),
+], ids=["search_m_fractional", "search_m_bool", "search_trials_fractional",
+        "oracle_v_fractional", "wcga_iterations_fractional",
+        "entropy_n_max_fractional", "equispaced_n_fractional",
+        "equispaced_d_fractional"])
+def test_counts_must_be_integers_at_the_api_boundary(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
 

@@ -285,7 +285,7 @@ def test_cli_exit_code_zero_and_one(tmp_path):
     assert main(["er-rate", "--config", bad_cfg]) == 1
 
 
-def test_cli_exit_code_config_error(tmp_path):
+def test_cli_exit_code_config_error(tmp_path, monkeypatch, capsys):
     cfg = er_config(tmp_path / "x")
     cfg["params"]["m_sweep"] = []
     path = write_config(tmp_path, cfg)
@@ -293,6 +293,11 @@ def test_cli_exit_code_config_error(tmp_path):
     # kind mismatch between subcommand and config
     ok = write_config(tmp_path, er_config(tmp_path / "y"), "ok.json")
     assert main(["fit", "--config", ok]) == 2
+    # a thread count from the environment that is not an integer
+    for text in ("abc", "2.5"):
+        monkeypatch.setenv("USDLAB_THREADS", text)
+        assert main(["er-rate", "--config", ok]) == 2
+        assert "USDLAB_THREADS: expected an integer" in capsys.readouterr().err
 
 
 def test_cli_exit_code_cap_exceeded(tmp_path):
@@ -411,6 +416,34 @@ def test_fit_kind_missing_inputs_are_config_errors(tmp_path):
     cfg["params"]["x_column"] = "nope"
     path.write_text(json.dumps(cfg))
     assert main(["fit", "--config", str(path)]) == 2
+    cfg["params"]["x_column"] = "m"
+    path.write_text(json.dumps(cfg))
+    # an empty file has no header row; a non-numeric cell fails its column
+    for text, where in [("", "params.input_csv"),
+                        ("m,error\n8,1.0\n16,abc\n", "params.y_column"),
+                        ("m,error\n8,1.0\n,0.5\n", "params.x_column")]:
+        src.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            run(validate_config(cfg))
+        assert exc.value.path == where
+        assert main(["fit", "--config", str(path)]) == 2
+
+
+def test_malformed_points_files_are_config_errors(tmp_path):
+    points = tmp_path / "points.json"
+    cfg = {
+        "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "v"),
+        "params": {"max_abs_freq": 1, "v": 1, "p": 2,
+                   "points": {"file": str(points)}},
+    }
+    path = write_config(tmp_path, cfg)
+    # no "points" key, and a bare list where an object is expected
+    for obj in [{"provenance": {"kind": "explicit"}}, [[0.1], [0.2]]]:
+        points.write_text(json.dumps(obj))
+        with pytest.raises(ConfigError) as exc:
+            run(validate_config(cfg))
+        assert exc.value.path == "params.points.file"
+        assert main(["usd-verify", "--config", path]) == 2
 
 
 def test_usd_verify_with_explicit_subsets(tmp_path):

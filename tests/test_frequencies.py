@@ -163,8 +163,10 @@ def test_level_frequencies_cap_uses_the_closed_form_size():
     with pytest.raises(CapExceededError) as exc:
         level_frequencies(24, 1)
     assert exc.value.predicted == 2 ** 24
-    with pytest.raises(CapExceededError):
-        level_frequencies(10, 3, cap=level_size(10, 3) - 1)
+    # 10 027 008 indices, just above the cap of 10^7
+    with pytest.raises(CapExceededError) as exc:
+        level_frequencies(16, 3)
+    assert exc.value.predicted == level_size(16, 3) == 10_027_008
     with pytest.raises(ValueError):
         level_frequencies(-1, 2)
 
@@ -197,4 +199,4 @@ def test_frequency_set_json_roundtrip():
 
 def test_dyadic_block_cap():
     with pytest.raises(CapExceededError):
-        dyadic_block((40,), cap=10**6)
+        dyadic_block((40,))

@@ -9,9 +9,8 @@ from usdlab.discretization import discretization_error_trials
 from usdlab.errors import DimensionMismatchError, GridTooCoarseError
 from usdlab.jsonio import dumps
 from usdlab.points import PointSet
-from usdlab.trigpoly import (_PLAIN, TrigPolynomial, _half_spectrum,
-                             _quadrature_lp_norm, _values_on, lp_norm, sup_norm,
-                             sup_norm_info)
+from usdlab.trigpoly import (TrigPolynomial, _quadrature_lp_norm, _values_on,
+                             lp_norm, sup_norm, sup_norm_info)
 
 
 def bits(a):
@@ -199,42 +198,8 @@ def test_values_on_takes_a_coefficient_matrix():
                           np.zeros((9000, 4), dtype=complex))
 
 
-def test_symmetries_behind_the_half_spectrum_kernel_hold_bit_for_bit():
-    # _values_on fills each mirror column from its partner's exponential;
-    # a platform where one of these fails shows here, not as changed bytes
-    rng = np.random.default_rng(35)
-    y = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, np.pi, -np.pi, 1e15],
-                        rng.uniform(-200, 200, 20000),
-                        1e-8 * rng.standard_normal(2000)])
-    assert np.array_equal(bits(np.exp(1j * y)), bits(np.cos(y) + 1j * np.sin(y)))
-    assert np.array_equal(bits(np.cos(-y)), bits(np.cos(y)))
-    nonzero = y != 0
-    assert np.array_equal(bits(0.0 - np.sin(y[nonzero])), bits(np.sin(-y[nonzero])))
-    # sin(-0.0) is -0.0, but exp returns +0.0 at phase +0.0 and -0.0 alike,
-    # and 0.0 - (+0.0) is +0.0 again
-    assert np.array_equal(bits(np.exp(1j * np.array([0.0, -0.0]))),
-                          bits(np.array([1.0, 1.0], dtype=complex)))
-    e, flipped = np.exp(1j * y), np.exp(1j * -y)
-    assert np.array_equal(bits(flipped.real), bits(e.real))
-    assert np.array_equal(bits(flipped.imag), bits(0.0 - e.imag))
-    # d = 1: every phase is one rounded product, which negates exactly, and
-    # the direct columns alone give the same products as the full matrix
-    x = rng.uniform(0, 2 * np.pi, (3000, 1))
-    k = np.arange(1, 65)[None, :].astype(float)
-    assert np.array_equal(bits(x @ -k), bits(-(x @ k)))
-    kt = np.arange(-40, 25)[None, :].astype(float)
-    direct = _half_spectrum(kt.T.astype(np.int64)).direct
-    assert np.array_equal(bits(x @ kt[:, direct]), bits((x @ kt)[:, direct]))
-
-
-def test_er_rate_band_exponentiates_its_positive_half_only(monkeypatch):
-    # the +-16 band of er-rate: k = 0 is set to 1 and k < 0 mirrors k > 0
-    k = np.arange(-16, 17)[:, None]
-    halves = _half_spectrum(k)
-    assert k[halves.direct, 0].tolist() == list(range(1, 17))
-    assert k[halves.mirror, 0].tolist() == list(range(-16, 0))
-    assert k[halves.direct][halves.source, 0].tolist() == list(range(16, 0, -1))
-    assert k[halves.zero, 0].tolist() == [0]
+def test_er_rate_band_exponentiates_each_frequency_once_per_node(monkeypatch):
+    # the +-16 band of er-rate
     rng = np.random.default_rng(36)
     fs = [TrigPolynomial({(j,): complex(*rng.standard_normal(2)) for j in range(-16, 17)})
           for _ in range(20)]
@@ -243,7 +208,7 @@ def test_er_rate_band_exponentiates_its_positive_half_only(monkeypatch):
     # p = 3 evaluates each function on the 1024-point quadrature grid once,
     # then all of them at each trial's 300 nodes
     discretization_error_trials(fs, 3.0, 300, 3, rng_seed=5)
-    assert shapes == [(1024, 16)] * 20 + [(300, 16)] * 3
+    assert shapes == [(1024, 33)] * 20 + [(300, 33)] * 3
     # p = 2 forms no node values: one exp per node, then products of powers
     shapes.clear()
     discretization_error_trials(fs, 2.0, 300, 3, rng_seed=5)
@@ -251,11 +216,9 @@ def test_er_rate_band_exponentiates_its_positive_half_only(monkeypatch):
 
 
 def test_values_on_takes_the_plain_product_for_several_dimensions():
-    # d = 3 with 343 rows: a phase summed over three components need not
-    # round as the negated partner phase, so no column is mirrored
+    # d = 3 with 343 rows
     rng = np.random.default_rng(37)
     k = np.array(list(itertools.product(range(-3, 4), repeat=3)))
-    assert _half_spectrum(k) is _PLAIN
     c = rng.standard_normal(len(k)) + 1j * rng.standard_normal(len(k))
     for m in (100, 1000):
         x = rng.uniform(0, 2 * np.pi, (m, 3))
@@ -275,20 +238,6 @@ def test_single_row_polynomials_skip_the_sort_and_stay_copies():
     assert TrigPolynomial({(0,): 3.0}).evaluate(np.array([0.5, 1.0])).tolist() == [3, 3]
     with pytest.raises(DimensionMismatchError):
         TrigPolynomial({(): 1.0})
-
-
-def test_one_term_evaluation_builds_no_map(monkeypatch):
-    import usdlab.trigpoly as trigpoly
-
-    def refuse(freqs):
-        raise AssertionError("map built for one row")
-
-    monkeypatch.setattr(trigpoly, "_half_spectrum", refuse)
-    x = np.linspace(0, 2 * np.pi, 50)
-    for f in (TrigPolynomial({(5,): 2.0}), TrigPolynomial({(0,): 1j})):
-        assert np.array_equal(bits(f.evaluate(x)),
-                              bits(np.exp(1j * (x[:, None] @ f.as_arrays()[0].T.astype(float)))
-                                   @ f.as_arrays()[1]))
 
 
 def test_from_arrays_sorts_rows_and_validates():

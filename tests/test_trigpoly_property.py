@@ -16,8 +16,8 @@ from usdlab.frequencies import FrequencySet, level_of
 from usdlab.points import PointSet
 from usdlab.recovery import block_greedy_approximant
 from usdlab.smoothness import level_a_norms
-from usdlab.trigpoly import (_EVAL_CHUNK, TrigPolynomial, _half_spectrum,
-                             _union_coefficients, _values_on)
+from usdlab.trigpoly import (_EVAL_CHUNK, TrigPolynomial, _union_coefficients,
+                             _values_on)
 
 EPS = np.finfo(float).eps
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -185,7 +185,7 @@ def frequency_arrays(draw, d):
 
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(data=st.data(), d=dims)
-def test_half_spectrum_kernel_is_byte_equal_to_the_full_exponential(data, d):
+def test_values_on_is_byte_equal_to_the_per_chunk_exponential(data, d):
     k = data.draw(frequency_arrays(d))
     m = data.draw(st.sampled_from([1, 2, 7, 64, _EVAL_CHUNK - 1, _EVAL_CHUNK + 3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -205,5 +205,3 @@ def test_half_spectrum_kernel_is_byte_equal_to_the_full_exponential(data, d):
     assert got.shape == ref.shape
     # int64 views: signed zeros and every last bit count
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    again = _values_on(x, k, c, _half_spectrum(k))
-    assert np.array_equal(again.view(np.int64), ref.view(np.int64))
