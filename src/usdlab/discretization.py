@@ -793,33 +793,41 @@ def _run(idx):
 
 
 def _power_sums(theta, powers):
-    """``sum_x z^j`` with ``z = exp(1j * x)`` over the nodes ``theta``, for
-    each j of the sorted distinct positive ``powers``.
+    """``sum_x z^j`` with ``z = exp(1j * x)`` over the nodes ``x`` of each
+    row of ``theta`` (one trial's nodes per row), for each j of the sorted
+    distinct positive ``powers``: a (len(theta), len(powers)) array.
 
     One ``exp`` per node; row n + i of the power buffer is row i times row
     n for n = 1, 2, 4, ..., so ``z^j`` is a product of j rounded factors.
-    The nodes go in chunks of ``_MOMENT_CHUNK_VALUES // max(powers)``, so
-    the buffer holds at most ``max(_MOMENT_CHUNK_VALUES, max(powers))``
-    values whatever m is; each row is summed pairwise within a chunk and
-    the chunk sums are added in order.
+    Each trial's nodes go in chunks of ``_MOMENT_CHUNK_VALUES // max(powers)``
+    and the trials' chunks run together through one (max(powers), trials,
+    width) buffer, which the caller keeps within ``_MOMENT_CHUNK_VALUES``
+    values; each power is summed pairwise along one trial's chunk, as a 1-D
+    row would be, and the chunk sums are added in order.
     """
-    sums = np.zeros(len(powers), dtype=complex)
+    trials, m = theta.shape
+    sums = np.zeros((trials, len(powers)), dtype=complex)
     if not len(powers):
         return sums
     order = int(powers[-1])
     rows = _run(powers - 1)
-    step = max(1, _MOMENT_CHUNK_VALUES // order)
-    buf = np.empty((order, min(step, len(theta))), dtype=complex)
-    for lo in range(0, len(theta), step):
-        z = buf[:, :min(step, len(theta) - lo)]
-        np.exp(1j * theta[lo:lo + step], out=z[0])
+    step = _node_chunk(order)
+    buf = np.empty((order, trials, min(step, m)), dtype=complex)
+    for lo in range(0, m, step):
+        z = buf[:, :, :min(step, m - lo)]
+        np.exp(1j * theta[:, lo:lo + step], out=z[0])
         n = 1
         while n < order:
             take = min(n, order - n)
             np.multiply(z[:take], z[n - 1], out=z[n:n + take])
             n += take
-        sums += z[rows].sum(axis=1)
+        sums += z[rows].sum(axis=-1).T
     return sums
+
+
+def _node_chunk(order):
+    """Nodes per chunk of the p = 2 power buffer for powers up to ``order``."""
+    return max(1, _MOMENT_CHUNK_VALUES // max(1, order))
 
 
 def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
@@ -840,6 +848,17 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     call.  A trial costs J m complex products for J = max k - min k, and
     |D| n more for the |D| distinct differences and n functions.
 
+    The trials run in blocks.  Each trial draws its nodes from its own seed
+    and keeps its own chunks of ``_MOMENT_CHUNK_VALUES // J`` nodes; a block
+    of trials runs the ``exp``, the power products and the node sums
+    together on one (J, trials, chunk) buffer, then reduces the gaps over
+    the differences in one pass.  A block holds as many trials as keep that
+    buffer and the (trials, |D|, n) gap products within
+    ``_MOMENT_CHUNK_VALUES`` values, and one trial when a chunk is one node.
+    A trial still costs J m products; the fixed cost of the numpy calls is
+    paid once per block.  Each trial's sums and gaps have the bits of the
+    trial run alone, so the bound below holds whatever the blocks.
+
     Rounding on that path, with u = 2^-53: ``exp`` is within u of
     ``e^{ix}`` per component and a complex product adds a relative error of
     at most 2 sqrt(2) u, so ``z^j`` is within 4 j u of ``e^{ijx}``.  The
@@ -849,8 +868,8 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     2 c + 40) u ||c||_1^2`` of the exact gap at the drawn nodes, where
     ``||c||_1`` is the l1 norm of the function's coefficients.
 
-    Other (d, p) evaluate every function at the nodes (``_values_on``) and
-    take the continuous norm from ``lp_norm``.
+    Other (d, p) evaluate every function at the nodes (``_values_on``) one
+    trial at a time and take the continuous norm from ``lp_norm``.
     """
     mc_trials = _integer_argument("mc_trials", mc_trials)
     m = _integer_argument("m", m)
@@ -869,24 +888,39 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
             (rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed])]
     karr, coeff = _union_coefficients(functions, d)
     moments = p == 2 and d == 1
+    block = 1
     if moments:
         diffs, corr = _difference_correlations(karr[:, 0], coeff)
+        step = _node_chunk(int(diffs[-1]) if len(diffs) else 0)
+        # one-node chunks keep one trial per block: a lone trial's first
+        # power product is then one broadcast element, which numpy rounds
+        # otherwise than the same product along a row of trials
+        if m > 1:
+            block = max(1, min(step // m, _MOMENT_CHUNK_VALUES // max(1, corr.size),
+                               mc_trials))
     else:
         cont = np.array([lp_norm(f, p, grid_level) ** p for f in functions])
     errs = np.empty(mc_trials)
-    for t in range(mc_trials):
-        rng = np.random.default_rng(base + [t])
-        x = rng.uniform(0.0, 2.0 * np.pi, size=(m, d))
+    x = np.empty((block, m, d))
+    for t0 in range(0, mc_trials, block):
+        xs = x[:min(block, mc_trials - t0)]
+        for i in range(len(xs)):
+            rng = np.random.default_rng(base + [t0 + i])
+            xs[i] = rng.uniform(0.0, 2.0 * np.pi, size=(m, d))
         if moments:
-            sums = _power_sums(x[:, 0], diffs)
-            gaps = (corr * sums[:, None]).real.sum(axis=0) * (2.0 / m)
+            sums = _power_sums(xs[:, :, 0], diffs)[:, :, None]
+            # corr[None] matches the shapes, so a block of one trial, one
+            # difference and one function takes numpy's same-shape loop, as
+            # a lone trial did; the broadcasting loop rounds one element
+            # otherwise
+            gaps = (corr[None] * sums).real.sum(axis=1) * (2.0 / m)
         else:
             # one contiguous row per function, so each mean sums its nodes
             # pairwise (down the columns of the (m, n) values it would add
             # them one node at a time)
-            vals = np.ascontiguousarray(_values_on(x, karr, coeff).T)
-            gaps = np.mean(np.abs(vals) ** p, axis=1) - cont
-        errs[t] = np.max(np.abs(gaps))
+            vals = np.ascontiguousarray(_values_on(xs[0], karr, coeff).T)
+            gaps = (np.mean(np.abs(vals) ** p, axis=1) - cont)[None]
+        errs[t0:t0 + len(xs)] = np.abs(gaps).max(axis=1)
     return errs
 
 

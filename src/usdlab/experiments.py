@@ -612,6 +612,12 @@ def _run_fit(cfg: ExperimentConfig):
     except StopIteration:
         raise ConfigError(f"params.input_csv: {p['input_csv']} has no header row",
                           path="params.input_csv") from None
+    for line, row in enumerate(rows_in, start=2):
+        if len(row) < len(header_in):
+            raise ConfigError(
+                f"params.input_csv: line {line} of {p['input_csv']} has "
+                f"{len(row)} of the header's {len(header_in)} fields: {list(row)}",
+                path="params.input_csv")
     columns = []
     for axis in ("x_column", "y_column"):
         if p[axis] not in header_in:

@@ -73,11 +73,17 @@ class PointSet:
 
     @classmethod
     def random_uniform(cls, m: int, d: int, seed: int, draw_index: int = 0):
-        """m i.i.d. uniform points, reproducible from (seed, draw_index)."""
-        rng = np.random.default_rng([int(seed), int(draw_index)])
+        """m i.i.d. uniform points, reproducible from (seed, draw_index).
+
+        Each argument must be an integer (a bool or a fractional value
+        raises ``ValueError``), so a seed is never truncated.
+        """
+        m, d = _integer_argument("m", m), _integer_argument("d", d)
+        seed = _integer_argument("seed", seed)
+        draw_index = _integer_argument("draw_index", draw_index)
+        rng = np.random.default_rng([seed, draw_index])
         pts = rng.uniform(0.0, TWO_PI, size=(m, d))
-        return cls(pts, {"kind": "seeded", "seed": int(seed),
-                         "draw_index": int(draw_index)})
+        return cls(pts, {"kind": "seeded", "seed": seed, "draw_index": draw_index})
 
     @classmethod
     def equispaced(cls, n: int, d: int = 1):

@@ -442,13 +442,27 @@ def _band_pairs():
         Dictionary.exponential_band(-2, 2), 8, grid_level=4), 2.5), "n_max"),
     (lambda: PointSet.equispaced(2.5), "n"),
     (lambda: PointSet.equispaced(4, 1.5), "d"),
+    (lambda: PointSet.random_uniform(2.5, 1, 0), "m"),
+    (lambda: PointSet.random_uniform(4, 1, 0.5), "seed"),
+    (lambda: PointSet.random_uniform(4, True, 0), "d"),
+    (lambda: PointSet.random_uniform(4, 1, 0, draw_index=True), "draw_index"),
 ], ids=["search_m_fractional", "search_m_bool", "search_trials_fractional",
         "oracle_v_fractional", "wcga_iterations_fractional",
         "entropy_n_max_fractional", "equispaced_n_fractional",
-        "equispaced_d_fractional"])
+        "equispaced_d_fractional", "random_m_fractional", "random_seed_fractional",
+        "random_d_bool", "random_draw_index_bool"])
 def test_counts_must_be_integers_at_the_api_boundary(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+def test_seeded_points_take_integral_arguments_of_any_integer_type():
+    ref = PointSet.random_uniform(6, 2, 9, draw_index=1)
+    same = PointSet.random_uniform(np.int64(6), 2.0, np.uint32(9), draw_index=np.int8(1))
+    assert np.array_equal(ref.points, same.points)
+    assert same.provenance == {"kind": "seeded", "seed": 9, "draw_index": 1}
+    assert all(type(v) is int for v in (same.provenance["seed"],
+                                        same.provenance["draw_index"]))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -541,6 +555,27 @@ def test_p2_certificate_holds_one_chunk_of_subsets_at_a_time():
         tracemalloc.stop()
     assert len(cert.subsets) == 924
     assert peak < 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("m, cap", [(4096, 5 * 2 ** 18), (16, 6 * 2 ** 18)])
+def test_p2_gap_trials_hold_one_block_of_nodes_at_a_time(m, cap):
+    # the er-rate shape of the profile benchmark: spread 32, so a chunk is
+    # 2048 nodes and one block's powers take 2^16 values or 1 MiB.  At m = 4096
+    # a block is one trial, with 32 KiB of nodes; the 200 trials' nodes at
+    # once would take 6.25 MiB.  At m = 16 a block of 102 trials takes 1 MiB
+    # of powers, then 1 MiB of (trials, differences, functions) gap products
+    rng = np.random.default_rng(38)
+    fs = [TrigPolynomial({(j,): complex(*rng.standard_normal(2)) for j in range(-16, 17)})
+          for _ in range(20)]
+    discretization_error_trials(fs, 2, m, 2)
+    tracemalloc.start()
+    try:
+        errs = discretization_error_trials(fs, 2, m, 200, rng_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errs.shape == (200,)
+    assert peak < cap
 
 
 def test_p2_gap_trials_hold_one_chunk_of_powers_at_a_time():

@@ -418,8 +418,10 @@ def test_fit_kind_missing_inputs_are_config_errors(tmp_path):
     assert main(["fit", "--config", str(path)]) == 2
     cfg["params"]["x_column"] = "m"
     path.write_text(json.dumps(cfg))
-    # an empty file has no header row; a non-numeric cell fails its column
+    # an empty file has no header row, a data row shorter than the header is
+    # named, and a non-numeric cell fails its column
     for text, where in [("", "params.input_csv"),
+                        ("m,error\n8,1\n16\n", "params.input_csv"),
                         ("m,error\n8,1.0\n16,abc\n", "params.y_column"),
                         ("m,error\n8,1.0\n,0.5\n", "params.x_column")]:
         src.write_text(text)
@@ -427,6 +429,9 @@ def test_fit_kind_missing_inputs_are_config_errors(tmp_path):
             run(validate_config(cfg))
         assert exc.value.path == where
         assert main(["fit", "--config", str(path)]) == 2
+    src.write_text("m,error\n8,1\n16\n")
+    with pytest.raises(ConfigError, match=r"line 3 of .* has 1 of the header's 2 fields: \[16\]"):
+        run(validate_config(cfg))
 
 
 def test_malformed_points_files_are_config_errors(tmp_path):

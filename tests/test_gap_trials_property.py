@@ -1,4 +1,5 @@
-"""Gap trials: the p = 2 moment path against a direct reference; other paths pinned."""
+"""Gap trials: the p = 2 moment path against a direct reference and, bit for
+bit, against its trials run one at a time; other paths pinned."""
 import hashlib
 import math
 
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usdlab.discretization import _MOMENT_CHUNK_VALUES, discretization_error_trials
+from usdlab.discretization import (_MOMENT_CHUNK_VALUES, _difference_correlations,
+                                   _run, discretization_error_trials)
 from usdlab.experiments import run
-from usdlab.trigpoly import TrigPolynomial, lp_norm
+from usdlab.trigpoly import TrigPolynomial, _union_coefficients, lp_norm
 
 U = 2.0 ** -53
 
@@ -72,6 +74,68 @@ def test_moment_gaps_match_the_direct_values_within_the_stated_bound(
     moments = 6 * spread + 2 * math.log2(m) + 2 * chunks + 40
     direct = 4 * math.pi * max(abs(j) for j in freqs) + 4 * len(freqs) + 16
     assert np.all(np.abs(got - ref) <= (moments + direct) * U * l1 ** 2)
+
+
+def one_trial_power_sums(theta, powers):
+    """``sum_x z^j`` over the nodes ``theta`` of one trial, for each of the
+    sorted distinct positive ``powers``: the moment kernel as it ran before
+    trials ran in blocks, one chunk of one trial's nodes at a time."""
+    sums = np.zeros(len(powers), dtype=complex)
+    if not len(powers):
+        return sums
+    order = int(powers[-1])
+    rows = _run(powers - 1)
+    step = max(1, _MOMENT_CHUNK_VALUES // order)
+    buf = np.empty((order, min(step, len(theta))), dtype=complex)
+    for lo in range(0, len(theta), step):
+        z = buf[:, :min(step, len(theta) - lo)]
+        np.exp(1j * theta[lo:lo + step], out=z[0])
+        n = 1
+        while n < order:
+            take = min(n, order - n)
+            np.multiply(z[:take], z[n - 1], out=z[n:n + take])
+            n += take
+        sums += z[rows].sum(axis=1)
+    return sums
+
+
+def one_trial_gaps(functions, m, trials, seed):
+    """The p = 2 gaps with one kernel call per trial."""
+    karr, coeff = _union_coefficients(functions, 1)
+    diffs, corr = _difference_correlations(karr[:, 0], coeff)
+    errs = np.empty(trials)
+    for t in range(trials):
+        x = np.random.default_rng(seed + [t]).uniform(0.0, 2.0 * np.pi, size=(m, 1))
+        sums = one_trial_power_sums(x[:, 0], diffs)
+        gaps = (corr * sums[:, None]).real.sum(axis=0) * (2.0 / m)
+        errs[t] = np.max(np.abs(gaps))
+    return errs
+
+
+@st.composite
+def block_shapes(draw):
+    """A union, with m at 1, 2 or a chunk boundary +-1 of its spread (up to
+    5000 nodes) or small, and a trial count that is rarely a whole number of
+    blocks."""
+    freqs = draw(UNIONS)
+    spread = max(freqs) - min(freqs)
+    step = max(1, _MOMENT_CHUNK_VALUES // max(1, spread))
+    edges = [1, 2] + [e for c in (step, 2 * step) for e in (c - 1, c, c + 1) if e <= 5000]
+    m = draw(st.one_of(st.sampled_from(edges), st.integers(1, 70)))
+    trials = draw(st.integers(1, 300 if m <= 70 else 12))
+    return freqs, m, trials
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(shape=block_shapes(), count=st.integers(1, 4), zeros=st.sampled_from([0.0, 0.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_moment_gaps_keep_the_bits_of_trials_run_one_at_a_time(
+        shape, count, zeros, seed):
+    freqs, m, trials = shape
+    fs = functions_on([[j] for j in freqs], count, seed, zeros)
+    got = discretization_error_trials(fs, 2, m, trials, rng_seed=[seed, 2])
+    ref = one_trial_gaps(fs, m, trials, [seed, 2])
+    assert got.tobytes() == ref.tobytes()
 
 
 BAND = [[j] for j in range(-6, 7)]

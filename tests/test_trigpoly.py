@@ -209,10 +209,16 @@ def test_er_rate_band_exponentiates_each_frequency_once_per_node(monkeypatch):
     # then all of them at each trial's 300 nodes
     discretization_error_trials(fs, 3.0, 300, 3, rng_seed=5)
     assert shapes == [(1024, 33)] * 20 + [(300, 33)] * 3
-    # p = 2 forms no node values: one exp per node, then products of powers
+    # p = 2 forms no node values, no (m, 33) or (m, 20) matrix: one exp per
+    # node, then products of powers.  At m = 300 the 3 trials share one
+    # block and one (trials, nodes) exp; at m = 4096 a chunk holds
+    # 2^16 // 32 = 2048 nodes, so each trial is a block with two chunks
     shapes.clear()
     discretization_error_trials(fs, 2.0, 300, 3, rng_seed=5)
-    assert shapes == [(300,)] * 3
+    assert shapes == [(3, 300)]
+    shapes.clear()
+    discretization_error_trials(fs, 2.0, 4096, 3, rng_seed=5)
+    assert shapes == [(1, 2048)] * 6
 
 
 def test_values_on_takes_the_plain_product_for_several_dimensions():
