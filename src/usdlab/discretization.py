@@ -4,8 +4,14 @@ The central object is the ratio of the empirical p-th power mean
 ``(1/m) sum |f(xi_j)|^p`` to the continuous ``||f||_p^p`` over the unit
 sphere of a subspace.  At p = 2 both sides are quadratic forms and the
 extreme ratios are generalized eigenvalues of the pencil (empirical Gram,
-continuous Gram), which we solve exactly, for a whole subset family at once
-in chunks of stacked Grams and eigensolves.  For other p the sphere problem
+continuous Gram), solved for a whole subset family at once (``pencils``).
+For distinct unit monomials a subset's Gram is a gather of the node moments
+``s_delta = (1/m) sum_x e^{i<delta,x>}``, so subsets that are translates of
+each other share it and each translation class takes one eigensolve; the
+ratios are exact up to a stated rounding, within ``(v - 1) (d P + 2 log2 m
++ 32) u + 4 v^2 u`` for u = 2^-53 and the largest phase P.  Other
+dictionaries take Cholesky-reduced pencils of their node values, in chunks
+of stacked Gram products and eigensolves.  For other p the sphere problem
 is nonconvex and the extremes are estimated by multistart projected
 gradient ascent/descent, every start of every subspace of one shape and
 both directions in one stacked loop; those certificates are flagged
@@ -33,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dictionary import Dictionary, SubspaceCollection
-from .errors import CapExceededError, DimensionMismatchError, RankDeficiencyError
+from .errors import CapExceededError, DimensionMismatchError
+from .pencils import _adjoint, _moment_family, _pencil_family
 from .points import PointSet, _integer_argument, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _phases,
                        _quadrature_grid_size, _union_coefficients, _values_on,
@@ -44,7 +51,6 @@ MULTISTART_GRAD_TOL = 1e-9
 MULTISTART_BACKTRACKS = 30
 MULTISTART_GRID_LEVEL = 6
 LIFT_CAP_BYTES = 1 << 28   # one array of the even-p lift; larger raises CapExceededError
-_PENCIL_CHUNK_VALUES = 1 << 16   # complex node values gathered per chunk of subsets
 _MULTISTART_CHUNK_VALUES = 1 << 18   # complex values per array of one multistart evaluation
 # step halvings tried per evaluation: a cheap lifted row prefers few calls,
 # a quadrature row (m node values) few wasted candidates
@@ -78,10 +84,7 @@ class RatioOptions:
 
     def __post_init__(self):
         for name, least in (("starts", 1), ("max_iters", 1), ("seed", 0)):
-            value = _integer_argument(name, getattr(self, name))
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), least))
 
 
 @dataclass
@@ -95,68 +98,6 @@ class SubspaceRatios:
     max_vector: np.ndarray | None = None
     outer_min_ratio: float | None = None   # rigorous bounds, even p > 2 only
     outer_max_ratio: float | None = None
-
-
-def _adjoint(a):
-    """The conjugate transpose of each matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
-def _reduced_eigh(g_emp, g_cont, chunk):
-    """Eigenpairs of each pencil (g_emp, g_cont) via Cholesky reduction.
-
-    The continuous Grams are rank-checked first; the eigenvectors are
-    mapped back to coefficients of the subset's elements.
-    """
-    g_cont = 0.5 * (g_cont + _adjoint(g_cont))
-    w = np.linalg.eigvalsh(g_cont)
-    bad = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
-    if bad.size:
-        raise RankDeficiencyError(
-            f"subset {tuple(chunk[bad[0]].tolist())} is numerically dependent in L2 "
-            f"(smallest Gram eigenvalue {w[bad[0], 0]:.3e})")
-    chol = np.linalg.cholesky(g_cont)
-    half = np.linalg.solve(chol, g_emp)
-    mid = _adjoint(np.linalg.solve(chol, _adjoint(half)))
-    w, u = np.linalg.eigh(0.5 * (mid + _adjoint(mid)))
-    return w, np.linalg.solve(_adjoint(chol), u)
-
-
-def _pencil_family(values, subsets, gram, vectors=True):
-    """Extremes of ``c^H G_emp c / c^H G_cont c`` for every subset of a family.
-
-    ``values`` holds the (m, N) element values at the nodes, ``subsets`` the
-    (S, v) element indices and ``gram`` the (N, N) continuous Gram, None
-    standing for the identity (no reduction).  Each chunk of at most
-    ``_PENCIL_CHUNK_VALUES`` gathered values takes one stacked Gram product
-    and one stacked ``eigh``, so every subset gets the bits of its own
-    (v, v) problem.  Returns the (S,) smallest and largest eigenvalues and,
-    when ``vectors``, their (S, v) coefficient vectors (else None).  Raises
-    ``RankDeficiencyError`` for the first subset, in order, whose continuous
-    Gram is numerically singular.
-    """
-    m = values.shape[0]
-    n_sub, v = subsets.shape
-    cols = np.ascontiguousarray(values.T)
-    lo, hi = np.empty(n_sub), np.empty(n_sub)
-    vec_lo = vec_hi = None
-    if vectors:
-        vec_lo, vec_hi = np.empty((2, n_sub, v), dtype=complex)
-    step = max(1, _PENCIL_CHUNK_VALUES // (m * v))
-    for start in range(0, n_sub, step):
-        chunk = subsets[start:start + step]
-        rows = cols[chunk]                                          # (c, v, m)
-        g_emp = np.matmul(rows.conj(), rows.transpose(0, 2, 1)) / m
-        if gram is None:
-            w, u = np.linalg.eigh(0.5 * (g_emp + _adjoint(g_emp)))
-        else:
-            w, u = _reduced_eigh(g_emp, gram[chunk[:, :, None], chunk[:, None, :]],
-                                 chunk)
-        lo[start:start + step], hi[start:start + step] = w[:, 0], w[:, -1]
-        if vectors:
-            vec_lo[start:start + step] = u[:, :, 0]
-            vec_hi[start:start + step] = u[:, :, -1]
-    return lo, hi, vec_lo, vec_hi
 
 
 def _dot(a, b):
@@ -505,15 +446,15 @@ def _subset_ratios(values, points, subsets, dictionary: Dictionary, p: float,
                    opts: RatioOptions, keys, warm):
     """Multistart ratio extremes at p != 2 over every subspace of a family.
 
-    ``values`` holds the dictionary's (m, N) values at the nodes,
-    ``subsets`` the (S, v) element indices, ``keys`` one seed key per
-    subset and ``warm`` the (S, 2, v) p = 2 extreme vectors (lowest,
-    highest), which both directions also start from.  The subsets of one
-    shape run in one loop (``_multistart_extreme``), halvings in blocks;
-    see ``_families`` for the shapes and chunks.  Returns the (S, 2)
-    lowest and highest ratios, their (S, 2, v) vectors, the (S,)
-    converged flags and, at even p > 2, the (2, S) rigorous outer windows
-    (else None).
+    ``values`` holds the dictionary's (m, N) values at the nodes (only the
+    quadrature families of odd and non-integer p read them), ``subsets``
+    the (S, v) element indices, ``keys`` one seed key per subset and
+    ``warm`` the (S, 2, v) p = 2 extreme vectors (lowest, highest), which
+    both directions also start from.  The subsets of one shape run in one
+    loop (``_multistart_extreme``), halvings in blocks; see ``_families``
+    for the shapes and chunks.  Returns the (S, 2) lowest and highest
+    ratios, their (S, 2, v) vectors, the (S,) converged flags and, at even
+    p > 2, the (2, S) rigorous outer windows (else None).
     """
     n_sub, v = subsets.shape
     columns = 2 * (opts.starts + 2)
@@ -538,6 +479,28 @@ def _subset_ratios(values, points, subsets, dictionary: Dictionary, p: float,
     return ratios, vectors, converged, outer
 
 
+def _p2_family(dictionary: Dictionary, xi: PointSet, index, p, vectors):
+    """The p = 2 extremes of each row of the (S, v) index array ``index``
+    (as ``_pencil_family`` returns them) and the (m, N) node values, or None
+    where neither they nor the multistart at p need them.
+
+    Distinct unit monomials take the moment kernel (``_moment_family``),
+    any other dictionary, or a subset that repeats an element, the
+    Cholesky-reduced pencils of the values.
+    """
+    sorted_index = np.sort(index, axis=1)
+    if (dictionary.orthonormal_monomials
+            and (sorted_index[:, 1:] != sorted_index[:, :-1]).all()):
+        values = None
+        if p != 2 and _even_half(p) is None:   # the quadrature multistart
+            values = dictionary.values_at(xi)
+        # each element's frequency is the union row it holds
+        freqs = dictionary.frequencies[np.argmax(dictionary._held, axis=0)]
+        return values, _moment_family(xi.points, freqs, index, vectors)
+    values = dictionary.values_at(xi)
+    return values, _pencil_family(values, index, dictionary.continuous_gram(), vectors)
+
+
 def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
                           p: float, opts: RatioOptions | None = None,
                           seed_key=None) -> SubspaceRatios:
@@ -554,11 +517,8 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     if not subset:
         raise ValueError("a subset needs at least one index")
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
-    values = dictionary.values_at(xi)
     index = np.array([subset], dtype=np.intp)
-    identity = dictionary.orthonormal_monomials and len(set(subset)) == len(subset)
-    gram = None if identity else dictionary.continuous_gram()
-    lo, hi, vec_lo, vec_hi = _pencil_family(values, index, gram)
+    values, (lo, hi, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, True)
     if p == 2:
         return SubspaceRatios(float(lo[0]), float(hi[0]), _method(p, opts), False,
                               True, vec_lo[0], vec_hi[0])
@@ -667,13 +627,10 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
             predicted=count, cap=DEFAULT_SUBSET_CAP)
     prefix = list(_seed_prefix) if _seed_prefix is not None else [opts.seed]
     dictionary = coll.dictionary
-    values = dictionary.values_at(xi)
     subsets = list(coll.iter_subsets())
     index = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp,
                         count=count * coll.v).reshape(count, coll.v)
-    # a collection never repeats an index within a subset
-    gram = None if dictionary.orthonormal_monomials else dictionary.continuous_gram()
-    lo2, hi2, vec_lo, vec_hi = _pencil_family(values, index, gram, vectors=p != 2)
+    values, (lo2, hi2, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, p != 2)
     converged, outer = True, None
     if p == 2:
         mins, maxs = lo2.tolist(), hi2.tolist()
@@ -884,7 +841,7 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
         raise DimensionMismatchError(
             f"functions of dimensions {sorted({f.dimension for f in functions})}")
     _check_exponent(p)
-    base = [_integer_argument("rng_seed", s) for s in
+    base = [_integer_argument("rng_seed", s, 0) for s in
             (rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed])]
     karr, coeff = _union_coefficients(functions, d)
     moments = p == 2 and d == 1

@@ -13,14 +13,17 @@ TWO_PI = 2.0 * np.pi
 GRID_POINT_CAP = 1 << 24
 
 
-def _integer_argument(name, value) -> int:
-    """``value`` as an int; a bool or a non-integral value raises ``ValueError``."""
+def _integer_argument(name, value, least=None) -> int:
+    """``value`` as an int; a bool, a non-integral value or one below
+    ``least`` raises ``ValueError`` naming ``name``."""
     try:
         whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and whole < least:
+        raise ValueError(f"{name} must be at least {least}, got {whole}")
     return whole
 
 
@@ -76,11 +79,12 @@ class PointSet:
         """m i.i.d. uniform points, reproducible from (seed, draw_index).
 
         Each argument must be an integer (a bool or a fractional value
-        raises ``ValueError``), so a seed is never truncated.
+        raises ``ValueError``), so a seed is never truncated; m and d must
+        be at least 1, seed and draw_index at least 0.
         """
-        m, d = _integer_argument("m", m), _integer_argument("d", d)
-        seed = _integer_argument("seed", seed)
-        draw_index = _integer_argument("draw_index", draw_index)
+        m, d = _integer_argument("m", m, 1), _integer_argument("d", d, 1)
+        seed = _integer_argument("seed", seed, 0)
+        draw_index = _integer_argument("draw_index", draw_index, 0)
         rng = np.random.default_rng([seed, draw_index])
         pts = rng.uniform(0.0, TWO_PI, size=(m, d))
         return cls(pts, {"kind": "seeded", "seed": seed, "draw_index": draw_index})
@@ -91,9 +95,7 @@ class PointSet:
 
         Grids above ``GRID_POINT_CAP`` points raise ``GridTooCoarseError``.
         """
-        n, d = _integer_argument("n", n), _integer_argument("d", d)
-        if n < 1:
-            raise ValueError("need at least one point per dimension")
+        n, d = _integer_argument("n", n, 1), _integer_argument("d", d, 1)
         return cls(tensor_grid_points(n, d), {"kind": "equispaced", "n_per_dim": n})
 
     def append(self, other: "PointSet") -> "PointSet":

@@ -144,18 +144,28 @@ def _check_exponent(p):
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
 
 
+def _unique_rows(rows):
+    """The distinct rows of the (n, w) integer array ``rows`` in lexicographic
+    order and the index of each row among them, as ``np.unique(axis=0,
+    return_inverse=True)`` gives them, from one ``lexsort``: several times
+    faster than the structured sort of ``np.unique(axis=0)``, and a stable
+    integer sort (``np.unique``'s int64 quicksort pages in about 0.2 MiB of
+    numpy code that nothing else here runs)."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+    at = np.empty(len(rows), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return rows[order[new]], at
+
+
 def _stack(polys, dimension):
     """The sorted union (F, d) of the frequencies of ``polys`` and, for every
     term of every polynomial in turn, its union row, its polynomial's index
     and its coefficient."""
     pairs = [f.as_arrays() for f in polys]
     pairs.append((np.zeros((0, dimension), dtype=np.int64), np.zeros(0)))  # never empty
-    freqs = np.concatenate([k for k, _ in pairs])
-    order = np.lexsort(freqs.T[::-1])   # several times faster than np.unique(axis=0)
-    new = np.ones(len(freqs), dtype=bool)
-    new[1:] = (freqs[order[1:]] != freqs[order[:-1]]).any(axis=1)
-    union, at = freqs[order[new]], np.empty(len(freqs), dtype=np.intp)
-    at[order] = np.cumsum(new) - 1
+    union, at = _unique_rows(np.concatenate([k for k, _ in pairs]))
     owner = np.repeat(np.arange(len(pairs)), [len(c) for _, c in pairs])
     return union, at, owner, np.concatenate([c for _, c in pairs])
 

@@ -456,6 +456,21 @@ def test_counts_must_be_integers_at_the_api_boundary(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PointSet.random_uniform(4, 1, -1), "seed must be at least 0, got -1"),
+    (lambda: PointSet.random_uniform(4, 1, 0, draw_index=-2),
+     "draw_index must be at least 0, got -2"),
+    (lambda: discretization_error_trials([TrigPolynomial({1: 1.0})], 2, 8, 3, rng_seed=-1),
+     "rng_seed must be at least 0, got -1"),
+    (lambda: PointSet.equispaced(4, 0), "d must be at least 1, got 0"),
+    (lambda: PointSet.random_uniform(4, 0, 0), "d must be at least 1, got 0"),
+], ids=["random_seed_negative", "random_draw_index_negative",
+        "trials_rng_seed_negative", "equispaced_d_zero", "random_d_zero"])
+def test_counts_below_their_least_value_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_seeded_points_take_integral_arguments_of_any_integer_type():
     ref = PointSet.random_uniform(6, 2, 9, draw_index=1)
     same = PointSet.random_uniform(np.int64(6), 2.0, np.uint32(9), draw_index=np.int8(1))
@@ -532,9 +547,20 @@ def test_check_usd_evaluates_the_dictionary_once_per_certificate(monkeypatch):
         return values_at(self, points)
 
     monkeypatch.setattr(Dictionary, "values_at", counting)
+    xi = PointSet.random_uniform(64, 1, seed=2)
     coll = SubspaceCollection.all_subsets(Dictionary.exponential_band(-3, 3), 3)
-    cert = check_usd(PointSet.random_uniform(64, 1, seed=2), coll, 2)
-    assert len(cert.subsets) == 35
+    # monomials at p = 2 and at even p need no node values: the moment
+    # kernel and the lift take the nodes themselves (p = 3 also evaluates
+    # its quadrature grid)
+    for p, evaluations in ((2, 0), (4, 0), (3, 1)):
+        calls.clear()
+        cert = check_usd(xi, coll, p, RatioOptions(starts=2, max_iters=2))
+        assert len(cert.subsets) == 35
+        assert sum(points is xi for points in calls) == evaluations
+    general = Dictionary([TrigPolynomial({k: 1.0, k + 10: 0.5}) for k in range(5)],
+                         uniform_bound=1.5)
+    calls.clear()
+    check_usd(xi, SubspaceCollection.all_subsets(general, 2), 2)
     assert len(calls) == 1
 
 

@@ -19,7 +19,7 @@ from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (MULTISTART_BACKTRACKS, MULTISTART_GRAD_TOL,
                                    RatioOptions, _dot, _families,
                                    _multistart_extreme, _normalize_rows,
-                                   _pencil_family, _starts, _subset_ratios,
+                                   _p2_family, _starts, _subset_ratios,
                                    check_usd)
 from usdlab.errors import RankDeficiencyError
 from usdlab.points import PointSet
@@ -86,8 +86,7 @@ def reference_ratios(dictionary, xi, subsets, p, opts, prefix):
     """Per subset: (lowest, highest) ratio, (descent, ascent) converged."""
     values = dictionary.values_at(xi)
     index = np.array(subsets, dtype=np.intp)
-    gram = None if dictionary.orthonormal_monomials else dictionary.continuous_gram()
-    _, _, vec_lo, vec_hi = _pencil_family(values, index, gram)
+    _, (_, _, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, True)
     out = []
     for i, subset in enumerate(index):
         [(_, family)] = _families(dictionary, values, xi.points, subset[None, :], p,
@@ -119,8 +118,7 @@ def _assert_matches_reference(dictionary, xi, subsets, p, opts):
     ref = reference_ratios(dictionary, xi, cert.subsets, p, opts, [opts.seed])
     values = dictionary.values_at(xi)
     index = np.array(cert.subsets, dtype=np.intp)
-    gram = None if dictionary.orthonormal_monomials else dictionary.continuous_gram()
-    _, _, vec_lo, vec_hi = _pencil_family(values, index, gram)
+    _, (_, _, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, True)
     _, _, flags, _ = _subset_ratios(values, xi.points, index, dictionary, p, opts,
                                     [[opts.seed, i] for i in range(len(index))],
                                     np.stack([vec_lo, vec_hi], axis=1))
@@ -200,7 +198,7 @@ def test_only_the_descent_cut_at_the_limit_marks_the_certificate():
     subsets = np.array([(0, 4)])
     opts = RatioOptions(max_iters=30)
     values = dictionary.values_at(xi)
-    _, _, vec_lo, vec_hi = _pencil_family(values, subsets, None)
+    _, (_, _, vec_lo, vec_hi) = _p2_family(dictionary, xi, subsets, 4, True)
     starts = _starts([[0, 0]], np.stack([vec_lo, vec_hi], axis=1), opts.starts)
     [(_, family)] = _families(dictionary, values, xi.points, subsets, 4,
                               starts.shape[2] * 2, {})
