@@ -29,7 +29,8 @@ print(f"m=1: passed={hopeless.passed}, best worst-violation "
       f"{hopeless.certificate.worst_violation():.3f}")
 
 # Away from p = 2 the sphere extremes are nonconvex, so the verifier runs
-# a multistart projected gradient and flags the certificate as heuristic.
+# a multistart of gradient, then Newton, steps and flags the certificate as
+# heuristic.
 # At even p it also bounds every ratio rigorously: |f|^4 = |f^2|^2, and f^2
 # lies in the span of the exponentials of the sumset.
 xi = result.points

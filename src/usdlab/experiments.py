@@ -230,7 +230,7 @@ def _format_cell(v):
 
 # the plain cell types, one lookup each; anything else goes through _format_cell
 _CELL_TEXT = {str: str, int: str, float: lambda v: format(v, ".17g"),
-              bool: lambda v: "true" if v else "false"}
+              bool: lambda v: "true" if v else "false", jsonio.Pinned: lambda v: v.text}
 
 
 def write_csv(path, header, rows):
@@ -411,14 +411,17 @@ def _run_usd_verify(cfg: ExperimentConfig):
                      float(p.get("epsilon", 0.5)))
     header = ["subset_index", "subset", "min_ratio", "max_ratio", "within_window"]
     lo, hi = cert.window
+    # each ratio is formatted once, for its CSV cell and the certificate
+    mins, maxs = jsonio.pinned(cert.min_ratios), jsonio.pinned(cert.max_ratios)
     rows = [(i, "|".join(str(j) for j in s), a, b, lo <= a and b <= hi)
-            for i, (s, a, b) in enumerate(zip(cert.subsets, cert.min_ratios,
-                                              cert.max_ratios))]
+            for i, (s, a, b) in enumerate(zip(cert.subsets, mins, maxs))]
     if cert.outer_min_ratios is not None:   # even p > 2
         header += ["outer_min_ratio", "outer_max_ratio"]
         rows = [row + pair for row, pair in zip(
             rows, zip(cert.outer_min_ratios, cert.outer_max_ratios))]
-    artifacts = {"certificate.json": cert.to_json(), "points.json": xi.to_json()}
+    certificate = cert.to_json()
+    certificate["min_ratios"], certificate["max_ratios"] = mins, maxs
+    artifacts = {"certificate.json": certificate, "points.json": xi.to_json()}
     return header, rows, artifacts
 
 

@@ -250,11 +250,22 @@ def _quadrature_lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_G
 
 @dataclass(frozen=True)
 class SupNormEstimate:
-    """Grid maximum of |f|; a lower estimate of the true sup norm."""
+    """A bracket ``[value, upper]`` around the sup norm of |f|.
+
+    ``value`` is the maximum of |f| on the equispaced grid of
+    ``points_per_dim`` points per dimension, a lower estimate.  ``upper``
+    holds always: every point lies within pi/N of a grid node in each
+    coordinate, and by Bernstein's inequality ``||d_j f|| <= n_j ||f||``
+    for the largest |k_j| = n_j in coordinate j, so ``||f|| <= value + (pi/N)
+    sum_j n_j ||f||``.  While that factor is below 1, ``upper = min(sum
+    |c_k|, value / (1 - (pi/N) sum_j n_j))``, else ``sum |c_k|`` (both up
+    to the rounding of the grid values).
+    """
 
     value: float
     points_per_dim: int
     oversampling: float
+    upper: float
 
 
 def sup_norm_info(f: TrigPolynomial, grid_level: int = DEFAULT_GRID_LEVEL) -> SupNormEstimate:
@@ -263,7 +274,12 @@ def sup_norm_info(f: TrigPolynomial, grid_level: int = DEFAULT_GRID_LEVEL) -> Su
     vals = f.evaluate(grid)
     value = float(np.abs(vals).max()) if vals.size else 0.0
     over = n / max(1, f.max_component_frequency())
-    return SupNormEstimate(value, n, over)
+    freqs, coeffs = f.as_arrays()
+    upper = float(np.abs(coeffs).sum())
+    spread = math.pi / n * float(np.abs(freqs).max(axis=0, initial=0).sum())
+    if spread < 1.0:
+        upper = min(upper, value / (1.0 - spread))
+    return SupNormEstimate(value, n, over, upper)
 
 
 def sup_norm(f: TrigPolynomial, grid_level: int = DEFAULT_GRID_LEVEL) -> float:

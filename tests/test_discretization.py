@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import (LIFT_CAP_BYTES, RatioOptions, UsdCertificate,
-                                   check_usd, discretization_error_trials,
+from usdlab.discretization import (RatioOptions, UsdCertificate, check_usd,
+                                   discretization_error_trials,
                                    expected_sup_estimate, find_usd_points,
                                    subspace_ratio_bounds, usd_sample_budget)
 from usdlab.entropy import SampledClass, entropy_numbers
 from usdlab.errors import (CapExceededError, DimensionMismatchError,
                            RankDeficiencyError)
 from usdlab.frequencies import FrequencySet
+from usdlab.multistart import LIFT_CAP_BYTES
 from usdlab.points import PointSet
 from usdlab.recovery import (DiscreteInstance, best_v_term_oracle,
                              weak_chebyshev_greedy)

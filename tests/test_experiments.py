@@ -646,6 +646,49 @@ def test_shipped_dictionary_config_outputs_are_byte_stable(tmp_path, config,
     assert _output_digests(tmp_path, config, subcommand) == expected
 
 
+_MULTISTART_POINTS = "a7224a3628d16f3b4abdc5c80ed0b720384a5085e90fa80df4b25fa8c6ba002e"
+
+
+@pytest.mark.parametrize("p, expected", [
+    # recorded before the multistart took Newton steps: below p = 2 |u|^p
+    # has no second derivative at 0, so the rows keep gradient steps,
+    # their acceptance test and their bits
+    (1.5, {"certificate.json":
+               "62a7bf02bfd7d2c99fd6741a218a0021f7590ed6bc9ad070487f186b8a3050ed",
+           "summary.json":
+               "9435408917cda0f92a0c83552f58da099650c8ff295514257bf651ba23743fc3",
+           "usd_verify.csv":
+               "1e218bb9b414e22211e27e711a05dad9a04124f436e013419ec18e7774d6119f"}),
+    # recorded with the Newton steps
+    (3, {"certificate.json":
+             "ff531e3eebb3b27f4b50c0e5e8b6d8aae11c3e151af8d125c01ade55828fc72b",
+         "summary.json":
+             "e3feb16c56344b632b83018b793ba4e2c75feb79a67296f900e499dc4b5ffb72",
+         "usd_verify.csv":
+             "a29d0d2ba684f1060f0e2022b046693b321213d5ca950127322056af27dce0c0"}),
+    (4, {"certificate.json":
+             "b2183d06bd5d702c303b76948b4e93bf20226d169a6eb2e8cacd74e49ff032ba",
+         "summary.json":
+             "b31a7b78916b46b9b9b3c0134759479f107e4ec887f8321cc7949e12c8b4b453",
+         "usd_verify.csv":
+             "39085af59287c09b7bec3df5b355c363f0e1f224c931f26f10ba52558caeed58"}),
+], ids=["p1.5", "p3", "p4"])
+def test_multistart_usd_verify_output_is_byte_stable(tmp_path, p, expected):
+    cfg = {"kind": "usd_verify", "seed": 5, "out": "unused",
+           "params": {"max_abs_freq": 3, "v": 2, "p": p,
+                      "points": {"seeded": {"m": 48}},
+                      "opts": {"starts": 6, "max_iters": 200}},
+           "assertions": {"must_pass": False}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["usd-verify", "--config", str(path), "--out", str(out),
+                 "--threads", "1"]) == 0
+    digests = {entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
+               for entry in out.iterdir()}
+    assert digests == {**expected, "points.json": _MULTISTART_POINTS}
+
+
 def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
     # digests recorded from the coefficient-dictionary implementation of
     # TrigPolynomial; the summary does not record the output directory, and

@@ -13,12 +13,14 @@ size 1.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import (RatioOptions, _abs_pow, _dual_power,
-                                   _families, check_usd, subspace_ratio_bounds)
+from usdlab.discretization import RatioOptions, check_usd, subspace_ratio_bounds
+from usdlab.multistart import (_abs_pow, _dual_power, _families, _multistart_extreme,
+                               _normalize_rows)
 from usdlab.points import PointSet, tensor_grid_points
 from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size
 
@@ -190,3 +192,70 @@ def test_quadrature_kernel_matches_the_direct_form(seed, d, v, m, general, p):
     grad_scale = np.linalg.norm(ref_grad, axis=0) + scale / np.linalg.norm(c, axis=0)
     grad = family.gradient(c.T, owner(9)).T
     assert (np.linalg.norm(grad - ref_grad, axis=0) <= TOL * grad_scale).all()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2), v=st.integers(1, 3),
+       m=st.integers(1, 40), general=st.booleans(), p=st.sampled_from([3, 4, 6]))
+def test_hessian_action_matches_central_differences_of_the_gradient(
+        seed, d, v, m, general, p):
+    # lifted kernels at p = 4, 6, the quadrature kernel at p = 3
+    dictionary, x, rng = _case(seed, d, v, m, general)
+    family, owner = _family(dictionary, x, p, range(v))
+    c = rng.standard_normal((5, v)) + 1j * rng.standard_normal((5, v))
+    xi = rng.standard_normal((5, 3, v)) + 1j * rng.standard_normal((5, 3, v))
+    moved = family.hessian(c, owner(5), xi)
+    scale = np.linalg.norm(family.gradient(c, owner(5)), axis=1) + np.abs(
+        family.ratio(c, owner(5)))
+    h = 1e-5
+    for q in range(3):
+        central = (family.gradient(c + h * xi[:, q], owner(5))
+                   - family.gradient(c - h * xi[:, q], owner(5))) / (2.0 * h)
+        err = np.linalg.norm(moved[:, q] - central, axis=1)
+        assert (err <= 1e-6 * (scale + np.linalg.norm(central, axis=1))).all()
+
+
+def _exact_ratio(family, c, owner):
+    """The ratio of the family's rounded lift or node values at c, in
+    extended precision."""
+    ld = np.clongdouble
+    if hasattr(family, "gram"):
+        g = family._lift(c, owner)[1].astype(ld)
+        gram = family.gram[owner].astype(ld)
+        num = np.einsum("ks,kst,kt->k", g.conj(), gram, g).real
+        return num / np.einsum("ks,ks->k", g.conj(), g).real
+    means = []
+    for vals, _ in family.stacks:
+        u = np.einsum("kij,kj->ki", vals[owner], c).astype(ld)
+        means.append(np.mean((u.real * u.real + u.imag * u.imag) ** (family.p / 2), axis=1))
+    return means[0] / means[1]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("p", [3, 4, 6])
+def test_compare_decides_gains_below_the_rounding_of_the_ratios(p):
+    # near a stationary row a step of t changes the ratio by about t^2,
+    # below one ulp for t <= 1e-8; the gain must still have the sign of
+    # the extended-precision difference of the two ratios
+    dictionary = Dictionary.exponential_band(-3, 3)
+    xi = PointSet.random_uniform(64, 1, seed=3)
+    subsets = np.array([(0, 2, 5)])
+    values = dictionary.values_at(xi)
+    [(_, family)] = _families(dictionary, values, xi.points, subsets, p, 2, {})
+    rng = np.random.default_rng(p)
+    starts = rng.standard_normal((1, 2, 4, 3)) + 1j * rng.standard_normal((1, 2, 4, 3))
+    _, best, _, _ = _multistart_extreme(family, _normalize_rows(starts),
+                                        RatioOptions(starts=4))
+    c = np.repeat(best[0], 20, axis=0)   # (ascent, descent) rows
+    owner = np.zeros(len(c), dtype=np.intp)
+    steps = rng.standard_normal((len(c), 3, 3)) + 1j * rng.standard_normal((len(c), 3, 3))
+    cand = _normalize_rows(c[:, None] + np.array([1e-8, 3e-9, 1e-9])[:, None] * steps)
+    got, gain = family.compare(c, owner, cand)
+    assert np.array_equal(got, family.ratio(cand.reshape(-1, 3), np.repeat(owner, 3))
+                          .reshape(got.shape))
+    exact = (_exact_ratio(family, cand.reshape(-1, 3), np.repeat(owner, 3)).reshape(got.shape)
+             - _exact_ratio(family, c, owner)[:, None])
+    clear = np.abs(exact) > 1e-18
+    assert clear.mean() > 0.5
+    assert (np.sign(gain) == np.sign(exact))[clear].all()

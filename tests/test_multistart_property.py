@@ -1,88 +1,106 @@
 """The stacked multistart against the per-subset, per-direction loop it replaced.
 
 ``reference_extreme`` is that loop: one subset and one direction at a time,
-columns as starts, one ratio evaluation per step halving.  It evaluates the
-same family kernels on one subset and takes norms and inner products with
-the same helpers, so the stacked loop should return the same ratios,
-vectors and ``converged`` flags: which of several starts that tie at the
+one ratio evaluation per step halving, gradient steps until the step memory
+stalls and Newton steps after.  It evaluates the same family kernels on one
+subset and takes norms, inner products and Newton directions with the same
+helpers, so the stacked loop should return the same ratios, vectors and
+``converged`` flags bit for bit: which of several starts that tie at the
 optimum is the best one decides the flag, so a last-bit difference could.
+``first_order_extreme`` is the gradient-only loop that came before the
+Newton steps, the yardstick for how good the extremes are.
 """
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from usdlab import discretization
+from usdlab import multistart
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import (MULTISTART_BACKTRACKS, MULTISTART_GRAD_TOL,
-                                   RatioOptions, _dot, _families,
-                                   _multistart_extreme, _normalize_rows,
-                                   _p2_family, _starts, _subset_ratios,
-                                   check_usd)
+from usdlab.discretization import RatioOptions, _p2_family, check_usd
 from usdlab.errors import RankDeficiencyError
+from usdlab.multistart import (MULTISTART_BACKTRACKS, MULTISTART_GRAD_TOL, _dot,
+                               _families, _multistart_extreme, _multistart_rows,
+                               _newton_directions, _normalize_rows, _starts,
+                               _subset_ratios)
 from usdlab.points import PointSet
 from usdlab.trigpoly import TrigPolynomial
 
-TOL = 1e-12
 
-
-def _normalize_columns(c):
-    return _normalize_rows(c.T).T
-
-
-def reference_extreme(ratio, gradient, warm, sign, seed_key, opts):
-    """Projected-gradient ascent (sign=+1) or descent (sign=-1) of one
-    subset, each halving of each step a separate ratio call.  Returns the
-    best ratio, its vector and whether it stopped before the limit."""
-    v, starts = warm[0].shape[0], opts.starts
+def _seeded_starts(warm, seed_key, starts):
+    """The unit starting rows of one subset and direction: ``starts``
+    complex Gaussian draws from ``seed_key``, then the warm vectors."""
+    v = warm[0].shape[0]
     rng = np.random.default_rng(list(seed_key))
     c0 = rng.standard_normal((v, starts)) + 1j * rng.standard_normal((v, starts))
-    c0 = np.concatenate([c0] + [w.reshape(-1, 1) for w in warm], axis=1)
-    c = _normalize_columns(c0.astype(complex))
-    n_cols = c.shape[1]
-    rho = ratio(c)
-    active = np.ones(n_cols, dtype=bool)
-    alpha_mem = np.ones(n_cols)
+    return _normalize_rows(np.concatenate([c0.T, np.stack(warm)]).astype(complex))
+
+
+def reference_extreme(family, warm, sign, seed_key, opts):
+    """Ascent (sign=+1) or descent (sign=-1) of one subset of ``family``,
+    each halving of each step a separate evaluation.  Returns the best
+    ratio, its vector and whether it stopped before the limit."""
+    c = _seeded_starts(warm, seed_key, opts.starts)
+    n, v = c.shape
+    owner = np.zeros(n, dtype=np.intp)
+    rho = family.ratio(c, owner)
+    active = np.ones(n, dtype=bool)
+    alpha = np.ones(n)
+    newton = np.zeros(n, dtype=bool)
+    second = family.second_order and v > 1
     for _ in range(opts.max_iters):
         if not active.any():
             break
-        grad = gradient(c)
-        inner = _dot(c.T, grad.T)
-        tang = grad - c * inner
-        tnorm = np.sqrt(_dot(tang.T, tang.T).real)
-        done = active & (tnorm <= MULTISTART_GRAD_TOL)
-        active &= ~done
-        if not active.any():
-            break
-        idx = np.where(active)[0]
-        sub_c = c[:, idx]
-        sub_t = tang[:, idx]
-        sub_r = rho[idx]
-        alpha = np.minimum(alpha_mem[idx] * 2.0, 1e3)
-        accepted = np.zeros(len(idx), dtype=bool)
-        for _ in range(MULTISTART_BACKTRACKS):
-            todo = ~accepted
-            cand = _normalize_columns(sub_c[:, todo] + sign * alpha[todo] * sub_t[:, todo])
-            rho_c = ratio(cand)
-            improve = (rho_c > sub_r[todo]) if sign > 0 else (rho_c < sub_r[todo])
-            fresh = np.where(todo)[0][improve]
-            sub_c[:, fresh] = cand[:, improve]
-            sub_r[fresh] = rho_c[improve]
-            accepted[fresh] = True
-            if accepted.all():
+        idx = np.flatnonzero(active)
+        cur, own = c[idx], owner[idx]
+        grad = family.gradient(cur, own)
+        tang = grad - cur * _dot(cur, grad)[:, None]
+        done = np.sqrt(_dot(tang, tang).real) <= MULTISTART_GRAD_TOL
+        active[idx[done]] = False
+        idx, cur, tang, own = idx[~done], cur[~done], tang[~done], own[~done]
+        step = np.minimum(alpha[idx] * 2.0, 1e3)
+        curved = np.zeros(len(idx), dtype=bool)
+        at = np.flatnonzero(newton[idx])
+        if at.size:
+            d, ok = _newton_directions(family, cur[at], own[at], tang[at],
+                                       np.full(len(at), sign), 1 << 20)
+            tang[at[ok]], step[at[ok]], curved[at[ok]] = d[ok], 1.0, True
+        for k in range(MULTISTART_BACKTRACKS):
+            if not idx.size:
                 break
-            alpha[~accepted] *= 0.5
-        c[:, idx] = sub_c
-        rho[idx] = sub_r
-        alpha_mem[idx] = alpha
-        active[idx[~accepted]] = False
+            cand = _normalize_rows(cur + (np.ldexp(step, -k) * sign)[:, None] * tang)
+            got = family.ratio(cand, own)
+            gain = got - rho[idx]
+            if curved.any():
+                gain[curved] = family.compare(cur[curved], own[curved],
+                                              cand[curved][:, None])[1][:, 0]
+            hit = sign * gain > 0.0
+            c[idx[hit]], rho[idx[hit]] = cand[hit], got[hit]
+            plain = hit & ~curved
+            taken = np.ldexp(step[plain], -k)
+            if second:
+                newton[idx[plain]] |= taken <= alpha[idx[plain]]
+            alpha[idx[plain]] = taken
+            miss = ~hit
+            idx, cur, tang, own, step, curved = (
+                idx[miss], cur[miss], tang[miss], own[miss], step[miss], curved[miss])
+        active[idx] = False
     best = int(np.argmax(sign * rho))
-    return float(rho[best]), c[:, best], not active[best]
+    return float(rho[best]), c[best], not active[best]
 
 
-def reference_ratios(dictionary, xi, subsets, p, opts, prefix):
+def first_order_extreme(family, warm, sign, seed_key, opts):
+    """``reference_extreme`` with gradient steps alone, as before the Newton
+    steps: the row's step memory never switches it."""
+    plain = SimpleNamespace(ratio=family.ratio, gradient=family.gradient,
+                            second_order=False)
+    return reference_extreme(plain, warm, sign, seed_key, opts)
+
+
+def reference_ratios(dictionary, xi, subsets, p, opts, prefix, extreme=reference_extreme):
     """Per subset: (lowest, highest) ratio, (descent, ascent) converged."""
     values = dictionary.values_at(xi)
     index = np.array(subsets, dtype=np.intp)
@@ -91,12 +109,9 @@ def reference_ratios(dictionary, xi, subsets, p, opts, prefix):
     for i, subset in enumerate(index):
         [(_, family)] = _families(dictionary, values, xi.points, subset[None, :], p,
                                   2 * (opts.starts + 2), {})
-        own = lambda c: np.zeros(c.shape[1], dtype=np.intp)   # noqa: E731
-        ratio = lambda c: family.ratio(c.T, own(c))           # noqa: E731
-        gradient = lambda c: family.gradient(c.T, own(c)).T   # noqa: E731
         warm = [vec_lo[i], vec_hi[i]]
-        hi, _, conv_hi = reference_extreme(ratio, gradient, warm, 1.0, prefix + [i, 1], opts)
-        lo, _, conv_lo = reference_extreme(ratio, gradient, warm, -1.0, prefix + [i, 2], opts)
+        hi, _, conv_hi = extreme(family, warm, 1.0, prefix + [i, 1], opts)
+        lo, _, conv_lo = extreme(family, warm, -1.0, prefix + [i, 2], opts)
         out.append(((lo, hi), (conv_lo, conv_hi)))
     return out
 
@@ -123,8 +138,7 @@ def _assert_matches_reference(dictionary, xi, subsets, p, opts):
                                     [[opts.seed, i] for i in range(len(index))],
                                     np.stack([vec_lo, vec_hi], axis=1))
     for i, ((lo, hi), conv) in enumerate(ref):
-        assert abs(cert.min_ratios[i] - lo) <= TOL * max(1.0, abs(lo))
-        assert abs(cert.max_ratios[i] - hi) <= TOL * max(1.0, abs(hi))
+        assert (cert.min_ratios[i], cert.max_ratios[i]) == (lo, hi)
         assert flags[i] == all(conv)
     assert cert.converged == all(all(conv) for _, conv in ref)
 
@@ -150,6 +164,59 @@ def test_stacked_multistart_matches_the_per_subset_loop(
         _assert_matches_reference(dictionary, xi, subsets, p, opts)
     except RankDeficiencyError:
         assume(False)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), general=st.booleans(), d=st.integers(1, 2),
+       size=st.integers(2, 4), v=st.integers(2, 3), m=st.integers(4, 40),
+       p=st.sampled_from([3, 4, 6]), starts=st.integers(1, 4))
+def test_extremes_are_no_worse_than_500_first_order_iterations(
+        seed, general, d, size, v, m, p, starts):
+    rng = np.random.default_rng(seed)
+    if general:
+        dictionary = _general_dictionary(rng, size, d)
+    else:
+        dictionary = Dictionary.exponential_band(-2, size - 3)
+        d = 1
+    v = min(v, dictionary.size)
+    subsets = list(itertools.combinations(range(dictionary.size), v))
+    xi = PointSet.explicit(rng.uniform(0.0, 2.0 * np.pi, size=(m, d)))
+    opts = RatioOptions(starts=starts, max_iters=500, seed=seed % 7)
+    try:
+        cert = check_usd(xi, SubspaceCollection.from_subsets(dictionary, subsets), p, opts)
+    except RankDeficiencyError:
+        assume(False)
+    ref = reference_ratios(dictionary, xi, cert.subsets, p, opts, [opts.seed],
+                           first_order_extreme)
+    for i, ((lo, hi), _) in enumerate(ref):
+        assert cert.min_ratios[i] <= lo + 1e-12 * abs(lo)
+        assert cert.max_ratios[i] >= hi - 1e-12 * abs(hi)
+
+
+@pytest.mark.parametrize("seed", range(100, 106))
+def test_every_start_of_a_full_p4_certificate_stops_stationary(seed):
+    # band(-3, 3), all 21 pairs, m = 512, 64 starts: 2772 rows.  Under
+    # gradient steps alone these ran into the 500-iteration limit, and
+    # seed 103's certificate read converged: false.
+    dictionary = Dictionary.exponential_band(-3, 3)
+    coll = SubspaceCollection.all_subsets(dictionary, 2)
+    xi = PointSet.random_uniform(512, 1, seed=seed)
+    opts = RatioOptions(starts=64)
+    subsets = np.array(list(coll.iter_subsets()))
+    _, (_, _, vec_lo, vec_hi) = _p2_family(dictionary, xi, subsets, 4, True)
+    starts = _starts([[0, i] for i in range(len(subsets))],
+                     np.stack([vec_lo, vec_hi], axis=1), opts.starts)
+    [(_, family)] = _families(dictionary, None, xi.points, subsets, 4,
+                              starts.shape[2] * 2, {})
+    c, _, _, active, after = _multistart_rows(family, starts, opts)
+    owner = np.repeat(np.arange(len(subsets)), starts.shape[2] * 2)
+    grad = family.gradient(c, owner)
+    tang = grad - c * _dot(c, grad)[:, None]
+    assert not active.any()
+    assert np.sqrt(_dot(tang, tang).real).max() <= MULTISTART_GRAD_TOL
+    # every row switched to Newton steps and stopped a few iterations later
+    assert after.min() >= 1 and after.max() <= 12
+    assert check_usd(xi, coll, 4, opts).converged
 
 
 def _mixed_shapes():
@@ -186,17 +253,24 @@ def test_a_row_keeps_its_bits_whatever_rows_share_its_call(seed, general, p, row
     for members, family in _families(dictionary, values, xi, subsets, p, 2, {}):
         owner = rng.integers(len(members), size=rows)
         c = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
-        for fn in (family.ratio, family.gradient):
-            whole = fn(c, owner)
-            alone = np.concatenate([fn(c[k:k + 1], owner[k:k + 1]) for k in range(rows)])
+        # directions of the Hessian action, candidates of compare
+        more = rng.standard_normal((rows, 3, 2)) + 1j * rng.standard_normal((rows, 3, 2))
+        kernels = [lambda c, o, x: family.ratio(c, o), lambda c, o, x: family.gradient(c, o)]
+        if family.second_order:
+            kernels += [family.hessian,
+                        lambda c, o, x: np.stack(family.compare(c, o, x), axis=1)]
+        for fn in kernels:
+            whole = fn(c, owner, more)
+            alone = np.concatenate([fn(c[k:k + 1], owner[k:k + 1], more[k:k + 1])
+                                    for k in range(rows)])
             assert np.array_equal(whole, alone, equal_nan=True)
 
 
 def test_only_the_descent_cut_at_the_limit_marks_the_certificate():
     dictionary = Dictionary.exponential_band(-3, 3)
     xi = PointSet.random_uniform(512, 1, seed=9)
-    subsets = np.array([(0, 4)])
-    opts = RatioOptions(max_iters=30)
+    subsets = np.array([(1, 6)])
+    opts = RatioOptions(max_iters=9)
     values = dictionary.values_at(xi)
     _, (_, _, vec_lo, vec_hi) = _p2_family(dictionary, xi, subsets, 4, True)
     starts = _starts([[0, 0]], np.stack([vec_lo, vec_hi], axis=1), opts.starts)
@@ -206,9 +280,9 @@ def test_only_the_descent_cut_at_the_limit_marks_the_certificate():
     # (ascent, descent)
     assert type(every) is bool and not every
     assert flags.tolist() == [[True, False]]
-    [(_, (conv_lo, conv_hi))] = reference_ratios(dictionary, xi, [(0, 4)], 4, opts, [0])
+    [(_, (conv_lo, conv_hi))] = reference_ratios(dictionary, xi, [(1, 6)], 4, opts, [0])
     assert (conv_hi, conv_lo) == (True, False)
-    cert = check_usd(xi, SubspaceCollection.from_subsets(dictionary, [(0, 4)]), 4, opts)
+    cert = check_usd(xi, SubspaceCollection.from_subsets(dictionary, [(1, 6)]), 4, opts)
     assert not cert.converged
     assert cert.notes == ["some sphere optimizations hit the iteration limit"]
 
@@ -219,13 +293,13 @@ def test_one_loop_per_certificate_and_chunks_keep_the_bits(monkeypatch, p):
     xi = PointSet.random_uniform(64, 1, seed=4)
     opts = RatioOptions(starts=4, max_iters=40, seed=1)
     loops = []
-    extreme = discretization._multistart_extreme
-    monkeypatch.setattr(discretization, "_multistart_extreme",
+    extreme = multistart._multistart_extreme
+    monkeypatch.setattr(multistart, "_multistart_extreme",
                         lambda *args: loops.append(1) or extreme(*args))
     whole = check_usd(xi, coll, p, opts)
     assert len(loops) == 1   # 21 pairs of one shape, both directions
     # one subset per chunk and per slice of an evaluation
-    monkeypatch.setattr(discretization, "_MULTISTART_CHUNK_VALUES", 1)
+    monkeypatch.setattr(multistart, "_MULTISTART_CHUNK_VALUES", 1)
     cut = check_usd(xi, coll, p, opts)
     assert len(loops) == 1 + 21
     assert cut.to_json() == whole.to_json()

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary
 from usdlab.frequencies import FrequencySet, level_of
-from usdlab.points import PointSet
+from usdlab.points import PointSet, tensor_grid_points
 from usdlab.recovery import block_greedy_approximant
 from usdlab.smoothness import level_a_norms
 from usdlab.trigpoly import (_EVAL_CHUNK, TrigPolynomial, _union_coefficients,
-                             _values_on)
+                             _values_on, sup_norm_info)
 
 EPS = np.finfo(float).eps
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -205,3 +205,16 @@ def test_values_on_is_byte_equal_to_the_per_chunk_exponential(data, d):
     assert got.shape == ref.shape
     # int64 views: signed zeros and every last bit count
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data(), d=st.integers(1, 2), grid_level=st.integers(0, 3))
+def test_a_denser_grid_maximum_lies_in_the_sup_bracket(data, d, grid_level):
+    f = data.draw(polys(d, max_terms=6, max_freq=3))
+    info = sup_norm_info(f, grid_level)
+    # a grid value may round above sum |c_k| by an ulp or so
+    assert info.value <= info.upper * (1 + 1e-12)
+    assert info.upper <= float(np.abs(f.as_arrays()[1]).sum())
+    dense = tensor_grid_points(16 * info.points_per_dim, d)
+    top = float(np.abs(f.evaluate(dense)).max()) if len(f.support) else 0.0
+    assert info.value * (1 - 1e-12) <= top <= info.upper * (1 + 1e-12)
