@@ -43,6 +43,7 @@ from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _union_coefficients,
 
 DEFAULT_SUBSET_CAP = 10**6
 _MOMENT_CHUNK_VALUES = 1 << 16   # complex node powers held per chunk of p = 2 gap-trial nodes
+_MOMENT_SPREAD_PER_FREQUENCY = 16   # p = 2 gap trials take the moments while J <= this * F
 
 
 @dataclass(frozen=True)
@@ -418,7 +419,17 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     ``rng_seed + [t]`` and records ``max_f |(1/m) sum_x |f(x)|^p -
     ||f||_p^p|`` over the functions.
 
-    At p = 2 and d = 1 no node values are formed.  With the empirical
+    Path rule: the trials take the moment path below, and its bits, exactly
+    when p = 2, d = 1 and the spread J = max k - min k of the union's F
+    frequencies satisfies J <= ``_MOMENT_SPREAD_PER_FREQUENCY`` F (16 F);
+    every other call takes the values path and its bits.  The moment path
+    costs J m products a trial, the values path F m exponentials.  Over m
+    in {256, 1024, 4096} and F in {2, 8, 32, 128}, the moment path took
+    less time per trial in 11 of the 12 cases at J/F = 8, in 7 at J/F = 16
+    and in none at J/F = 32, so a wide sparse union such as {0, 30000}
+    takes the values path.
+
+    On the moment path no node values are formed.  With the empirical
     moments ``s_j = (1/m) sum_x e^{ijx}`` (from ``_power_sums``), the
     discrete norm is the quadratic form ``c^H T c`` with the Toeplitz matrix
     ``T[a, b] = s_{k_b - k_a}``; its diagonal is ``s_0 = 1``, so the gap is
@@ -447,8 +458,8 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     2 c + 40) u ||c||_1^2`` of the exact gap at the drawn nodes, where
     ``||c||_1`` is the l1 norm of the function's coefficients.
 
-    Other (d, p) evaluate every function at the nodes (``_values_on``) one
-    trial at a time and take the continuous norm from ``lp_norm``.
+    The values path evaluates every function at the nodes (``_values_on``)
+    one trial at a time and takes the continuous norm from ``lp_norm``.
     """
     mc_trials = _integer_argument("mc_trials", mc_trials)
     m = _integer_argument("m", m)
@@ -466,7 +477,8 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     base = [_integer_argument("rng_seed", s, 0) for s in
             (rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed])]
     karr, coeff = _union_coefficients(functions, d)
-    moments = p == 2 and d == 1
+    spread = int(np.ptp(karr[:, 0])) if d == 1 and len(karr) else 0
+    moments = p == 2 and d == 1 and spread <= _MOMENT_SPREAD_PER_FREQUENCY * len(karr)
     block = 1
     if moments:
         diffs, corr = _difference_correlations(karr[:, 0], coeff)

@@ -18,7 +18,14 @@ Hoelder's inequality (1/p + 1/p' = 1) every residual from that subset has
 norm at least ``||r2||_{2,w}^2 / ||r2||_{p',w}``.  Subsets are projected in
 order of this bound until it exceeds the best residual found; the result is
 the one projecting every subset gives, ties going to the lexicographically
-first subset.
+first subset.  The bounds come from one thin QR of the scaled instance, so
+each subset's SVD runs on at most N rows instead of m; a subset too close to
+lstsq's rank threshold for the reduced SVD to decide takes its full column
+SVD, so rank errors name the same subset.  Only the bounds' validity, not
+their values, reaches the result.
+
+Instances must hold finite values and finite non-negative weights, and a
+subset's indices must lie in [0, N); anything else raises ``ValueError``.
 
 Best-term errors are always reported for the concrete node set at hand;
 the supremum of those errors over all possible node sets is not a
@@ -66,6 +73,11 @@ class DiscreteInstance:
         n = self.dict_values.shape[0]
         if self.f_values.shape != (n,) or self.weights.shape != (n,):
             raise ValueError("value and weight lengths must match the node count")
+        for name in ("dict_values", "f_values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
+            raise ValueError("weights must be finite and non-negative")
         if not (math.isfinite(self.p) and self.p > 1):
             raise ValueError(
                 f"p must be finite and > 1 for the projection machinery, got {self.p}")
@@ -125,6 +137,10 @@ def chebyshev_projection(inst: DiscreteInstance, subset, init=None,
     residual norms change by at most ``IRLS_REL_TOL`` relatively.
     """
     subset = tuple(int(i) for i in subset)
+    max_iters = _integer_argument("max_iters", max_iters, 0)
+    for i in subset:
+        if not 0 <= i < inst.n_elements:
+            raise ValueError(f"subset index {i} is outside [0, {inst.n_elements})")
     b = inst.f_values
     if not subset:
         return ProjectionResult(np.zeros(0, dtype=complex), b.copy(),
@@ -244,7 +260,7 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, max_iter: int = 100,
     weakness parameter t = 1; ties go to the lowest index), and re-projects
     onto everything selected so far.
     """
-    max_iter = _integer_argument("max_iter", max_iter)
+    max_iter = _integer_argument("max_iter", max_iter, 0)
     b = inst.f_values
     weights = inst.weights
     support: list = []
@@ -301,43 +317,72 @@ def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
     ``||b - A_S c||_{p,w} >= <b - A_S c, r2>_w / ||r2||_{p',w}
     = ||r2||_{2,w}^2 / ||r2||_{p',w}`` with 1/p + 1/p' = 1 (0 when r2 = 0).
     Each bound is returned less a rounding slack, so it stays below the
-    subset's projection residual.  The (S, m, v) column stack is taken in
-    chunks of at most ``_BOUND_CHUNK_VALUES`` values.
+    subset's projection residual.
 
-    Raises ``RankDeficiencyError`` for the lexicographically first subset
-    that fails the rank rule of ``np.linalg.lstsq`` (fewer than v singular
-    values of the scaled columns above ``eps * max(m, v) * s_max``, so
-    every subset fails when m < v), as the projection of that subset
-    would.
+    The scaled instance is factored once, ``sw A = Q R`` (thin Householder
+    QR, k = min(m, N)), with ``y = Q^H (sw b)``.  Since ``(sw A)[:, S] =
+    Q R[:, S]``, a subset's SVD ``R[:, S] = U s V^H`` runs on k rows instead
+    of m, and its scaled residual is ``sw b - Q (U (U^H y))``, one matvec
+    per subset, so every subset's bits are the same in any chunk of
+    ``_BOUND_CHUNK_VALUES // (m v)`` subsets.
+
+    Rank: ``RankDeficiencyError`` names the lexicographically first subset
+    that fails the rank rule of ``np.linalg.lstsq``: fewer than v singular
+    values of the scaled columns ``(sw A)[:, S]`` above ``tol = eps *
+    max(m, v) * s_max``, so every subset fails when m < v.  Householder QR
+    is backward stable (Higham 2002, Thm 19.4), ``Q R = sw A + E`` with
+    ``||E[:, j]|| <= c m k u ||(sw A)[:, j]||``, so by Weyl's inequality,
+    with both SVDs' own backward errors, each singular value of R[:, S] is
+    within ``8 eps (m + v)(k + v) sqrt(v) s_max`` of the full column SVD's
+    (measured below an eighth of that).  A subset whose smallest reduced
+    singular value is not above ``tol`` by that margin takes the full
+    (m, v) column SVD, which decides its rank as before; a well-conditioned
+    instance takes none.
+
+    Slack: rounding moves a computed bound by a few ulps relative to it,
+    which the oracle's relative 1e-9 covers, and by the leakage of the
+    computed r2 into the span.  That leakage is the residual's error under
+    the QR's and the SVDs' backward errors, at most a modest multiple of
+    ``eps ||b|| s_max / s_min``; against the former full column SVD path it
+    measured below 3 of those units.  The absolute slack ``1e-12 ||b||
+    s_max / s_min`` (about 4500 units) still dominates it.
     """
     m = inst.dict_values.shape[0]
     v = subsets.shape[1]
     sw = np.sqrt(inst.weights)
     scaled = sw[:, None] * inst.dict_values
     sb = sw * inst.f_values
+    q_mat, r_mat = np.linalg.qr(scaled)                       # (m, k), (k, N)
+    k = r_mat.shape[0]
+    y = np.matmul(sb, q_mat.conj())
     q = inst.p / (inst.p - 1.0)
     b_norm = inst.norm(inst.f_values)
-    tol = np.finfo(float).eps * max(m, v)
+    eps = np.finfo(float).eps
+    tol = eps * max(m, v)
+    sure = tol + 8.0 * eps * (m + v) * (k + v) * math.sqrt(v)
     out = np.empty(subsets.shape[0])
     step = max(1, _BOUND_CHUNK_VALUES // (m * v))
     for lo in range(0, subsets.shape[0], step):
         chunk = subsets[lo:lo + step]
-        stack = np.moveaxis(scaled[:, chunk], 0, 1)           # (S, m, v)
-        u, s, _ = np.linalg.svd(stack, full_matrices=False)
-        bad = np.flatnonzero((s > tol * s[:, :1]).sum(axis=1) < v)
-        if bad.size:
-            raise _rank_deficiency(chunk[bad[0]].tolist())
-        ars = np.abs(sb - np.matmul(u, np.matmul(sb, u.conj())[:, :, None])[:, :, 0])
+        u, s, _ = np.linalg.svd(np.moveaxis(r_mat[:, chunk], 0, 1),
+                                full_matrices=False)          # (S, k, v)
+        unsure = (np.arange(len(chunk)) if k < v
+                  else np.flatnonzero(~(s[:, -1] > sure * s[:, 0])))
+        if unsure.size:
+            _, s_full, _ = np.linalg.svd(np.moveaxis(scaled[:, chunk[unsure]], 0, 1),
+                                         full_matrices=False)  # (U, m, v)
+            bad = unsure[(s_full > tol * s_full[:, :1]).sum(axis=1) < v]
+            if bad.size:
+                raise _rank_deficiency(chunk[bad[0]].tolist())
+            s[unsure] = s_full
+        coef = np.matmul(u, np.matmul(y, u.conj())[:, :, None])  # (S, k, 1)
+        ars = np.abs(sb - np.matmul(q_mat, coef)[:, :, 0])
         r2 = np.divide(ars, sw, out=np.zeros(ars.shape), where=sw > 0)
         top = r2.max(axis=1)
         top[top == 0] = 1.0
         dual = top * ((inst.weights * (r2 / top[:, None]) ** q).sum(axis=1)) ** (1.0 / q)
         bound = np.divide((ars * ars).sum(axis=1), dual,
                           out=np.zeros(len(chunk)), where=dual > 0)
-        # rounding moves the computed bound by a few ulps relative to it,
-        # which the oracle's relative 1e-9 covers, and by the leakage of the
-        # computed r2 into the span, which scales with ||b|| times the
-        # condition number s_max / s_min; this absolute slack dominates that
         out[lo:lo + step] = bound - 1e-12 * b_norm * (s[:, 0] / s[:, -1])
     return out
 

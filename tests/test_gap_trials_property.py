@@ -2,12 +2,14 @@
 bit, against its trials run one at a time; other paths pinned."""
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usdlab import discretization
 from usdlab.discretization import (_MOMENT_CHUNK_VALUES, _difference_correlations,
                                    _run, discretization_error_trials)
 from usdlab.experiments import run
@@ -25,6 +27,13 @@ UNIONS = st.one_of(
     # wide spreads: a few nodes per chunk of the power buffer
     st.sampled_from([[0, 3000], [-3000, 0], [-1200, 5, 1800]]),
 )
+
+
+def moment_trials(*args, **kwargs):
+    """The p = 2 gap trials on the moment path whatever the union's spread,
+    so the kernel stays tested on spreads the path rule sends elsewhere."""
+    with mock.patch.object(discretization, "_MOMENT_SPREAD_PER_FREQUENCY", math.inf):
+        return discretization_error_trials(*args, **kwargs)
 
 
 def functions_on(freqs, count, seed, zeros=0.0):
@@ -67,7 +76,7 @@ def direct_gaps(functions, freqs, m, trials, seed):
 def test_moment_gaps_match_the_direct_values_within_the_stated_bound(
         freqs, count, zeros, m, seed):
     fs = functions_on([[j] for j in freqs], count, seed, zeros)
-    got = discretization_error_trials(fs, 2, m, 2, rng_seed=[seed, 1])
+    got = moment_trials(fs, 2, m, 2, rng_seed=[seed, 1])
     ref, l1 = direct_gaps(fs, freqs, m, 2, [seed, 1])
     spread = max(freqs) - min(freqs)
     chunks = math.ceil(m / max(1, _MOMENT_CHUNK_VALUES // spread)) if spread else 0
@@ -133,9 +142,30 @@ def test_blocked_moment_gaps_keep_the_bits_of_trials_run_one_at_a_time(
         shape, count, zeros, seed):
     freqs, m, trials = shape
     fs = functions_on([[j] for j in freqs], count, seed, zeros)
-    got = discretization_error_trials(fs, 2, m, trials, rng_seed=[seed, 2])
+    got = moment_trials(fs, 2, m, trials, rng_seed=[seed, 2])
     ref = one_trial_gaps(fs, m, trials, [seed, 2])
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("freqs, moments", [
+    ([[0], [30000]], False),                       # J / F = 15000
+    ([[-40], [0], [40]], False),                   # J / F = 26.7
+    ([[0], [33]], False),                          # J = 16 F + 1
+    ([[0], [32]], True),                           # J = 16 F
+    ([[-20], [0], [20]], True),                    # J / F = 13.3
+    ([[j] for j in range(-16, 17)], True),         # profile's band: J = 32, F = 33
+])
+def test_moment_path_runs_only_while_the_spread_is_at_most_16_f(freqs, moments, monkeypatch):
+    calls = []
+    power_sums = discretization._power_sums
+
+    def recording(theta, powers):
+        calls.append(len(powers))
+        return power_sums(theta, powers)
+
+    monkeypatch.setattr(discretization, "_power_sums", recording)
+    discretization_error_trials(functions_on(freqs, 2, 0), 2, 64, 2)
+    assert bool(calls) == moments
 
 
 BAND = [[j] for j in range(-6, 7)]

@@ -25,6 +25,30 @@ def exhaustive_oracle(inst, v):
     return best_subset, best
 
 
+def svd_reference_bounds(inst, subsets):
+    """The bounds as a full column SVD of every subset gives them: the
+    reference the QR-reduced kernel is held to."""
+    m = inst.dict_values.shape[0]
+    v = subsets.shape[1]
+    sw = np.sqrt(inst.weights)
+    sb = sw * inst.f_values
+    stack = np.moveaxis((sw[:, None] * inst.dict_values)[:, subsets], 0, 1)
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    bad = np.flatnonzero((s > np.finfo(float).eps * max(m, v) * s[:, :1]).sum(axis=1) < v)
+    if bad.size:
+        raise recovery._rank_deficiency(subsets[bad[0]].tolist())
+    ars = np.abs(sb - np.matmul(u, np.matmul(sb, u.conj())[:, :, None])[:, :, 0])
+    r2 = np.divide(ars, sw, out=np.zeros(ars.shape), where=sw > 0)
+    top = r2.max(axis=1)
+    top[top == 0] = 1.0
+    q = inst.p / (inst.p - 1.0)
+    dual = top * ((inst.weights * (r2 / top[:, None]) ** q).sum(axis=1)) ** (1.0 / q)
+    bound = np.divide((ars * ars).sum(axis=1), dual, out=np.zeros(len(subsets)),
+                      where=dual > 0)
+    slack = 1e-12 * inst.norm(inst.f_values) * (s[:, 0] / s[:, -1])
+    return bound - slack, slack
+
+
 def outcome(fn):
     try:
         return "ok", fn()
@@ -137,3 +161,55 @@ def test_oracle_projects_few_subsets_on_an_orthonormal_dictionary(monkeypatch):
     best_v_term_oracle(inst, 3)
     assert len(calls) < 220 // 4
 
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 24),
+       n=st.integers(3, 6), v=st.integers(1, 3),
+       p=st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+       scale=st.floats(0.1, 10.0), log_delta=st.floats(-18.0, -9.0),
+       near=st.booleans())
+def test_qr_bounds_match_the_full_column_svd(seed, m, n, v, p, scale, log_delta, near):
+    inst = random_instance(seed, m, n, p, "random")
+    if near:   # a_j = s a_i + delta noise, delta straddling lstsq's threshold
+        rng = np.random.default_rng(seed + 1)
+        i, j = rng.choice(n, 2, replace=False)
+        noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        a = inst.dict_values.copy()
+        a[:, j] = scale * a[:, i] + 10.0 ** log_delta * noise
+        inst = DiscreteInstance(a, inst.f_values, inst.weights, p)
+    subsets = np.array(list(itertools.combinations(range(n), v)))
+    got = outcome(lambda: recovery._subset_lower_bounds(inst, subsets))
+    ref = outcome(lambda: svd_reference_bounds(inst, subsets))
+    assert got[0] == ref[0]
+    if got[0] == "rank":
+        assert got[1] == ref[1]
+        return
+    (bounds, (ref_bounds, slack)) = got[1], ref[1]
+    # each computed bound is within its slack of the exact one, and the two
+    # slacks agree to a few percent where the QR path decides the rank
+    assert (np.abs(bounds - ref_bounds) <= 1e-9 * np.abs(ref_bounds) + 4.0 * slack).all()
+    for bound, subset in zip(bounds, subsets):
+        try:
+            res = chebyshev_projection(inst, subset).residual_norm
+        except RankDeficiencyError:
+            continue   # lstsq's own SVD can round across its threshold
+        assert bound <= res
+
+
+def test_well_conditioned_bounds_take_no_svd_on_the_node_rows(monkeypatch):
+    d = Dictionary.exponential_band(-6, 5)                  # N = 12
+    rng = np.random.default_rng(5)
+    f = d.combine(rng.standard_normal(12) + 1j * rng.standard_normal(12))
+    inst = DiscreteInstance.from_function(f, d, PointSet.equispaced(64, 1), 4)
+    subsets = np.array(list(itertools.combinations(range(12), 3)))
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    recovery._subset_lower_bounds(inst, subsets)
+    assert shapes and all(shape[-2] == 12 for shape in shapes)

@@ -70,6 +70,39 @@ def test_projection_rank_deficiency():
         chebyshev_projection(inst, (0, 1))
 
 
+@pytest.mark.parametrize("field, bad", [("dict_values", math.nan),
+                                        ("f_values", math.nan),
+                                        ("f_values", math.inf),
+                                        ("weights", -0.1),
+                                        ("weights", math.inf)])
+def test_instance_rejects_non_finite_or_negative_inputs(field, bad):
+    _, _, inst, _, _ = make_instance()
+    parts = {"dict_values": inst.dict_values.copy(), "f_values": inst.f_values.copy(),
+             "weights": inst.weights.copy()}
+    parts[field].flat[3] = bad
+    with pytest.raises(ValueError, match=field):
+        DiscreteInstance(parts["dict_values"], parts["f_values"], parts["weights"], 4.0)
+
+
+@pytest.mark.parametrize("subset, index", [((-1,), -1), ((0, 9), 9), ((7,), 7)])
+def test_projection_rejects_out_of_range_indices(subset, index):
+    _, _, inst, _, _ = make_instance(band=3)                 # N = 7
+    with pytest.raises(ValueError, match=rf"subset index {index} is outside \[0, 7\)"):
+        chebyshev_projection(inst, subset)
+
+
+def test_projection_rejects_a_fractional_iteration_count():
+    _, _, inst, _, _ = make_instance(p=4.0)
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        chebyshev_projection(inst, (0, 1), max_iters=2.5)
+
+
+def test_wcga_rejects_a_negative_iteration_count():
+    _, _, inst, _, _ = make_instance()
+    with pytest.raises(ValueError, match="max_iter must be at least 0"):
+        weak_chebyshev_greedy(inst, max_iter=-1)
+
+
 def grid_scan_single_coefficient(a_col, b, w, p, lo=-4.0, hi=4.0):
     """Independent oracle: nested 1-d scan over a real coefficient."""
     c_grid = np.linspace(lo, hi, 2001)
