@@ -43,7 +43,7 @@ from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _union_coefficients,
 
 DEFAULT_SUBSET_CAP = 10**6
 _MOMENT_CHUNK_VALUES = 1 << 16   # complex node powers held per chunk of p = 2 gap-trial nodes
-_MOMENT_SPREAD_PER_FREQUENCY = 16   # p = 2 gap trials take the moments while J <= this * F
+_MOMENT_SPREAD_PER_FREQUENCY = 8    # p = 2 gap trials take the moments while J <= this * F
 
 
 @dataclass(frozen=True)
@@ -421,13 +421,15 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
 
     Path rule: the trials take the moment path below, and its bits, exactly
     when p = 2, d = 1 and the spread J = max k - min k of the union's F
-    frequencies satisfies J <= ``_MOMENT_SPREAD_PER_FREQUENCY`` F (16 F);
+    frequencies satisfies J <= ``_MOMENT_SPREAD_PER_FREQUENCY`` F (8 F);
     every other call takes the values path and its bits.  The moment path
     costs J m products a trial, the values path F m exponentials.  Over m
-    in {256, 1024, 4096} and F in {2, 8, 32, 128}, the moment path took
-    less time per trial in 11 of the 12 cases at J/F = 8, in 7 at J/F = 16
-    and in none at J/F = 32, so a wide sparse union such as {0, 30000}
-    takes the values path.
+    in {256, 1024, 4096} and F in {2, 8, 32, 128}, in two in-process runs,
+    the moment path took less time per trial in 11 of the 12 cases at
+    J/F = 8, in 6 at J/F = 12, in 7 at J/F = 16 and in none at J/F = 32.
+    The rule sits at the largest ratio where it clearly won; between 8 and
+    16 either path may be faster, and a wide sparse union such as
+    {0, 30000} takes the values path.
 
     On the moment path no node values are formed.  With the empirical
     moments ``s_j = (1/m) sum_x e^{ijx}`` (from ``_power_sums``), the

@@ -330,11 +330,16 @@ def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
     that fails the rank rule of ``np.linalg.lstsq``: fewer than v singular
     values of the scaled columns ``(sw A)[:, S]`` above ``tol = eps *
     max(m, v) * s_max``, so every subset fails when m < v.  Householder QR
-    is backward stable (Higham 2002, Thm 19.4), ``Q R = sw A + E`` with
-    ``||E[:, j]|| <= c m k u ||(sw A)[:, j]||``, so by Weyl's inequality,
-    with both SVDs' own backward errors, each singular value of R[:, S] is
-    within ``8 eps (m + v)(k + v) sqrt(v) s_max`` of the full column SVD's
-    (measured below an eighth of that).  A subset whose smallest reduced
+    is backward stable (Higham 2002, Thm 19.4): ``Q R = sw A + E`` with
+    ``||E[:, j]|| <= c m k u ||(sw A)[:, j]||`` for a small constant c that
+    the theorem leaves unstated.  By Weyl's inequality, with both SVDs' own
+    backward errors, each singular value of R[:, S] is within a constant
+    times ``eps (m + v)(k + v) sqrt(v) s_max`` of the full column SVD's.
+    The margin takes that constant as 8, which is empirical: over 3000
+    random and near-deficient instances (m up to 300) the two differed by
+    at most 0.062 of the margin, and the tests hold the rank decisions to
+    the full column SVD's at the recover benchmark's shapes (m = 256 and
+    its blended m = 1280, N = 12, v = 3).  A subset whose smallest reduced
     singular value is not above ``tol`` by that margin takes the full
     (m, v) column SVD, which decides its rank as before; a well-conditioned
     instance takes none.
@@ -342,10 +347,12 @@ def _subset_lower_bounds(inst: DiscreteInstance, subsets) -> np.ndarray:
     Slack: rounding moves a computed bound by a few ulps relative to it,
     which the oracle's relative 1e-9 covers, and by the leakage of the
     computed r2 into the span.  That leakage is the residual's error under
-    the QR's and the SVDs' backward errors, at most a modest multiple of
-    ``eps ||b|| s_max / s_min``; against the former full column SVD path it
-    measured below 3 of those units.  The absolute slack ``1e-12 ||b||
-    s_max / s_min`` (about 4500 units) still dominates it.
+    the QR's and the SVDs' backward errors, a multiple of ``eps ||b|| s_max
+    / s_min`` with again no stated constant; against the full column SVD
+    path it measured below 3 of those units on the same instances.  The
+    absolute slack ``1e-12 ||b|| s_max / s_min`` (about 4500 units) covers
+    that with room, and the tests hold every bound below its projection
+    residual at the same shapes.
     """
     m = inst.dict_values.shape[0]
     v = subsets.shape[1]

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from usdlab import discretization
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (RatioOptions, UsdCertificate, check_usd,
                                    discretization_error_trials,
@@ -605,10 +606,21 @@ def test_p2_gap_trials_hold_one_block_of_nodes_at_a_time(m, cap):
     assert peak < cap
 
 
-def test_p2_gap_trials_hold_one_chunk_of_powers_at_a_time():
+def test_p2_gap_trials_hold_one_chunk_of_powers_at_a_time(monkeypatch):
     # a spread of 3000 at m = 4096: every power at every node would take
     # 188 MiB; a chunk holds 21 nodes' powers, 2^16 values or 1 MiB, so a
-    # chunk twice as wide fails the 2 MiB bound
+    # chunk twice as wide fails the 2 MiB bound.  The path rule sends so
+    # wide a union to the values path, so the rule is lifted here and the
+    # test checks that the moment kernel ran
+    monkeypatch.setattr(discretization, "_MOMENT_SPREAD_PER_FREQUENCY", math.inf)
+    calls = []
+    power_sums = discretization._power_sums
+
+    def recording(theta, powers):
+        calls.append(theta.shape)
+        return power_sums(theta, powers)
+
+    monkeypatch.setattr(discretization, "_power_sums", recording)
     fs = [TrigPolynomial({(0,): 0.6, (3000,): 0.8j})]
     discretization_error_trials(fs, 2, 16, 1)
     tracemalloc.start()
@@ -618,6 +630,7 @@ def test_p2_gap_trials_hold_one_chunk_of_powers_at_a_time():
     finally:
         tracemalloc.stop()
     assert errs.shape == (1,)
+    assert calls == [(1, 16), (1, 4096)]
     assert peak < 2 * 2 ** 20
 
 

@@ -150,12 +150,13 @@ def test_blocked_moment_gaps_keep_the_bits_of_trials_run_one_at_a_time(
 @pytest.mark.parametrize("freqs, moments", [
     ([[0], [30000]], False),                       # J / F = 15000
     ([[-40], [0], [40]], False),                   # J / F = 26.7
-    ([[0], [33]], False),                          # J = 16 F + 1
-    ([[0], [32]], True),                           # J = 16 F
-    ([[-20], [0], [20]], True),                    # J / F = 13.3
+    ([[-20], [0], [20]], False),                   # J / F = 13.3
+    ([[0], [17]], False),                          # J = 8 F + 1
+    ([[0], [16]], True),                           # J = 8 F
+    ([[-10], [0], [10]], True),                    # J / F = 6.7
     ([[j] for j in range(-16, 17)], True),         # profile's band: J = 32, F = 33
 ])
-def test_moment_path_runs_only_while_the_spread_is_at_most_16_f(freqs, moments, monkeypatch):
+def test_moment_path_runs_only_while_the_spread_is_at_most_8_f(freqs, moments, monkeypatch):
     calls = []
     power_sums = discretization._power_sums
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from usdlab import recovery
 from usdlab.dictionary import Dictionary
 from usdlab.errors import RankDeficiencyError
+from usdlab.frequencies import FrequencySet
 from usdlab.points import PointSet
 from usdlab.recovery import (DiscreteInstance, best_v_term_oracle,
                              chebyshev_projection)
@@ -179,6 +180,12 @@ def test_qr_bounds_match_the_full_column_svd(seed, m, n, v, p, scale, log_delta,
         a[:, j] = scale * a[:, i] + 10.0 ** log_delta * noise
         inst = DiscreteInstance(a, inst.f_values, inst.weights, p)
     subsets = np.array(list(itertools.combinations(range(n), v)))
+    assert_qr_bounds_match_the_reference(inst, subsets)
+
+
+def assert_qr_bounds_match_the_reference(inst, subsets):
+    """Same rank outcome and message as the full column SVD; bounds within
+    the stated rounding of the reference, each below its projection residual."""
     got = outcome(lambda: recovery._subset_lower_bounds(inst, subsets))
     ref = outcome(lambda: svd_reference_bounds(inst, subsets))
     assert got[0] == ref[0]
@@ -195,6 +202,78 @@ def test_qr_bounds_match_the_full_column_svd(seed, m, n, v, p, scale, log_delta,
         except RankDeficiencyError:
             continue   # lstsq's own SVD can round across its threshold
         assert bound <= res
+
+
+RECOVER_SUBSETS = np.array(list(itertools.combinations(range(12), 3)))
+
+
+def recover_instance(blended, seed=0, freqs=(-8, -3, 1, 5, 8)):
+    """The recover benchmark's oracle instance: 12 exponentials +-1..+-6 at
+    m = 256 random nodes and p = 4, or its blended instance (1024 grid
+    nodes more); the target on ``freqs``.  Also the generator, for noise."""
+    d = Dictionary.exponentials(FrequencySet.from_indices([(k,) for k in range(-6, 7) if k]))
+    rng = np.random.default_rng(seed)
+    f = TrigPolynomial({(k,): complex(*rng.standard_normal(2)) for k in freqs})
+    xi = PointSet.random_uniform(256, 1, seed=0)
+    make = DiscreteInstance.blended if blended else DiscreteInstance.from_function
+    return make(f, d, xi, 4), rng
+
+
+def near_copy(inst, delta, noise):
+    """``inst`` with column 7 = 0.8 column 2 + delta noise."""
+    a = inst.dict_values.copy()
+    a[:, 7] = 0.8 * a[:, 2] + delta * noise
+    return DiscreteInstance(a, inst.f_values, inst.weights, inst.p)
+
+
+@pytest.mark.parametrize("exact, delta", [(True, None)] + [
+    (False, delta) for delta in (None, 1e-16, 5e-14, 1e-13, 3e-13, 1e-12, 3e-12,
+                                 2e-11, 5e-11, 1e-10, 1e-9)])
+@pytest.mark.parametrize("blended", [False, True], ids=["recover", "blended"])
+def test_qr_bounds_match_the_full_column_svd_at_recover_shapes(exact, delta, blended):
+    # the 220 3-subsets of the recover benchmark's oracle.  An exact target
+    # lies in the span of three columns, where a bound without its slack
+    # rises above that subset's residual; the near copy crosses lstsq's
+    # threshold between delta = 5e-14 and 1e-13 at m = 256 and between
+    # 3e-13 and 1e-12 at m = 1280; the full column SVD decides the subsets
+    # holding both up to delta = 3e-12 at m = 256 and 5e-11 at m = 1280,
+    # the QR path above
+    inst, rng = recover_instance(blended, freqs=(-5, 1, 4) if exact else (-8, -3, 1, 5, 8))
+    if delta is not None:
+        m = inst.dict_values.shape[0]
+        inst = near_copy(inst, delta, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    assert_qr_bounds_match_the_reference(inst, RECOVER_SUBSETS)
+
+
+@pytest.mark.parametrize("blended, seed", [(False, 0), (False, 1), (False, 2),
+                                           (False, 3), (True, 0), (True, 1)])
+def test_rank_rule_matches_the_full_column_svd_at_its_threshold(blended, seed):
+    # bisect delta until the full column SVD's decision flips between two
+    # neighbouring doubles: the smallest singular value then sits within
+    # about 1e-6 of lstsq's threshold, relatively, while the reduced one
+    # differs from it by 1e-6 to 2e-4 (either sign, depending on the seed),
+    # so deciding either side from R alone names a different outcome
+    inst, rng = recover_instance(blended, seed)
+    m = inst.dict_values.shape[0]
+    noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    both = RECOVER_SUBSETS[(RECOVER_SUBSETS == 2).any(axis=1)
+                           & (RECOVER_SUBSETS == 7).any(axis=1)]
+
+    def reference(log_delta):
+        return outcome(lambda: svd_reference_bounds(
+            near_copy(inst, 10.0 ** log_delta, noise), both))[0]
+
+    lo, hi = -15.0, -11.0
+    assert (reference(lo), reference(hi)) == ("rank", "ok")
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if reference(mid) == "rank":
+            lo = mid
+        else:
+            hi = mid
+    for log_delta in (lo, hi):
+        assert_qr_bounds_match_the_reference(near_copy(inst, 10.0 ** log_delta, noise),
+                                             RECOVER_SUBSETS)
 
 
 def test_well_conditioned_bounds_take_no_svd_on_the_node_rows(monkeypatch):
