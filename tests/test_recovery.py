@@ -103,6 +103,37 @@ def test_wcga_rejects_a_negative_iteration_count():
         weak_chebyshev_greedy(inst, max_iter=-1)
 
 
+@pytest.mark.parametrize("subset, shown", [((1.7,), "1.7"), ((True,), "True"),
+                                           ((0, np.float64(2.5)), "2.5")])
+def test_projection_rejects_non_integer_indices(subset, shown):
+    _, _, inst, _, _ = make_instance(band=3)
+    message = f"subset index must be an integer, got .*{shown}"
+    with pytest.raises(ValueError, match=message):
+        chebyshev_projection(inst, subset)
+
+
+@pytest.mark.parametrize("stop_tol", [math.nan, math.inf, -1e-3])
+def test_wcga_rejects_a_non_finite_or_negative_stop_tol(stop_tol):
+    _, _, inst, _, _ = make_instance()
+    with pytest.raises(ValueError, match="stop_tol must be finite and non-negative"):
+        weak_chebyshev_greedy(inst, stop_tol=stop_tol)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_block_term_schedule_rejects_a_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        block_term_schedule(3, beta, 1)
+
+
+@pytest.mark.parametrize("n, message", [(2.5, "n must be an integer, got 2.5"),
+                                        (True, "n must be an integer, got True"),
+                                        (0, "n must be at least 1, got 0")])
+def test_block_greedy_rejects_a_non_integer_or_small_cut(n, message):
+    f = TrigPolynomial({1: 1.0, 5: 0.5, 9: 0.25})
+    with pytest.raises(ValueError, match=message):
+        block_greedy_approximant(f, n, 0.5)
+
+
 def grid_scan_single_coefficient(a_col, b, w, p, lo=-4.0, hi=4.0):
     """Independent oracle: nested 1-d scan over a real coefficient."""
     c_grid = np.linspace(lo, hi, 2001)
