@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NormBudgetError
 from .frequencies import FrequencySet
 from .points import PointSet
-from .trigpoly import TrigPolynomial, _stack, _values_on, sup_norm
+from .trigpoly import TrigPolynomial, _stack, _unique_rows, _values_on, sup_norm
 
 _BOUND_CHECK_GRID_LEVEL = 8
 
@@ -106,9 +106,7 @@ class Dictionary:
         grouped by union size: per size, the member rows and their stacked
         (S_g, F, d) frequencies and (S_g, F, v) blocks of B."""
         mask = self._union_mask(subsets)
-        # with an inverse, np.unique skips the numpy.ma check (a 25 ms
-        # import on first use)
-        sizes, kind = np.unique(mask.sum(axis=1), return_inverse=True)
+        sizes, kind = _unique_rows(mask.sum(axis=1))
         for j, size in enumerate(sizes.tolist()):
             members = np.flatnonzero(kind == j)
             rows = np.nonzero(mask[members])[1].reshape(len(members), size)

@@ -39,7 +39,7 @@ from .multistart import MULTISTART_GRAD_TOL, _even_half, _subset_ratios
 from .pencils import _moment_family, _pencil_family
 from .points import PointSet, _integer_argument
 from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _union_coefficients,
-                       _values_on, lp_norm)
+                       _unique_rows, _values_on, lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
 _MOMENT_CHUNK_VALUES = 1 << 16   # complex node powers held per chunk of p = 2 gap-trial nodes
@@ -304,15 +304,15 @@ class UsdSearchResult:
         }
 
 
-def usd_sample_budget(v: int, n_dict: int, constant: float = 1.0) -> float:
-    """Reference point budget ``c v (log 2v + loglog 2N)^2 (log N)^2``.
+def usd_sample_budget(v: int, n_dict: int) -> float:
+    """Reference point budget ``v (log 2v + loglog 2N)^2 (log N)^2``.
 
-    Logs are base 2.  The absolute constant is unknown, so this is logged
-    for comparison against the empirically sufficient m, never asserted.
+    Logs are base 2.  The absolute constant is unknown (taken as 1), so this
+    is logged for comparison against the empirically sufficient m, never asserted.
     """
     log_n = math.log2(max(n_dict, 2))
     inner = math.log2(2 * v) + math.log2(math.log2(2 * n_dict))
-    return constant * v * inner ** 2 * log_n ** 2
+    return v * inner ** 2 * log_n ** 2
 
 
 def find_usd_points(coll: SubspaceCollection, p: float, m: int,
@@ -354,8 +354,7 @@ def _difference_correlations(k, coeffs):
     per column c of ``coeffs``, ``R_j = sum conj(c_a) c_b`` over the pairs
     a < b with ``k_b - k_a = j``, accumulated in increasing a."""
     diffs = np.subtract.outer(k, k)
-    # with an inverse, np.unique skips the numpy.ma check (a 25 ms import)
-    diffs = np.unique(diffs[diffs > 0], return_inverse=True)[0]
+    diffs = _unique_rows(diffs[diffs > 0])[0]
     corr = np.zeros((len(diffs), coeffs.shape[1]), dtype=complex)
     for a in range(len(k) - 1):   # the differences from one k_a are distinct
         corr[np.searchsorted(diffs, k[a + 1:] - k[a])] += coeffs[a].conj() * coeffs[a + 1:]

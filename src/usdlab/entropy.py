@@ -31,16 +31,15 @@ _REFINE_ELEMS = 1 << 16
 _CAST_ROWS = 64
 
 
-def l1_ball_draws(n: int, count: int, seed: int, sparse_supports: bool = True):
+def l1_ball_draws(n: int, count: int, seed: int):
     """Yield ``count`` seeded (support, coefficients) pairs of unit l1 mass.
 
-    Each draw takes a random support of the n indices (all of them when
-    ``sparse_supports`` is false), Dirichlet weights on it and uniform
-    phases.
+    Each draw takes a random support of the n indices, of a uniform size in
+    1..n, Dirichlet weights on it and uniform phases.
     """
     rng = np.random.default_rng([int(seed), 0])
     for _ in range(count):
-        size = int(rng.integers(1, n + 1)) if sparse_supports else n
+        size = int(rng.integers(1, n + 1))
         support = np.sort(rng.choice(n, size=size, replace=False))
         weights = rng.dirichlet(np.ones(size))
         phases = np.exp(2j * np.pi * rng.random(size))
@@ -72,22 +71,21 @@ class SampledClass:
 
     @classmethod
     def from_l1_ball(cls, dictionary: Dictionary, n_representatives: int = 4096,
-                     grid_level: int = 10, seed: int = 0,
-                     sparse_supports: bool = True) -> "SampledClass":
+                     grid_level: int = 10, seed: int = 0) -> "SampledClass":
         """Sample expansions with coefficient l1 mass at most 1.
 
         The zero expansion is always the first representative (it belongs
         to the ball and anchors single-center covers).  Every other
-        representative draws a random support (all of it when
-        ``sparse_supports`` is false), Dirichlet weights on the support and
-        uniform phases, so its coefficient moduli sum to one; the sample
-        emphasizes the extreme shell that drives the covering structure.
+        representative is an ``l1_ball_draws`` draw: a random sparse
+        support, Dirichlet weights on it and uniform phases, so its
+        coefficient moduli sum to one; the sample emphasizes the extreme
+        shell that drives the covering structure.
         """
         n = dictionary.size
         grid = PointSet.equispaced(2 ** grid_level, dictionary.dimension)
         basis = dictionary.values_at(grid)
         coeff = np.zeros((n, n_representatives), dtype=complex)
-        draws = l1_ball_draws(n, n_representatives - 1, seed, sparse_supports)
+        draws = l1_ball_draws(n, n_representatives - 1, seed)
         for j, (support, c) in enumerate(draws, start=1):
             coeff[support, j] = c
         values = (basis @ coeff).T
@@ -97,7 +95,7 @@ class SampledClass:
             "n_representatives": int(n_representatives),
             "grid_points": int(grid.size),
             "seed": int(seed),
-            "sparse_supports": bool(sparse_supports),
+            "sparse_supports": True,
             "caveats": [
                 "lower estimate of the underlying class entropy (finite sample)",
                 "greedy covering gives an upper-type estimate for the sampled set",
@@ -365,8 +363,7 @@ def chaining_bound_dyadic(profile: EntropyProfile, p: float, sup_bound: float,
     return _chaining_prefactor(p, sup_bound, m) * entropy_sum_dyadic(profile, theta, m)
 
 
-def double_exponential_tail_sum(a: float, b: float, m: int,
-                                rel_tol: float = 1e-18) -> float:
+def double_exponential_tail_sum(a: float, b: float, m: int) -> float:
     """``sum_{k >= ceil(log2 m)} (2^{ak} 2^{-2^k/m})^b`` by direct summation."""
     if a <= 0 or b <= 0 or m < 2:
         raise ValueError("need a > 0, b > 0, m >= 2")
@@ -376,7 +373,7 @@ def double_exponential_tail_sum(a: float, b: float, m: int,
         log2_term = b * (a * k - (2.0 ** k) / m)
         term = 2.0 ** log2_term if log2_term > -1000 else 0.0
         total += term
-        if term <= rel_tol * max(total, 1e-300) and 2.0 ** k > m:
+        if term <= 1e-18 * max(total, 1e-300) and 2.0 ** k > m:
             break
         k += 1
     return total

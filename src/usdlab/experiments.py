@@ -218,6 +218,29 @@ def random_l1_ball_elements(dictionary: Dictionary, count: int, seed: int):
             for support, c in l1_ball_draws(dictionary.size, count, seed)]
 
 
+def _l1_ball_profile(cfg, dictionary):
+    """Entropy profile of a seeded sample of the l1 ball of ``dictionary``."""
+    p = cfg.params
+    sampled = SampledClass.from_l1_ball(
+        dictionary, int(p.get("n_representatives", 1024)),
+        int(p.get("grid_level", 10)), seed=cfg.seed)
+    return entropy_numbers(sampled, int(p.get("n_max", 16)))
+
+
+def _l1_ball_sweep(cfg, dictionary, seed, estimate):
+    """``estimate(functions, p, m, mc_trials, ...)`` of ``n_functions`` l1-ball
+    elements drawn from ``seed``, at each m_sweep point i from ``[cfg.seed, i]``."""
+    p = cfg.params
+    functions = random_l1_ball_elements(dictionary, int(p["n_functions"]), seed)
+
+    def one_sweep(i_m):
+        i, m = i_m
+        return estimate(functions, float(p["p"]), m, int(p["mc_trials"]),
+                        rng_seed=[cfg.seed, i], grid_level=int(p.get("grid_level", 10)))
+
+    return _maybe_parallel(one_sweep, list(enumerate(p["m_sweep"])), cfg.threads)
+
+
 def _format_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -454,16 +477,8 @@ def _summarize_usd_verify(cfg, header, rows, strict):
 
 
 def _run_entropy(cfg: ExperimentConfig):
-    p = cfg.params
-    dictionary = _band_dictionary(p)
-    sampled = SampledClass.from_l1_ball(
-        dictionary, int(p["n_representatives"]), int(p["grid_level"]),
-        seed=cfg.seed, sparse_supports=bool(p.get("sparse_supports", True)))
-    profile = entropy_numbers(sampled, int(p["n_max"]))
-    header = ["n", "eps_n"]
-    rows = profile.to_csv_rows()
-    artifacts = {"profile.json": profile.to_json()}
-    return header, rows, artifacts
+    profile = _l1_ball_profile(cfg, _band_dictionary(cfg.params))
+    return ["n", "eps_n"], profile.to_csv_rows(), {"profile.json": profile.to_json()}
 
 
 def _summarize_entropy(cfg, header, rows, strict):
@@ -475,26 +490,11 @@ def _summarize_entropy(cfg, header, rows, strict):
 
 
 def _run_er_rate(cfg: ExperimentConfig):
-    p = cfg.params
-    dictionary = _band_dictionary(p)
-    functions = random_l1_ball_elements(dictionary, int(p["n_functions"]), cfg.seed)
-    m_sweep = p["m_sweep"]
-    trials = int(p["mc_trials"])
-    exponent = float(p["p"])
-    grid_level = int(p.get("grid_level", 10))
-
-    def one_sweep(i_m):
-        i, m = i_m
-        return discretization_error_trials(functions, exponent, m, trials,
-                                           rng_seed=[cfg.seed, i], grid_level=grid_level)
-
-    results = _maybe_parallel(one_sweep, list(enumerate(m_sweep)), cfg.threads)
-    header = ["m", "trial", "error"]
-    rows = []
-    for m, errs in zip(m_sweep, results):
-        for t, e in enumerate(errs):
-            rows.append((m, t, float(e)))
-    return header, rows, {}
+    results = _l1_ball_sweep(cfg, _band_dictionary(cfg.params), cfg.seed,
+                             discretization_error_trials)
+    rows = [(m, t, float(e)) for m, errs in zip(cfg.params["m_sweep"], results)
+            for t, e in enumerate(errs)]
+    return ["m", "trial", "error"], rows, {}
 
 
 def _summarize_er_rate(cfg, header, rows, strict):
@@ -566,23 +566,11 @@ def _summarize_recovery_rate(cfg, header, rows, strict):
 def _run_chaining_compare(cfg: ExperimentConfig):
     p = cfg.params
     dictionary = _band_dictionary(p)
-    sampled = SampledClass.from_l1_ball(
-        dictionary, int(p.get("n_representatives", 1024)),
-        int(p.get("grid_level", 10)), seed=cfg.seed)
-    profile = entropy_numbers(sampled, int(p.get("n_max", 16)))
-    functions = random_l1_ball_elements(dictionary, int(p["n_functions"]),
-                                        cfg.seed + 1)
-    exponent = float(p["p"])
-    trials = int(p["mc_trials"])
-    sup_bound = float(p.get("sup_bound", 1.0))
-
-    def one_sweep(i_m):
-        i, m = i_m
-        mean, stderr = expected_sup_estimate(functions, exponent, m, trials,
-                                             rng_seed=[cfg.seed, i])
-        return m, mean, stderr, chaining_bound(profile, exponent, sup_bound, m)
-
-    rows = _maybe_parallel(one_sweep, list(enumerate(p["m_sweep"])), cfg.threads)
+    profile = _l1_ball_profile(cfg, dictionary)
+    estimates = _l1_ball_sweep(cfg, dictionary, cfg.seed + 1, expected_sup_estimate)
+    exponent, sup_bound = float(p["p"]), float(p.get("sup_bound", 1.0))
+    rows = [(m, mean, stderr, chaining_bound(profile, exponent, sup_bound, m))
+            for m, (mean, stderr) in zip(p["m_sweep"], estimates)]
     header = ["m", "measured_mean", "measured_stderr", "entropy_bound"]
     return header, rows, {"profile.json": profile.to_json()}
 

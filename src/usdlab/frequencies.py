@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
+from .trigpoly import _unique_rows
 
 DEFAULT_FREQUENCY_CAP = 10**7
 
@@ -205,8 +206,7 @@ def unrank_level(j: int, d: int, ranks) -> np.ndarray:
     out[:, 0] = lowest[seg] + step
     if d > 1:
         tail_level = j - seg_s[seg]
-        # with an inverse, np.unique skips the numpy.ma check (a 25 ms import)
-        for t in np.unique(tail_level, return_inverse=True)[0].tolist():
+        for t in _unique_rows(tail_level)[0].tolist():
             rows = tail_level == t
             out[rows, 1:] = unrank_level(t, d - 1, tail_rank[rows])
     return out

@@ -30,7 +30,7 @@ from .dictionary import Dictionary
 from .errors import CapExceededError
 from .pencils import _adjoint
 from .points import tensor_grid_points
-from .trigpoly import _phases, _quadrature_grid_size
+from .trigpoly import _phases, _quadrature_grid_size, _unique_rows
 
 MULTISTART_GRAD_TOL = 1e-9
 MULTISTART_BACKTRACKS = 30
@@ -121,14 +121,12 @@ def _lifted_shapes(freqs, r):
             _check_lift_bytes(8 * width * freqs[0].size)   # one subset's pair sums
             sums = (level[:, :, None, :] + freqs[members][:, None, :, :]).reshape(-1, d)
             member = np.repeat(np.arange(n), len(sums) // n)
-            rows, at = np.unique(np.column_stack([member, sums]), axis=0,
-                                 return_inverse=True)
+            rows, at = _unique_rows(np.column_stack([member, sums]))
             first = np.searchsorted(rows[:, 0], np.arange(n + 1))
             at = at.reshape(n, -1) - first[:n, None]
-            keys, kind = np.unique(np.column_stack([np.diff(first), at]), axis=0,
-                                   return_inverse=True)
+            keys, kind = _unique_rows(np.column_stack([np.diff(first), at]))
             for j, key in enumerate(keys):
-                sub = np.flatnonzero(kind.reshape(-1) == j)
+                sub = np.flatnonzero(kind == j)
                 level_j = rows[first[sub][:, None] + np.arange(key[0]), 1:]
                 split.append((members[sub], level_j, maps + [key[1:].reshape(width, -1)]))
         groups = split
@@ -383,9 +381,8 @@ def _families(dictionary: Dictionary, values, points, subsets, p, columns, grids
     else:
         mask = dictionary._union_mask(subsets)
         max_freq = np.where(mask, np.abs(dictionary.frequencies).max(axis=1), 0).max(axis=1)
-        sizes, kind = np.unique([_quadrature_grid_size(int(k), MULTISTART_GRID_LEVEL,
-                                                       math.ceil(p), 1) for k in max_freq],
-                                return_inverse=True)
+        sizes, kind = _unique_rows([_quadrature_grid_size(int(k), MULTISTART_GRID_LEVEL,
+                                                          math.ceil(p), 1) for k in max_freq])
         for j, n_grid in enumerate(sizes.tolist()):
             if n_grid not in grids:
                 grids[n_grid] = dictionary.values_at(

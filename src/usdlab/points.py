@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,14 @@ def _integer_argument(name, value, least=None) -> int:
     if least is not None and whole < least:
         raise ValueError(f"{name} must be at least {least}, got {whole}")
     return whole
+
+
+def _real_argument(name, value) -> float:
+    """``value`` as a float; a bool or anything but a real number raises
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def tensor_grid_points(n: int, d: int) -> np.ndarray:

@@ -55,7 +55,7 @@ from .dictionary import Dictionary
 from .discretization import UsdCertificate, _one_sided_constant
 from .errors import CapExceededError, RankDeficiencyError, ZeroResidualError
 from .frequencies import frequency_levels
-from .points import PointSet, _integer_argument, tensor_grid_points
+from .points import PointSet, _integer_argument, _real_argument, tensor_grid_points
 from .trigpoly import (DEFAULT_GRID_LEVEL, TrigPolynomial, _quadrature_grid_size,
                        lp_norm)
 
@@ -324,6 +324,7 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, max_iter: int = 100,
     onto everything selected so far.
     """
     max_iter = _integer_argument("max_iter", max_iter, 0)
+    stop_tol = _real_argument("stop_tol", stop_tol)
     if not (math.isfinite(stop_tol) and stop_tol >= 0):
         raise ValueError(f"stop_tol must be finite and non-negative, got {stop_tol}")
     b = inst.f_values
@@ -518,6 +519,8 @@ def block_term_schedule(n: int, beta: float, d: int) -> list:
 
     The count at level j is ``floor(2^{n - beta (j - n)} max(j,1)^{d-1})``.
     """
+    n, d = _integer_argument("n", n), _integer_argument("d", d, 1)
+    beta = _real_argument("beta", beta)
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     out = []

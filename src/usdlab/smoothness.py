@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequencies import _checked_level_size, frequency_levels, unrank_level
-from .trigpoly import TrigPolynomial
+from .trigpoly import TrigPolynomial, _unique_rows
 
 DEFAULT_KERNEL_TRUNCATION = 4096
 
@@ -131,6 +131,5 @@ def level_a_norms(f: TrigPolynomial) -> dict:
     levels = frequency_levels(freqs)
     # bincount adds in row order from 0.0, and hypot is the modulus abs() gives
     sums = np.bincount(levels, weights=np.hypot(coeffs.real, coeffs.imag))
-    # with an inverse, np.unique skips the numpy.ma check (a 25 ms import)
-    present = np.unique(levels, return_inverse=True)[0]
+    present = _unique_rows(levels)[0]
     return {j: float(sums[j]) for j in present.tolist()}

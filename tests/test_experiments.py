@@ -14,10 +14,12 @@ import pytest
 
 from usdlab.cli import build_parser, main
 from usdlab.dictionary import Dictionary, SubspaceCollection
-from usdlab.discretization import RatioOptions, find_usd_points
+from usdlab.discretization import (RatioOptions, expected_sup_estimate,
+                                   find_usd_points)
 from usdlab.errors import ConfigError
-from usdlab.experiments import (KINDS, _t_quantile_975, fit_rate, read_csv,
-                                resummarize, run, validate_config, write_csv)
+from usdlab.experiments import (KINDS, _t_quantile_975, fit_rate,
+                                random_l1_ball_elements, read_csv, resummarize, run,
+                                validate_config, write_csv)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -236,6 +238,23 @@ def test_chaining_compare_kind(tmp_path):
     outcome = run(cfg)
     assert outcome.passed  # no default assertion; constants only reported
     assert len(outcome.summary["results"]["implied_constants"]) == 2
+
+
+def test_chaining_compare_trials_use_the_grid_level(tmp_path):
+    # off p = 2 the trials take continuous norms on the grid_level grid, as
+    # er_rate's do; they used to run at the default level 10 regardless
+    cfg = {
+        "kind": "chaining_compare", "seed": 21, "out": str(tmp_path / "c"),
+        "params": {"band": [-2, 2], "n_functions": 3, "p": 3,
+                   "m_sweep": [8, 32], "mc_trials": 4,
+                   "n_representatives": 16, "grid_level": 4, "n_max": 3},
+    }
+    rows = run(cfg).rows
+    functions = random_l1_ball_elements(Dictionary.exponential_band(-2, 2), 3, 22)
+    for i, (m, mean, stderr, _) in enumerate(rows):
+        expect = expected_sup_estimate(functions, 3, m, 4, rng_seed=[21, i], grid_level=4)
+        assert (mean, stderr) == expect
+        assert mean != expected_sup_estimate(functions, 3, m, 4, rng_seed=[21, i])[0]
 
 
 def test_fit_kind_consumes_other_csv(tmp_path):
@@ -540,6 +559,34 @@ def test_cli_rejects_out_of_schema_params(tmp_path, subcommand, config, key, val
     cfg["params"][key] = value
     assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
     assert not os.path.exists(tmp_path / "out")
+
+
+# misspelt keys used to pass validation and fall back to their defaults:
+# "epsilom" certified at epsilon = 0.5 and "grid_levle" ran at grid level 10
+@pytest.mark.parametrize("subcommand, config, block, key", [
+    ("usd-verify", verify_config, "params", "epsilom"),
+    ("usd-verify", verify_config, "assertions", "must_pas"),
+    ("er-rate", er_config, "params", "grid_levle"),
+])
+def test_cli_rejects_undeclared_keys(tmp_path, capsys, subcommand, config, block, key):
+    cfg = config(tmp_path / "out")
+    cfg.setdefault(block, {})[key] = 0.1
+    assert main([subcommand, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{block}: " in err and repr(key) in err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))),
+                         ids=os.path.basename)
+@pytest.mark.parametrize("block", ["params", "assertions"])
+def test_every_kind_rejects_an_undeclared_key(path, block):
+    with open(path) as fh:
+        raw = json.load(fh)
+    raw.setdefault(block, {})["undeclared_key"] = 1
+    with pytest.raises(ConfigError, match="'undeclared_key' was unexpected") as exc:
+        validate_config(raw)
+    assert exc.value.path == block
 
 
 def test_import_loads_no_scipy_module(tmp_path):

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import RatioOptions, check_usd, subspace_ratio_bounds
-from usdlab.multistart import (_abs_pow, _dual_power, _families, _multistart_extreme,
-                               _normalize_rows)
+from usdlab.multistart import (_abs_pow, _dual_power, _families, _lifted_shapes,
+                               _multistart_extreme, _normalize_rows)
 from usdlab.points import PointSet, tensor_grid_points
 from usdlab.trigpoly import TrigPolynomial, _quadrature_grid_size
 
@@ -229,6 +229,49 @@ def _exact_ratio(family, c, owner):
         u = np.einsum("kij,kj->ki", vals[owner], c).astype(ld)
         means.append(np.mean((u.real * u.real + u.imag * u.imag) ** (family.p / 2), axis=1))
     return means[0] / means[1]
+
+
+def _lifted_shapes_by_np_unique(freqs, r):
+    """The grouping of ``_lifted_shapes`` from the structured sorts of
+    ``np.unique(axis=0)``, as it was written before the lexsort kernel."""
+    groups = [(np.arange(len(freqs)), freqs, [])]
+    for _ in range(r - 1):
+        split = []
+        for members, level, maps in groups:
+            n, width, d = level.shape
+            sums = (level[:, :, None, :] + freqs[members][:, None, :, :]).reshape(-1, d)
+            member = np.repeat(np.arange(n), len(sums) // n)
+            rows, at = np.unique(np.column_stack([member, sums]), axis=0,
+                                 return_inverse=True)
+            first = np.searchsorted(rows[:, 0], np.arange(n + 1))
+            at = at.reshape(n, -1) - first[:n, None]
+            keys, kind = np.unique(np.column_stack([np.diff(first), at]), axis=0,
+                                   return_inverse=True)
+            for j, key in enumerate(keys):
+                sub = np.flatnonzero(kind.reshape(-1) == j)
+                level_j = rows[first[sub][:, None] + np.arange(key[0]), 1:]
+                split.append((members[sub], level_j, maps + [key[1:].reshape(width, -1)]))
+        groups = split
+    return groups
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(data=st.data(), d=st.integers(1, 2), width=st.integers(1, 4),
+       count=st.integers(1, 8), r=st.integers(2, 3))
+def test_lifted_shapes_group_as_np_unique_does(data, d, width, count, r):
+    # each subset's union: width distinct frequencies of both signs, in
+    # lexicographic order, as Dictionary._blocks gathers them
+    row = st.tuples(*[st.integers(-3, 3)] * d)
+    freqs = np.array([sorted(data.draw(st.sets(row, min_size=width, max_size=width)))
+                      for _ in range(count)], dtype=np.int64).reshape(count, width, d)
+    got = _lifted_shapes(freqs, r)
+    ref = _lifted_shapes_by_np_unique(freqs, r)
+    assert len(got) == len(ref)
+    for (members, level, maps), (ref_members, ref_level, ref_maps) in zip(got, ref):
+        assert np.array_equal(members, ref_members)
+        assert np.array_equal(level, ref_level)
+        assert len(maps) == len(ref_maps) == r - 1
+        assert all(np.array_equal(a, b) for a, b in zip(maps, ref_maps))
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,

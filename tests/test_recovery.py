@@ -125,6 +125,22 @@ def test_block_term_schedule_rejects_a_non_finite_beta(beta):
         block_term_schedule(3, beta, 1)
 
 
+@pytest.mark.parametrize("stop_tol, shown", [("x", "'x'"), (None, "None")])
+def test_wcga_rejects_a_stop_tol_that_is_not_a_number(stop_tol, shown):
+    _, _, inst, _, _ = make_instance()
+    with pytest.raises(ValueError, match=f"stop_tol must be a real number, got {shown}"):
+        weak_chebyshev_greedy(inst, stop_tol=stop_tol)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, "0.5", 1), "beta must be a real number, got '0.5'"),
+    ((3, 0.5, "1"), "d must be an integer, got '1'"),
+])
+def test_block_term_schedule_names_an_argument_of_the_wrong_type(args, message):
+    with pytest.raises(ValueError, match=message):
+        block_term_schedule(*args)
+
+
 @pytest.mark.parametrize("n, message", [(2.5, "n must be an integer, got 2.5"),
                                         (True, "n must be an integer, got True"),
                                         (0, "n must be at least 1, got 0")])

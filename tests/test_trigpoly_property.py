@@ -17,7 +17,7 @@ from usdlab.points import PointSet, tensor_grid_points
 from usdlab.recovery import block_greedy_approximant
 from usdlab.smoothness import level_a_norms
 from usdlab.trigpoly import (_EVAL_CHUNK, TrigPolynomial, _union_coefficients,
-                             _values_on, sup_norm_info)
+                             _unique_rows, _values_on, sup_norm_info)
 
 EPS = np.finfo(float).eps
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -218,3 +218,21 @@ def test_a_denser_grid_maximum_lies_in_the_sup_bracket(data, d, grid_level):
     dense = tensor_grid_points(16 * info.points_per_dim, d)
     top = float(np.abs(f.evaluate(dense)).max()) if len(f.support) else 0.0
     assert info.value * (1 - 1e-12) <= top <= info.upper * (1 + 1e-12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data(), width=st.integers(0, 3))
+def test_unique_rows_equals_np_unique(data, width):
+    # width 0 stands for 1-d values; rows mix signs, so the order is signed
+    shape = (data.draw(st.integers(0, 40)),) + ((width,) if width else ())
+    values = np.array(data.draw(st.lists(st.integers(-6, 6), min_size=int(np.prod(shape)),
+                                         max_size=int(np.prod(shape)))),
+                      dtype=np.int64).reshape(shape)
+    got, at = _unique_rows(values)
+    if width:
+        ref, inverse = np.unique(values, axis=0, return_inverse=True)
+    else:
+        ref, inverse = np.unique(values, return_inverse=True)
+    assert got.shape == ref.shape and np.array_equal(got, ref)
+    assert np.array_equal(at, inverse.reshape(-1))
+    assert np.array_equal(got[at], values)
