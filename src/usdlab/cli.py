@@ -10,6 +10,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -25,24 +26,30 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, so every ``main`` call shares it.  The subcommands
+    share one set of flag actions, which keeps the parser that stays
+    resident small."""
     parser = argparse.ArgumentParser(
         prog="usdlab",
         description="Sampling-discretization experiments: point-set search "
                     "and certification, entropy profiles, error-rate sweeps, "
                     "sparse recovery, and rate fitting.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON config path")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override the config seed (u64)")
+    common.add_argument("--out", default=None, help="override the output directory")
+    common.add_argument("--threads", type=int, default=None,
+                        help=f"worker threads (default: ${THREADS_ENV} or 1)")
+    common.add_argument("--strict", action="store_true",
+                        help="fail when a certificate is only heuristically verified")
     sub = parser.add_subparsers(dest="command", required=True)
     for kind, spec in KINDS.items():
-        sp = sub.add_parser(spec.subcommand, help=f"run a {kind} experiment")
-        sp.set_defaults(kind=kind)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override the config seed (u64)")
-        sp.add_argument("--out", default=None, help="override the output directory")
-        sp.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default: ${THREADS_ENV} or 1)")
-        sp.add_argument("--strict", action="store_true",
-                        help="fail when a certificate is only heuristically verified")
+        sub.add_parser(spec.subcommand, parents=[common],
+                       help=f"run a {kind} experiment").set_defaults(kind=kind)
     return parser
 
 

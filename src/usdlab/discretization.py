@@ -37,7 +37,7 @@ from .errors import CapExceededError, DimensionMismatchError
 from .multistart import _multistart_extreme  # noqa: F401
 from .multistart import MULTISTART_GRAD_TOL, _even_half, _subset_ratios
 from .pencils import _moment_family, _pencil_family
-from .points import PointSet, _integer_argument
+from .points import PointSet, _integer_argument, _real_argument
 from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _union_coefficients,
                        _unique_rows, _values_on, lp_norm)
 
@@ -134,7 +134,7 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     heuristic.  At even p > 2 the result also carries the rigorous outer
     window ``outer_min_ratio``/``outer_max_ratio`` of the lifted Gram.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
     opts = opts or RatioOptions()
     subset = tuple(dictionary._checked_indices(subset))
     if not subset:
@@ -194,9 +194,9 @@ class UsdCertificate:
             "converged": bool(self.converged),
             "method": self.method,
             "one_sided_constant": float(self.one_sided_constant),
-            "subsets": [list(s) for s in self.subsets],
-            "min_ratios": [float(v) for v in self.min_ratios],
-            "max_ratios": [float(v) for v in self.max_ratios],
+            "subsets": list(map(list, self.subsets)),
+            "min_ratios": list(self.min_ratios),
+            "max_ratios": list(self.max_ratios),
             "notes": list(self.notes),
         }
         if self.outer_min_ratios is not None:
@@ -239,7 +239,8 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     constant ``max_J min_ratio(J)^(-1/p)`` that converts the lower window
     side into a norm domination statement.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
+    epsilon = _real_argument("epsilon", epsilon)
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     opts = opts or RatioOptions()
@@ -309,7 +310,9 @@ def usd_sample_budget(v: int, n_dict: int) -> float:
 
     Logs are base 2.  The absolute constant is unknown (taken as 1), so this
     is logged for comparison against the empirically sufficient m, never asserted.
+    ``v`` and ``n_dict`` must be integers >= 1 (else ``ValueError``).
     """
+    v, n_dict = _integer_argument("v", v, 1), _integer_argument("n_dict", n_dict, 1)
     log_n = math.log2(max(n_dict, 2))
     inner = math.log2(2 * v) + math.log2(math.log2(2 * n_dict))
     return v * inner ** 2 * log_n ** 2
@@ -324,6 +327,7 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
     Each draw is derived from ``(rng_seed, draw_index)`` so the search is
     reproducible and individual draws can be regenerated from the result.
     """
+    p = _check_exponent(p)
     m = _integer_argument("m", m)
     max_trials = _integer_argument("max_trials", max_trials)
     if m < 1:
@@ -474,7 +478,7 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     if any(f.dimension != d for f in functions):
         raise DimensionMismatchError(
             f"functions of dimensions {sorted({f.dimension for f in functions})}")
-    _check_exponent(p)
+    p = _check_exponent(p)
     base = [_integer_argument("rng_seed", s, 0) for s in
             (rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed])]
     karr, coeff = _union_coefficients(functions, d)

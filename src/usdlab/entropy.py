@@ -79,9 +79,11 @@ class SampledClass:
         representative is an ``l1_ball_draws`` draw: a random sparse
         support, Dirichlet weights on it and uniform phases, so its
         coefficient moduli sum to one; the sample emphasizes the extreme
-        shell that drives the covering structure.
+        shell that drives the covering structure.  A ``grid_level`` that
+        is not an integer >= 0 raises ``ValueError``.
         """
         n = dictionary.size
+        grid_level = _integer_argument("grid_level", grid_level, 0)
         grid = PointSet.equispaced(2 ** grid_level, dictionary.dimension)
         basis = dictionary.values_at(grid)
         coeff = np.zeros((n, n_representatives), dtype=complex)

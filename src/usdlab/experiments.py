@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import jsonio
+from .csvio import read_csv, write_csv
 from .dictionary import Dictionary
 from .discretization import (RatioOptions, SubspaceCollection,
                              _one_sided_constant, check_usd,
@@ -241,51 +242,6 @@ def _l1_ball_sweep(cfg, dictionary, seed, estimate):
     return _maybe_parallel(one_sweep, list(enumerate(p["m_sweep"])), cfg.threads)
 
 
-def _format_cell(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
-
-
-# the plain cell types, one lookup each; anything else goes through _format_cell
-_CELL_TEXT = {str: str, int: str, float: lambda v: format(v, ".17g"),
-              bool: lambda v: "true" if v else "false", jsonio.Pinned: lambda v: v.text}
-
-
-def write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_CELL_TEXT.get(type(v), _format_cell)(v) for v in row]
-                         for row in rows)
-
-
-def read_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for raw in reader:
-            row = []
-            for cell in raw:
-                if cell in ("true", "false"):
-                    row.append(cell == "true")
-                    continue
-                try:
-                    row.append(int(cell))
-                except ValueError:
-                    try:
-                        row.append(float(cell))
-                    except ValueError:
-                        row.append(cell)
-            rows.append(tuple(row))
-    return header, rows
-
-
 def write_svg_loglog(path, xs, ys, fit: RateFit | None = None, title=""):
     """Minimal static SVG line chart in log2-log2 coordinates."""
     lx = [math.log2(x) for x in xs]
@@ -434,14 +390,18 @@ def _run_usd_verify(cfg: ExperimentConfig):
                      float(p.get("epsilon", 0.5)))
     header = ["subset_index", "subset", "min_ratio", "max_ratio", "within_window"]
     lo, hi = cert.window
+    within = [lo <= a and b <= hi for a, b in zip(cert.min_ratios, cert.max_ratios)]
     # each ratio is formatted once, for its CSV cell and the certificate
     mins, maxs = jsonio.pinned(cert.min_ratios), jsonio.pinned(cert.max_ratios)
-    rows = [(i, "|".join(str(j) for j in s), a, b, lo <= a and b <= hi)
-            for i, (s, a, b) in enumerate(zip(cert.subsets, mins, maxs))]
+    # every subset has coll.v indices: one "%" formats them all
+    subset_texts = ("|".join(["%d"] * coll.v) + "\0") * len(cert.subsets) % tuple(
+        itertools.chain.from_iterable(cert.subsets))
+    columns = [range(len(cert.subsets)), subset_texts.split("\0")[:-1],
+               mins, maxs, within]
     if cert.outer_min_ratios is not None:   # even p > 2
         header += ["outer_min_ratio", "outer_max_ratio"]
-        rows = [row + pair for row, pair in zip(
-            rows, zip(cert.outer_min_ratios, cert.outer_max_ratios))]
+        columns += [cert.outer_min_ratios, cert.outer_max_ratios]
+    rows = list(zip(*columns))
     certificate = cert.to_json()
     certificate["min_ratios"], certificate["max_ratios"] = mins, maxs
     artifacts = {"certificate.json": certificate, "points.json": xi.to_json()}

@@ -5,10 +5,19 @@ this package pin 17 significant digits instead, so emitted artifacts are
 byte-stable across writer versions and platforms.  Non-finite floats are
 emitted as the strings "inf", "-inf", "nan" (plain JSON has no tokens for
 them); readers that need them back should map those strings explicitly.
+
+A list of numbers goes on one line, and a list of such lists on one line
+per row.  Each is emitted as one formatted block: a list of plain ints or
+floats (or a list of equal-length rows, such as a certificate's subsets
+or a point set's coordinates) takes one ``%`` over one template, a list
+of ``Pinned`` floats one join of their texts, and one substitution then
+quotes any non-finite number.
 """
 
+import itertools
 import json
 import math
+import re
 
 
 def format_float(x):
@@ -29,11 +38,12 @@ class Pinned(float):
 
 
 def pinned(values):
-    """``values`` as ``Pinned`` floats (``"%.17g" %`` gives the bits of
-    ``format(x, ".17g")``, faster)."""
+    """``values`` as ``Pinned`` floats, formatted with one ``"%.17g"`` (which
+    gives the bits of ``format(x, ".17g")``, faster)."""
     out = list(map(Pinned, values))
-    for v in out:
-        v.text = "%.17g" % v
+    texts = ("%.17g\0" * len(out) % tuple(out)).split("\0")
+    for v, text in zip(out, texts):
+        v.text = text
     return out
 
 
@@ -64,19 +74,44 @@ def _atomic(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-_NUMBER_TEXT = {int: str, float: format_float,
-                Pinned: lambda v: v.text if math.isfinite(v) else format_float(v)}
+_FORMAT = {int: "%d", float: "%.17g"}   # the plain number types, one template each
+_NON_FINITE = re.compile(r"-?inf|nan")
+
+
+def _quote_non_finite(text):
+    """``text`` with each non-finite number as a JSON string; no finite
+    number's text holds an ``n``, nor do the templates."""
+    return _NON_FINITE.sub(r'"\g<0>"', text) if "n" in text else text
 
 
 def _number_line(seq):
     """The items on one line, or None unless every one is a number."""
-    try:   # plain ints and floats, one lookup each
-        texts = [_NUMBER_TEXT[type(v)](v) for v in seq]
-    except KeyError:
-        if not all(_atomic(v) for v in seq):
-            return None
-        texts = [format_float(v) if isinstance(v, float) else str(v) for v in seq]
-    return "[" + ", ".join(texts) + "]"
+    kinds = set(map(type, seq))
+    if kinds == {Pinned}:
+        text = ", ".join([v.text for v in seq])
+    elif kinds <= _FORMAT.keys():
+        text = ", ".join(map(_FORMAT.__getitem__, map(type, seq))) % tuple(seq)
+    elif all(_atomic(v) for v in seq):
+        return "[" + ", ".join([format_float(v) if isinstance(v, float) else str(v)
+                                for v in seq]) + "]"
+    else:
+        return None
+    return "[" + _quote_non_finite(text) + "]"
+
+
+def _row_block(seq, inner):
+    """The rows of ``seq`` one per line as one block, or None unless they
+    are lists or tuples of one width whose columns each hold one plain
+    number type."""
+    if not set(map(type, seq)) <= {list, tuple} or len(set(map(len, seq))) != 1:
+        return None
+    width = len(seq[0])
+    flat = list(itertools.chain.from_iterable(seq))
+    kinds = list(map(type, flat))
+    if not (set(kinds) <= _FORMAT.keys() and kinds == kinds[:width] * len(seq)):
+        return None
+    row = inner + "[" + ", ".join(map(_FORMAT.__getitem__, kinds[:width])) + "]"
+    return _quote_non_finite(",\n".join([row] * len(seq)) % tuple(flat))
 
 
 def _write(obj, out, level):
@@ -113,10 +148,14 @@ def _write(obj, out, level):
             out.append(line)
             return
         # rows of numbers, such as a certificate's subsets: one line each
-        lines = [_number_line(v) if isinstance(v, (list, tuple)) else None
-                 for v in seq]
-        if None not in lines:
-            out.append("[\n" + ",\n".join(inner + x for x in lines) + "\n" + pad + "]")
+        block = _row_block(seq, inner)
+        if block is None:
+            lines = [_number_line(v) if isinstance(v, (list, tuple)) else None
+                     for v in seq]
+            if None not in lines:
+                block = ",\n".join(inner + x for x in lines)
+        if block is not None:
+            out.append("[\n" + block + "\n" + pad + "]")
             return
         out.append("[\n")
         for i, v in enumerate(seq):

@@ -117,7 +117,7 @@ class PointSet:
     def to_json(self):
         return {
             "provenance": self.provenance,
-            "points": [list(map(float, row)) for row in self.points],
+            "points": self.points.tolist(),
         }
 
     @classmethod

@@ -89,6 +89,7 @@ class DiscreteInstance:
                 raise ValueError(f"{name} must be finite")
         if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
             raise ValueError("weights must be finite and non-negative")
+        self.p = _real_argument("p", self.p)
         if not (math.isfinite(self.p) and self.p > 1):
             raise ValueError(
                 f"p must be finite and > 1 for the projection machinery, got {self.p}")

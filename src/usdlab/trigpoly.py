@@ -20,7 +20,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .points import PointSet, tensor_grid_points
+from .points import PointSet, _integer_argument, _real_argument, tensor_grid_points
 
 DEFAULT_GRID_LEVEL = 10
 _EVAL_CHUNK = 8192
@@ -139,9 +139,13 @@ class TrigPolynomial:
                    dimension=obj["dimension"])
 
 
-def _check_exponent(p):
+def _check_exponent(p) -> float:
+    """``p`` as a float; a bool, a non-number or anything but a finite
+    p >= 1 raises ``ValueError``."""
+    p = _real_argument("p", p)
     if not (math.isfinite(p) and p >= 1):
         raise ValueError(f"exponent p must be finite and >= 1, got {p}")
+    return p
 
 
 def _unique_rows(rows):
@@ -230,7 +234,9 @@ def _values_on(points, freq_array, coeff_array):
 
 
 def _quadrature_grid_size(max_freq, grid_level, factor, offset) -> int:
-    """Grid points per dimension: ``max(factor * max_freq + offset, 2**grid_level, 1)``."""
+    """Grid points per dimension: ``max(factor * max_freq + offset, 2**grid_level, 1)``;
+    a ``grid_level`` that is not an integer >= 0 raises ``ValueError``."""
+    grid_level = _integer_argument("grid_level", grid_level, 0)
     return max(factor * max_freq + offset, 2 ** grid_level, 1)
 
 
@@ -240,9 +246,12 @@ def lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_GRID_LEVEL) -
     p = 2 is computed exactly from the coefficients (Parseval).  Other p use
     a rectangle rule on an equispaced tensor grid with
     ``max(2*maxfreq + 1, 2**grid_level)`` points per dimension, which is
-    exact for p = 2 and spectrally accurate otherwise.
+    exact for p = 2 and spectrally accurate otherwise.  A p that is not a
+    real number >= 1, or a ``grid_level`` that is not an integer >= 0 (at
+    p = 2 too), raises ``ValueError``.
     """
-    _check_exponent(p)
+    p = _check_exponent(p)
+    grid_level = _integer_argument("grid_level", grid_level, 0)
     if p == 2:
         return f.coefficient_l2()
     return _quadrature_lp_norm(f, p, grid_level)

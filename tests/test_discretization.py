@@ -458,6 +458,32 @@ def test_counts_must_be_integers_at_the_api_boundary(call, name):
         call()
 
 
+def _band_nodes():
+    return PointSet.equispaced(16)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_usd(_band_nodes(), _band_pairs(), "2"), "p must be a real number"),
+    (lambda: lp_norm(_WAVE[0], "2"), "p must be a real number"),
+    (lambda: find_usd_points(_band_pairs(), "2", 16), "p must be a real number"),
+    (lambda: check_usd(_band_nodes(), _band_pairs(), 2, epsilon="0.5"),
+     "epsilon must be a real number"),
+    (lambda: lp_norm(_WAVE[0], 3, "3"), "grid_level must be an integer"),
+    (lambda: usd_sample_budget("2", 5), "v must be an integer"),
+    (lambda: check_usd(_band_nodes(), _band_pairs(), True), "p must be a real number"),
+    (lambda: lp_norm(_WAVE[0], True), "p must be a real number"),
+    (lambda: DiscreteInstance.from_function(
+        _WAVE[0], Dictionary.exponential_band(-2, 2), _band_nodes(), "4"),
+     "p must be a real number"),
+], ids=["check_usd_p_string", "lp_norm_p_string", "search_p_string",
+        "check_usd_epsilon_string", "lp_norm_grid_level_string",
+        "budget_v_string", "check_usd_p_bool", "lp_norm_p_bool",
+        "instance_p_string"])
+def test_exponents_windows_and_grid_levels_are_checked_at_the_api_boundary(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: PointSet.random_uniform(4, 1, -1), "seed must be at least 0, got -1"),
     (lambda: PointSet.random_uniform(4, 1, 0, draw_index=-2),

@@ -402,6 +402,31 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert summary["seed"] == 6
 
 
+def test_cli_flags_do_not_carry_into_the_next_call(tmp_path, monkeypatch):
+    # the parser is built once per process; each call's flags are its own
+    from usdlab import cli
+    monkeypatch.delenv("USDLAB_THREADS", raising=False)
+    calls = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda config, strict: calls.append(
+        (config, strict)) or real_run(config, strict=strict))
+    verify = write_config(tmp_path, {
+        "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "verify"),
+        "params": {"max_abs_freq": 2, "v": 1, "p": 2, "points": {"equispaced": 8}}},
+        "verify.json")
+    er = write_config(tmp_path, er_config(tmp_path / "er", seed=5), "er.json")
+    assert main(["usd-verify", "--config", verify, "--strict", "--seed", "3",
+                 "--out", str(tmp_path / "first"), "--threads", "2"]) == 0
+    assert main(["er-rate", "--config", er]) == 0
+    assert build_parser() is build_parser()
+    (first, first_strict), (second, second_strict) = calls
+    assert (first.kind, first.seed, first.out, first.threads, first_strict) == (
+        "usd_verify", 3, str(tmp_path / "first"), 2, True)
+    assert (second.kind, second.seed, second.out, second.threads, second_strict) == (
+        "er_rate", 5, str(tmp_path / "er"), 1, False)
+    assert json.loads((tmp_path / "er" / "summary.json").read_text())["seed"] == 5
+
+
 def test_module_invocation_smoke(tmp_path):
     cfg = write_config(tmp_path, er_config(tmp_path / "m"))
     proc = subprocess.run([sys.executable, "-m", "usdlab", "er-rate",
@@ -734,6 +759,29 @@ def test_multistart_usd_verify_output_is_byte_stable(tmp_path, p, expected):
     digests = {entry.name: hashlib.sha256(entry.read_bytes()).hexdigest()
                for entry in out.iterdir()}
     assert digests == {**expected, "points.json": _MULTISTART_POINTS}
+
+
+def test_usd_verify_output_at_the_certify_benchmark_shape_is_byte_stable(tmp_path):
+    # recorded before the CSV and JSON writers formatted column by column and
+    # block by block: band(-8, 8), v = 4, m = 256, one seeded p = 2 draw
+    cfg = {"kind": "usd_verify", "seed": 11, "out": str(tmp_path / "out"),
+           "params": {"band": [-8, 8], "v": 4, "p": 2,
+                      "points": {"seeded": {"m": 256, "seed": 11}}},
+           "assertions": {"must_pass": False}}
+    assert main(["usd-verify", "--config", write_config(tmp_path, cfg),
+                 "--threads", "1"]) == 0
+    out = tmp_path / "out"
+    assert len((out / "usd_verify.csv").read_text().splitlines()) == 1 + 2380
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("usd_verify.csv", "certificate.json", "summary.json")}
+    assert digests == {
+        "usd_verify.csv":
+            "7a9ea1479f6aa8a764570ec834687f0f19c743950d6677d5ea6f308c97735463",
+        "certificate.json":
+            "5bf47f403384a973424d4c2d15809d1e354710e36c58d536cf5048a02b0c604d",
+        "summary.json":
+            "5c961701173830e52dc169e33cb82a1afcd9b9ecf8ef121aa46b530d6736b587",
+    }
 
 
 def test_shipped_recovery_rate_config_output_is_byte_stable(tmp_path):
