@@ -20,7 +20,7 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .errors import ProfileTooShortError
-from .points import PointSet, _integer_argument
+from .points import PointSet, _integer_argument, _real_argument
 
 # Pruning ladder of the farthest-point traversal: about this many strided
 # grid columns per level, coarsest first (the full grid is the last level),
@@ -35,9 +35,9 @@ def l1_ball_draws(n: int, count: int, seed: int):
     """Yield ``count`` seeded (support, coefficients) pairs of unit l1 mass.
 
     Each draw takes a random support of the n indices, of a uniform size in
-    1..n, Dirichlet weights on it and uniform phases.
+    1..n, Dirichlet weights on it and uniform phases; ``seed`` is an int >= 0.
     """
-    rng = np.random.default_rng([int(seed), 0])
+    rng = np.random.default_rng([_integer_argument("seed", seed, 0), 0])
     for _ in range(count):
         size = int(rng.integers(1, n + 1))
         support = np.sort(rng.choice(n, size=size, replace=False))
@@ -47,27 +47,36 @@ def l1_ball_draws(n: int, count: int, seed: int):
 
 
 class SampledClass:
-    """Finite sample of a function class on a shared evaluation grid."""
+    """Finite sample of a function class on a shared evaluation grid.
+
+    Held once, at 8 B per value, as ``planes``: C-ordered float32 real and
+    imaginary parts (2, count, grid_size), cast from ``values`` (finite in
+    single precision; not kept) in blocks of ``_CAST_ROWS`` rows."""
 
     def __init__(self, values, grid=None, metadata=None):
         values = np.asarray(values)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("expected a (representatives, grid) value matrix")
-        self.values = values.astype(complex, copy=False)
+        self._fill(values.shape, lambda lo, hi: values[lo:hi].astype(complex, copy=False),
+                   grid, metadata)
+
+    def _fill(self, shape, rows, grid, metadata):
+        """Cast the complex blocks ``rows(lo, hi)`` into the planes; reset the cache."""
+        self.planes = re, im = np.empty((2, *shape), dtype=np.float32)
+        with np.errstate(over="ignore"):  # overflow is rejected just below
+            for lo in range(0, shape[0], _CAST_ROWS):
+                block = rows(lo, lo + _CAST_ROWS)
+                re[lo:lo + _CAST_ROWS], im[lo:lo + _CAST_ROWS] = block.real, block.imag
+                if not np.isfinite(self.planes[:, lo:lo + _CAST_ROWS]).all():
+                    raise ValueError("sample values must be finite in single precision")
+        self.count, self.grid_size = shape
         self.grid = grid
         self.metadata = dict(metadata or {})
         self._radii = np.zeros(0)
         self._centers = np.zeros(0, dtype=np.intp)
         self._dmin2 = np.full(self.count, np.inf, dtype=np.float32)
         self._ladder = None
-
-    @property
-    def count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def grid_size(self) -> int:
-        return self.values.shape[1]
+        return self
 
     @classmethod
     def from_l1_ball(cls, dictionary: Dictionary, n_representatives: int = 4096,
@@ -79,10 +88,13 @@ class SampledClass:
         representative is an ``l1_ball_draws`` draw: a random sparse
         support, Dirichlet weights on it and uniform phases, so its
         coefficient moduli sum to one; the sample emphasizes the extreme
-        shell that drives the covering structure.  A ``grid_level`` that
-        is not an integer >= 0 raises ``ValueError``.
+        shell that drives the covering structure.  The planes are filled
+        from ``basis @ coeff`` in blocks of ``_CAST_ROWS`` representatives.
+        Counts that are not integers (``n_representatives`` >= 1,
+        ``grid_level`` and ``seed`` >= 0) raise ``ValueError``.
         """
         n = dictionary.size
+        n_representatives = _integer_argument("n_representatives", n_representatives, 1)
         grid_level = _integer_argument("grid_level", grid_level, 0)
         grid = PointSet.equispaced(2 ** grid_level, dictionary.dimension)
         basis = dictionary.values_at(grid)
@@ -90,11 +102,10 @@ class SampledClass:
         draws = l1_ball_draws(n, n_representatives - 1, seed)
         for j, (support, c) in enumerate(draws, start=1):
             coeff[support, j] = c
-        values = (basis @ coeff).T
         meta = {
             "source": "l1_coefficient_ball",
             "dictionary_size": n,
-            "n_representatives": int(n_representatives),
+            "n_representatives": n_representatives,
             "grid_points": int(grid.size),
             "seed": int(seed),
             "sparse_supports": True,
@@ -103,7 +114,8 @@ class SampledClass:
                 "greedy covering gives an upper-type estimate for the sampled set",
             ],
         }
-        return cls(values, grid, meta)
+        return cls.__new__(cls)._fill((n_representatives, grid.size),
+                                      lambda lo, hi: (basis @ coeff[:, lo:hi]).T, grid, meta)
 
 
 def greedy_cover(sampled: SampledClass, eps: float) -> list:
@@ -120,7 +132,7 @@ def greedy_cover(sampled: SampledClass, eps: float) -> list:
     is reached; each doubling resumes the cached traversal, so no center
     step runs twice and the traversal ends shorter than twice the cover.
     """
-    if not eps > 0:
+    if not _real_argument("eps", eps) > 0:
         raise ValueError(f"covering radius must be positive, got {eps}")
     t = max(1, len(sampled._radii))
     while True:
@@ -140,28 +152,16 @@ def _squared_moduli(re, im, c_re, c_im, out, scratch):
     return out
 
 
-def _ladder_levels(values):
+def _ladder_levels(re, im):
     """Float32 real and imaginary planes of every level of the pruning ladder.
 
     Level i keeps every ``max(1, g // _LADDER_POINTS[i])``-th column of the
-    g grid columns, and the ladder ends with the full grid (or at the first
-    level that already keeps every column).  The first level is stored
-    column-major, shape (columns, rows), so its row maxima are one
-    reduction across a few rows; the later ones row-major, so surviving
-    rows gather contiguously.
+    sample's g-column planes, and the ladder ends with the planes themselves,
+    no copy (or at the first level that already keeps every column).  The
+    first level is stored column-major, shape (columns, rows), so its row
+    maxima are one reduction across a few rows; the later ones row-major,
+    so surviving rows gather contiguously.
     """
-    # equal to the parts of values.astype(np.complex64), without that complex
-    # intermediate; C order keeps every row gather contiguous, and blocks of
-    # rows keep the transposing reads of F-ordered values within the cache
-    re = np.empty(values.shape, dtype=np.float32)
-    im = np.empty(values.shape, dtype=np.float32)
-    with np.errstate(over="ignore"):  # overflow is rejected just below
-        for lo in range(0, values.shape[0], _CAST_ROWS):
-            block = values[lo:lo + _CAST_ROWS]
-            re[lo:lo + _CAST_ROWS] = block.real
-            im[lo:lo + _CAST_ROWS] = block.imag
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("sample values must be finite in single precision")
     strides = [max(1, re.shape[1] // w) for w in _LADDER_POINTS]
     strides = strides[:strides.index(1) + 1] if 1 in strides else strides + [1]
     levels = [(np.ascontiguousarray(re[:, ::s]), np.ascontiguousarray(im[:, ::s]))
@@ -192,12 +192,12 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     order and the lowest-index tie rule are therefore bit-identical to an
     unpruned traversal.
     """
-    t_max = min(int(t_max), sampled.count)
+    t_max = min(_integer_argument("t_max", t_max, 0), sampled.count)
     done = len(sampled._radii)
     if done >= t_max:
         return sampled._radii[:t_max]
     if sampled._ladder is None:
-        sampled._ladder = _ladder_levels(sampled.values)
+        sampled._ladder = _ladder_levels(*sampled.planes)
     (first_re, first_im), later = sampled._ladder[0], sampled._ladder[1:]
     n = sampled.count
     dmin2 = sampled._dmin2.copy()  # the cache moves only once the steps are done
@@ -208,13 +208,14 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     for re, _ in later:
         chunk = min(n, max(1, _REFINE_ELEMS // re.shape[1]))
         bufs.append(np.empty((2, chunk, re.shape[1]), dtype=np.float32))
+    c_next = int(np.argmax(dmin2))  # one argmax a step: next center and radius
     for t in range(t_max - done):
-        c = centers[t] = int(np.argmax(dmin2))
+        c = centers[t] = c_next
         sq = _squared_moduli(first_re, first_im, first_re[:, c, None],
                              first_im[:, c, None], first_a, first_b)
         part = np.maximum.reduce(sq, axis=0)
         live = np.flatnonzero(part < dmin2)
-        part = part[live]
+        part = part if later else part[live]  # a later level rebuilds part
         for (re, im), buf in zip(later, bufs):
             chunk = buf.shape[1]
             part = np.empty(live.size, dtype=np.float32)
@@ -229,7 +230,8 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
             keep = part < dmin2[live]
             live, part = live[keep], part[keep]
         dmin2[live] = part
-        radii2[t] = dmin2.max()
+        c_next = int(np.argmax(dmin2))
+        radii2[t] = dmin2[c_next]
     sampled._radii = np.concatenate([sampled._radii, np.sqrt(radii2.astype(float))])
     sampled._centers = np.concatenate([sampled._centers, centers])
     sampled._dmin2 = dmin2
@@ -310,9 +312,7 @@ def entropy_numbers(sampled: SampledClass, n_max: int) -> EntropyProfile:
     at every radius simultaneously.  Budgets of at least the sample size
     give radius zero outright.
     """
-    n_max = _integer_argument("n_max", n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    n_max = _integer_argument("n_max", n_max, 0)
     n_reps = sampled.count
     finite = [2 ** k for k in range(n_max + 1) if 2 ** k < n_reps]
     if finite:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,22 @@ from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
                             chaining_bound_dyadic,
                             double_exponential_tail_constant,
                             double_exponential_tail_sum, entropy_numbers,
-                            farthest_point_radii, greedy_cover)
+                            farthest_point_radii, greedy_cover, l1_ball_draws)
+from usdlab.experiments import random_l1_ball_elements
 from usdlab.errors import ProfileTooShortError
+from usdlab.points import PointSet
+
+_BAND = Dictionary.exponential_band(-2, 2)
 
 
 def cls_from_rows(rows):
     return SampledClass(np.asarray(rows, dtype=complex))
+
+
+def single_rows(sampled):
+    """The sample's values as complex64 rows, rebuilt from its planes."""
+    re, im = sampled.planes
+    return re + 1j * im
 
 
 def test_greedy_cover_one_center_when_radius_dominates():
@@ -51,7 +62,8 @@ def exhaustive_min_cover(sampled, eps):
     """Smallest number of representative-centered balls covering the set."""
     n = sampled.count
     # uniform-metric distances between every pair of representatives
-    dist = np.abs(sampled.values[:, None, :] - sampled.values[None, :, :]).max(axis=2)
+    rows = single_rows(sampled)
+    dist = np.abs(rows[:, None, :] - rows[None, :, :]).max(axis=2)
     for size in range(1, n + 1):
         for centers in itertools.combinations(range(n), size):
             if np.all(dist[list(centers)].min(axis=0) <= eps):
@@ -110,7 +122,7 @@ def test_farthest_point_radii_equal_the_unpruned_traversal():
     # 1024 grid columns: the filter sees 64 of them, so most rows are pruned
     d = Dictionary.exponential_band(-16, 15)
     s = SampledClass.from_l1_ball(d, n_representatives=1024, grid_level=10, seed=17)
-    ref = unpruned_radii(s.values, 256)
+    ref = unpruned_radii(single_rows(s), 256)
     assert np.array_equal(farthest_point_radii(s, 32), ref[:32])
     assert np.array_equal(farthest_point_radii(s, 256), ref)  # longer than the cache
     assert np.array_equal(farthest_point_radii(s, 100), ref[:100])  # from the cache
@@ -122,8 +134,8 @@ def test_greedy_cover_at_profile_radius_is_a_traversal_prefix(seed):
     # traversal could need more than t centers at the radius after t
     d = Dictionary.exponential_band(-16, 15)
     s = SampledClass.from_l1_ball(d, n_representatives=512, grid_level=8, seed=seed)
-    radii, order = unpruned_traversal(s.values, s.count)
-    fresh = SampledClass(s.values)  # no cached traversal: the cover grows its own
+    radii, order = unpruned_traversal(single_rows(s), s.count)
+    fresh = SampledClass(single_rows(s))  # no cached traversal: the cover grows its own
     assert greedy_cover(fresh, radii[40]) == order[:41]
     for t in range(1, s.count + 1):
         if radii[t - 1] == 0.0:  # a cover radius must be positive
@@ -140,10 +152,9 @@ def test_greedy_cover_rejects_radii_that_are_not_positive(eps):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
-def test_farthest_point_radii_rejects_values_not_finite_in_single_precision(bad):
-    s = cls_from_rows([[0.0, 1.0], [bad, 0.0]])
+def test_sampled_class_rejects_values_not_finite_in_single_precision(bad):
     with pytest.raises(ValueError, match="finite"):
-        farthest_point_radii(s, 2)
+        cls_from_rows([[0.0, 1.0], [bad, 0.0]])
 
 
 def test_entropy_numbers_singleton_all_zero():
@@ -191,8 +202,10 @@ def test_entropy_profile_e_k_bookkeeping():
 def test_l1_ball_class_fits_in_the_unit_ball():
     d = Dictionary.exponential_band(-8, 8)
     s = SampledClass.from_l1_ball(d, n_representatives=64, grid_level=7, seed=1)
-    assert np.abs(s.values).max() <= 1.0 + 1e-12
-    assert np.abs(s.values[0]).max() == 0.0  # the zero expansion anchors the set
+    re, im = s.planes
+    # each single-precision part is within a relative 2^-24 of its value
+    assert np.abs(re.astype(float) + 1j * im).max() <= (1.0 + 2.0 ** -24) * (1.0 + 1e-12)
+    assert not (re[0].any() or im[0].any())  # the zero expansion anchors the set
     profile = entropy_numbers(s, 3)
     assert profile.eps[0] <= 1.0 + 1e-4  # a single ball at 0 covers the class
 
@@ -272,8 +285,8 @@ def test_longer_traversal_resumes_from_the_cache(monkeypatch):
     # extending t to 2t runs only the t new center steps, and gives the very
     # radii and centers of one traversal of 2t centers
     d = Dictionary.exponential_band(-16, 15)
-    values = SampledClass.from_l1_ball(d, n_representatives=512, grid_level=8,
-                                       seed=5).values
+    values = single_rows(SampledClass.from_l1_ball(d, n_representatives=512,
+                                                   grid_level=8, seed=5))
     calls = []
     original = entropy._squared_moduli
 
@@ -299,30 +312,88 @@ def test_longer_traversal_resumes_from_the_cache(monkeypatch):
     assert greedy_cover(resumed, whole._radii[99]) == whole._centers[:100].tolist()
 
 
-def test_from_l1_ball_keeps_one_copy_and_c_ordered_single_precision_planes(
-        monkeypatch):
-    passed = []
-    init = SampledClass.__init__
+def one_shot_values(d, n_representatives, grid_level, seed):
+    """Reference sample: the whole complex (representatives, grid) product."""
+    basis = d.values_at(PointSet.equispaced(2 ** grid_level, d.dimension))
+    coeff = np.zeros((d.size, n_representatives), dtype=complex)
+    draws = l1_ball_draws(d.size, n_representatives - 1, seed)
+    for j, (support, c) in enumerate(draws, start=1):
+        coeff[support, j] = c
+    return (basis @ coeff).T
 
-    def spy(self, values, *args):
-        passed.append(values)
-        init(self, values, *args)
 
-    monkeypatch.setattr(SampledClass, "__init__", spy)
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 133])
+def test_from_l1_ball_planes_equal_the_single_precision_one_shot_product(count):
+    d = Dictionary.exponential_band(-8, 7)
+    s = SampledClass.from_l1_ball(d, n_representatives=count, grid_level=7, seed=2)
+    v32 = one_shot_values(d, count, 7, 2).astype(np.complex64)
+    assert np.array_equal(s.planes[0], v32.real)
+    assert np.array_equal(s.planes[1], v32.imag)
+
+
+@pytest.mark.parametrize("count", [1, 63, 65, 133])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sampled_class_planes_equal_the_single_precision_values(count, order):
+    rng = np.random.default_rng(count)
+    values = np.asarray(rng.normal(size=(count, 37)) + 1j * rng.normal(size=(count, 37)),
+                        order=order)
+    s = SampledClass(values)
+    assert np.array_equal(single_rows(s), values.astype(np.complex64))
+
+
+def test_sample_is_held_once_as_c_ordered_single_precision_planes():
     s = SampledClass.from_l1_ball(Dictionary.exponential_band(-8, 7),
                                   n_representatives=96, grid_level=7, seed=2)
-    assert np.shares_memory(s.values, passed[0])
     farthest_point_radii(s, 8)
-    v32 = s.values.astype(np.complex64)
+    re, im = s.planes
+    held = [*vars(s).values(), *itertools.chain(*s._ladder)]
+    assert not any(isinstance(a, np.ndarray) and np.iscomplexobj(a) for a in held)
     (first_re, first_im), *later = s._ladder
     stride = s.grid_size // entropy._LADDER_POINTS[0]
     assert first_re.shape == (s.grid_size // stride, s.count)
-    assert np.array_equal(first_re, v32.real[:, ::stride].T)
-    assert np.array_equal(first_im, v32.imag[:, ::stride].T)
-    assert np.array_equal(later[-1][0], v32.real)
-    assert np.array_equal(later[-1][1], v32.imag)
+    assert np.array_equal(first_re, re[:, ::stride].T)
+    assert np.array_equal(first_im, im[:, ::stride].T)
+    assert np.shares_memory(later[-1][0], re) and np.shares_memory(later[-1][1], im)
     for plane in (first_re, first_im, *itertools.chain(*later)):
         assert plane.dtype == np.float32 and plane.flags.c_contiguous
+
+
+def test_sample_and_profile_peak_below_a_complex_copy_of_the_sample():
+    # 2048 x 1024 values: the float32 planes take 16 MiB, one complex128
+    # copy of the sample would take 32 MiB on top
+    d = Dictionary.exponential_band(-32, 31)
+    tracemalloc.start()
+    try:
+        entropy_numbers(SampledClass.from_l1_ball(d, 2048, grid_level=10), 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SampledClass.from_l1_ball(_BAND, 1.5), "n_representatives must be an integer"),
+    (lambda: SampledClass.from_l1_ball(_BAND, "8"), "n_representatives must be an integer"),
+    (lambda: SampledClass.from_l1_ball(_BAND, True), "n_representatives must be an integer"),
+    (lambda: SampledClass.from_l1_ball(_BAND, -3), "n_representatives must be at least 1"),
+    (lambda: SampledClass.from_l1_ball(_BAND, 0), "n_representatives must be at least 1"),
+    (lambda: SampledClass.from_l1_ball(_BAND, 8, seed=1.5), "seed must be an integer"),
+    (lambda: SampledClass.from_l1_ball(_BAND, 8, seed=-1), "seed must be at least 0"),
+    (lambda: list(l1_ball_draws(3, 2, "1")), "seed must be an integer"),
+    (lambda: random_l1_ball_elements(_BAND, 2, 1.5), "seed must be an integer"),
+    (lambda: farthest_point_radii(cls_from_rows([[0.0], [1.0]]), 1.5),
+     "t_max must be an integer"),
+    (lambda: farthest_point_radii(cls_from_rows([[0.0], [1.0]]), -1),
+     "t_max must be at least 0"),
+    (lambda: greedy_cover(cls_from_rows([[0.0], [1.0]]), "x"), "eps must be a real number"),
+    (lambda: greedy_cover(cls_from_rows([[0.0], [1.0]]), True), "eps must be a real number"),
+    (lambda: entropy_numbers(cls_from_rows([[0.0]]), -1), "n_max must be at least 0"),
+], ids=["reps_fractional", "reps_string", "reps_bool", "reps_negative", "reps_zero",
+        "seed_fractional", "seed_negative", "draws_seed_string", "elements_seed_fractional",
+        "t_max_fractional", "t_max_negative", "eps_string", "eps_bool", "n_max_negative"])
+def test_entropy_arguments_are_checked_at_the_api_boundary(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
