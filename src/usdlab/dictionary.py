@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NormBudgetError
 from .frequencies import FrequencySet
-from .points import PointSet
+from .points import PointSet, _integer_argument, _real_argument
 from .trigpoly import TrigPolynomial, _stack, _unique_rows, _values_on, sup_norm
 
 _BOUND_CHECK_GRID_LEVEL = 8
@@ -32,16 +32,13 @@ class Dictionary:
         elements = list(elements)
         if not elements:
             raise ValueError("a dictionary needs at least one element")
-        for name, value in (("uniform_bound", uniform_bound),
-                            ("riesz_constant", riesz_constant)):
-            if value is not None and not 0 < float(value) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        self.uniform_bound = _real_argument("uniform_bound", uniform_bound, 0, strict=True)
+        self.riesz_constant = (None if riesz_constant is None else
+                               _real_argument("riesz_constant", riesz_constant, 0, strict=True))
         d = elements[0].dimension
         for g in elements:
             if g.dimension != d:
                 raise DimensionMismatchError("dictionary elements must share a dimension")
-        self.uniform_bound = float(uniform_bound)
-        self.riesz_constant = None if riesz_constant is None else float(riesz_constant)
         self.dimension = d
         union, at, owner, coeffs = _stack(elements, d)
         self.frequencies = union
@@ -79,14 +76,14 @@ class Dictionary:
     @classmethod
     def exponential_band(cls, lo: int, hi: int) -> "Dictionary":
         """Univariate exponentials with frequencies lo..hi inclusive."""
-        if not (float(lo).is_integer() and float(hi).is_integer() and lo <= hi):
-            raise ValueError(f"a band needs integer ends lo <= hi, got {lo} and {hi}")
-        return cls.exponentials(
-            FrequencySet.from_indices([(k,) for k in range(int(lo), int(hi) + 1)]))
+        lo = _integer_argument("lo", lo)
+        hi = _integer_argument("hi", hi, lo)
+        return cls.exponentials(FrequencySet.from_indices([(k,) for k in range(lo, hi + 1)]))
 
     def _checked_indices(self, indices) -> list:
         """The selected indices as ints, all for None; ValueError outside 0..N-1."""
-        idx = list(range(self.size)) if indices is None else [int(i) for i in indices]
+        idx = (list(range(self.size)) if indices is None
+               else [_integer_argument("subset index", i) for i in indices])
         if any(i < 0 or i >= self.size for i in idx):
             raise ValueError(f"subset {tuple(idx)} indexes outside the dictionary")
         return idx
@@ -156,10 +153,11 @@ class SubspaceCollection:
             self.subsets = subsets
             self.v = sizes.pop()
         else:
-            if not (float(v).is_integer() and 1 <= v <= dictionary.size):
-                raise ValueError(f"subset size v must be an integer in 1..N, got {v}")
             self.subsets = None
-            self.v = int(v)
+            self.v = _integer_argument("v", v, 1)
+            if self.v > dictionary.size:
+                raise ValueError(f"v must be at most the dictionary size {dictionary.size}, "
+                                 f"got {self.v}")
 
     @classmethod
     def all_subsets(cls, dictionary: Dictionary, v: int) -> "SubspaceCollection":

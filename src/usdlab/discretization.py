@@ -38,7 +38,7 @@ from .multistart import _multistart_extreme  # noqa: F401
 from .multistart import MULTISTART_GRAD_TOL, _even_half, _subset_ratios
 from .pencils import _moment_family, _pencil_family
 from .points import PointSet, _integer_argument, _real_argument
-from .trigpoly import (DEFAULT_GRID_LEVEL, _check_exponent, _union_coefficients,
+from .trigpoly import (DEFAULT_GRID_LEVEL, _union_coefficients,
                        _unique_rows, _values_on, lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
@@ -134,7 +134,7 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     heuristic.  At even p > 2 the result also carries the rigorous outer
     window ``outer_min_ratio``/``outer_max_ratio`` of the lifted Gram.
     """
-    p = _check_exponent(p)
+    p = _real_argument("p", p, 1)
     opts = opts or RatioOptions()
     subset = tuple(dictionary._checked_indices(subset))
     if not subset:
@@ -239,9 +239,9 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     constant ``max_J min_ratio(J)^(-1/p)`` that converts the lower window
     side into a norm domination statement.
     """
-    p = _check_exponent(p)
-    epsilon = _real_argument("epsilon", epsilon)
-    if not 0 < epsilon < 1:
+    p = _real_argument("p", p, 1)
+    epsilon = _real_argument("epsilon", epsilon, 0, strict=True)
+    if epsilon >= 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     opts = opts or RatioOptions()
     count = coll.count()
@@ -327,13 +327,9 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
     Each draw is derived from ``(rng_seed, draw_index)`` so the search is
     reproducible and individual draws can be regenerated from the result.
     """
-    p = _check_exponent(p)
-    m = _integer_argument("m", m)
-    max_trials = _integer_argument("max_trials", max_trials)
-    if m < 1:
-        raise ValueError("need at least one sample point")
-    if max_trials < 1:
-        raise ValueError("need at least one trial")
+    p = _real_argument("p", p, 1)
+    m = _integer_argument("m", m, 1)
+    max_trials = _integer_argument("max_trials", max_trials, 1)
     opts = opts or RatioOptions()
     d = coll.dictionary.dimension
     draws, best = [], None
@@ -466,19 +462,15 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     The values path evaluates every function at the nodes (``_values_on``)
     one trial at a time and takes the continuous norm from ``lp_norm``.
     """
-    mc_trials = _integer_argument("mc_trials", mc_trials)
-    m = _integer_argument("m", m)
-    if mc_trials < 1:
-        raise ValueError("need at least one trial")
-    if m < 1:
-        raise ValueError(f"need at least one sample point, got m = {m}")
+    mc_trials = _integer_argument("mc_trials", mc_trials, 1)
+    m = _integer_argument("m", m, 1)
     if not functions:
         raise ValueError("need at least one function")
     d = functions[0].dimension
     if any(f.dimension != d for f in functions):
         raise DimensionMismatchError(
             f"functions of dimensions {sorted({f.dimension for f in functions})}")
-    p = _check_exponent(p)
+    p = _real_argument("p", p, 1)
     base = [_integer_argument("rng_seed", s, 0) for s in
             (rng_seed if isinstance(rng_seed, (list, tuple)) else [rng_seed])]
     karr, coeff = _union_coefficients(functions, d)
@@ -524,9 +516,7 @@ def expected_sup_estimate(functions, p: float, m: int, mc_trials: int,
                           rng_seed: int = 0,
                           grid_level: int = DEFAULT_GRID_LEVEL):
     """Monte-Carlo mean and standard error of the worst discretization gap."""
-    mc_trials = _integer_argument("mc_trials", mc_trials)
-    if mc_trials < 2:
-        raise ValueError("need at least two trials for a standard error")
+    mc_trials = _integer_argument("mc_trials", mc_trials, 2)  # for a standard error
     errs = discretization_error_trials(functions, p, m, mc_trials, rng_seed,
                                        grid_level)
     mean = float(errs.mean())

@@ -46,6 +46,16 @@ def l1_ball_draws(n: int, count: int, seed: int):
         yield support, weights * phases
 
 
+def _drawn_block(basis, draws, lo, hi):
+    """``basis @ coeff`` for representatives lo..hi-1, their coefficients
+    the next ones of the ``draws`` stream (representative 0 is zero)."""
+    coeff = np.zeros((basis.shape[1], hi - lo), dtype=complex)
+    for j in range(lo == 0, hi - lo):
+        support, c = next(draws)
+        coeff[support, j] = c
+    return (basis @ coeff).T
+
+
 class SampledClass:
     """Finite sample of a function class on a shared evaluation grid.
 
@@ -65,9 +75,10 @@ class SampledClass:
         self.planes = re, im = np.empty((2, *shape), dtype=np.float32)
         with np.errstate(over="ignore"):  # overflow is rejected just below
             for lo in range(0, shape[0], _CAST_ROWS):
-                block = rows(lo, lo + _CAST_ROWS)
-                re[lo:lo + _CAST_ROWS], im[lo:lo + _CAST_ROWS] = block.real, block.imag
-                if not np.isfinite(self.planes[:, lo:lo + _CAST_ROWS]).all():
+                hi = min(lo + _CAST_ROWS, shape[0])
+                block = rows(lo, hi)
+                re[lo:hi], im[lo:hi] = block.real, block.imag
+                if not np.isfinite(self.planes[:, lo:hi]).all():
                     raise ValueError("sample values must be finite in single precision")
         self.count, self.grid_size = shape
         self.grid = grid
@@ -89,25 +100,24 @@ class SampledClass:
         support, Dirichlet weights on it and uniform phases, so its
         coefficient moduli sum to one; the sample emphasizes the extreme
         shell that drives the covering structure.  The planes are filled
-        from ``basis @ coeff`` in blocks of ``_CAST_ROWS`` representatives.
+        in blocks of ``_CAST_ROWS`` representatives, each block from
+        ``basis @ coeff`` over only its own coefficients, drawn as it is cast.
         Counts that are not integers (``n_representatives`` >= 1,
         ``grid_level`` and ``seed`` >= 0) raise ``ValueError``.
         """
         n = dictionary.size
         n_representatives = _integer_argument("n_representatives", n_representatives, 1)
         grid_level = _integer_argument("grid_level", grid_level, 0)
+        seed = _integer_argument("seed", seed, 0)
         grid = PointSet.equispaced(2 ** grid_level, dictionary.dimension)
         basis = dictionary.values_at(grid)
-        coeff = np.zeros((n, n_representatives), dtype=complex)
         draws = l1_ball_draws(n, n_representatives - 1, seed)
-        for j, (support, c) in enumerate(draws, start=1):
-            coeff[support, j] = c
         meta = {
             "source": "l1_coefficient_ball",
             "dictionary_size": n,
             "n_representatives": n_representatives,
             "grid_points": int(grid.size),
-            "seed": int(seed),
+            "seed": seed,
             "sparse_supports": True,
             "caveats": [
                 "lower estimate of the underlying class entropy (finite sample)",
@@ -115,7 +125,7 @@ class SampledClass:
             ],
         }
         return cls.__new__(cls)._fill((n_representatives, grid.size),
-                                      lambda lo, hi: (basis @ coeff[:, lo:hi]).T, grid, meta)
+                                      lambda lo, hi: _drawn_block(basis, draws, lo, hi), grid, meta)
 
 
 def greedy_cover(sampled: SampledClass, eps: float) -> list:
@@ -132,8 +142,7 @@ def greedy_cover(sampled: SampledClass, eps: float) -> list:
     is reached; each doubling resumes the cached traversal, so no center
     step runs twice and the traversal ends shorter than twice the cover.
     """
-    if not _real_argument("eps", eps) > 0:
-        raise ValueError(f"covering radius must be positive, got {eps}")
+    eps = _real_argument("eps", eps, 0, strict=True)
     t = max(1, len(sampled._radii))
     while True:
         hit = np.flatnonzero(farthest_point_radii(sampled, t) <= eps)
@@ -250,6 +259,8 @@ class EntropyProfile:
         self.eps = np.asarray(self.eps, dtype=float)
         if self.eps.ndim != 1 or self.eps.size < 1:
             raise ValueError("expected a 1-d eps sequence")
+        if not np.isfinite(self.eps).all() or self.eps.min() < 0:
+            raise ValueError("eps must be finite and non-negative")
         if np.any(np.diff(self.eps) > 1e-12):
             raise ValueError("eps must be nonincreasing in n")
 
@@ -258,8 +269,7 @@ class EntropyProfile:
         return self.eps.size - 1
 
     def eps_at(self, n: int) -> float:
-        if n < 0:
-            raise ValueError(f"index n must be >= 0, got {n}")
+        n = _integer_argument("n", n, 0)
         if n <= self.n_max:
             return float(self.eps[n])
         if self.zero_from is not None and n >= self.zero_from:
@@ -277,8 +287,7 @@ class EntropyProfile:
         return out
 
     def e_at(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"index k must be >= 0, got {k}")
+        k = _integer_argument("k", k, 0)
         return self.eps_at(0) if k == 0 else self.eps_at(2 ** k)
 
     def to_csv_rows(self):
@@ -340,10 +349,13 @@ def entropy_sum_dyadic(profile: EntropyProfile, theta: float, m: int) -> float:
     return total
 
 
-def _chaining_prefactor(p: float, bound_m: float, m: int) -> float:
-    if m < 1:
-        raise ValueError(f"sample count m must be >= 1, got {m}")
-    return p ** 2 * bound_m ** max(p / 2.0, p - 1.0) * m ** (-0.5)
+def _chaining_terms(p, sup_bound, m) -> tuple:
+    """``theta = min(2, p)/2``, the prefactor ``p^2 M^{max(p/2, p-1)}
+    m^{-1/2}`` and m, from checked arguments."""
+    p = _real_argument("p", p, 1)
+    sup_bound = _real_argument("sup_bound", sup_bound, 0, strict=True)
+    m = _integer_argument("m", m, 1)
+    return min(2.0, p) / 2.0, p ** 2 * sup_bound ** max(p / 2.0, p - 1.0) * m ** (-0.5), m
 
 
 def chaining_bound(profile: EntropyProfile, p: float, sup_bound: float,
@@ -354,21 +366,21 @@ def chaining_bound(profile: EntropyProfile, p: float, sup_bound: float,
     eps_n^{theta}`` with ``theta = min(2, p)/2`` and the absolute constant
     set to 1, so the value is meaningful up to that unknown constant.
     """
-    theta = min(2.0, p) / 2.0
-    return _chaining_prefactor(p, sup_bound, m) * entropy_sum_flat(profile, theta, m)
+    theta, prefactor, m = _chaining_terms(p, sup_bound, m)
+    return prefactor * entropy_sum_flat(profile, theta, m)
 
 
 def chaining_bound_dyadic(profile: EntropyProfile, p: float, sup_bound: float,
                           m: int) -> float:
     """Dyadic form of the same functional, using the e_k ladder."""
-    theta = min(2.0, p) / 2.0
-    return _chaining_prefactor(p, sup_bound, m) * entropy_sum_dyadic(profile, theta, m)
+    theta, prefactor, m = _chaining_terms(p, sup_bound, m)
+    return prefactor * entropy_sum_dyadic(profile, theta, m)
 
 
 def double_exponential_tail_sum(a: float, b: float, m: int) -> float:
     """``sum_{k >= ceil(log2 m)} (2^{ak} 2^{-2^k/m})^b`` by direct summation."""
-    if a <= 0 or b <= 0 or m < 2:
-        raise ValueError("need a > 0, b > 0, m >= 2")
+    a, b = _real_argument("a", a, 0, strict=True), _real_argument("b", b, 0, strict=True)
+    m = _integer_argument("m", m, 2)
     k = math.ceil(math.log2(m))
     total = 0.0
     while True:
@@ -383,5 +395,6 @@ def double_exponential_tail_sum(a: float, b: float, m: int) -> float:
 
 def double_exponential_tail_constant(a: float, b: float) -> float:
     """Closed-form constant with tail_sum <= constant * m^(a b)."""
+    a, b = _real_argument("a", a, 0, strict=True), _real_argument("b", b, 0, strict=True)
     ab = a * b
     return 2.0 * max(2.0 ** (ab - 1.0), 1.0) * math.gamma(ab) / (b * math.log(2.0)) ** ab

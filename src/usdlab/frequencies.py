@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
+from .points import _integer_argument
 from .trigpoly import _unique_rows
 
 DEFAULT_FREQUENCY_CAP = 10**7
@@ -81,11 +82,10 @@ def _refuse_above_cap(size: int, what: str):
             predicted=size, cap=DEFAULT_FREQUENCY_CAP)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool is checked, not read as 1
 def hyperbolic_cross_size(n_param: int, d: int) -> int:
     """Cardinality of ``{k in Z^d : prod_j max(|k_j|, 1) <= n_param}``."""
-    if n_param < 1 or d < 1:
-        raise ValueError("n_param and d must be >= 1")
+    n_param, d = _integer_argument("n_param", n_param, 1), _integer_argument("d", d, 1)
     if d == 1:
         return 2 * n_param + 1
     total = hyperbolic_cross_size(n_param, d - 1)
@@ -100,8 +100,7 @@ def hyperbolic_cross(n_param: int, d: int) -> FrequencySet:
     Refuses (with the predicted cardinality) when the set would exceed
     ``DEFAULT_FREQUENCY_CAP`` entries.
     """
-    if n_param < 1 or d < 1:
-        raise ValueError("n_param and d must be >= 1")
+    n_param, d = _integer_argument("n_param", n_param, 1), _integer_argument("d", d, 1)
     predicted = hyperbolic_cross_size(n_param, d)
     _refuse_above_cap(predicted, f"hyperbolic cross with N={n_param}, d={d}")
     out = []
@@ -120,8 +119,7 @@ def hyperbolic_cross(n_param: int, d: int) -> FrequencySet:
 
 def dyadic_annulus(s: int) -> list:
     """Integers k with ``floor(2^(s-1)) <= |k| < 2^s``, ascending."""
-    if s < 0:
-        raise ValueError("annulus index must be >= 0")
+    s = _integer_argument("s", s, 0)
     if s == 0:
         return [0]
     lo, hi = 2 ** (s - 1), 2 ** s
@@ -130,9 +128,7 @@ def dyadic_annulus(s: int) -> list:
 
 def dyadic_block(s) -> FrequencySet:
     """Product of per-coordinate dyadic annuli for the index vector ``s``."""
-    s = tuple(int(v) for v in (s if not isinstance(s, int) else (s,)))
-    if any(v < 0 for v in s):
-        raise ValueError("annulus indices must be >= 0")
+    s = tuple(_integer_argument("s", v, 0) for v in (s if np.ndim(s) else (s,)))
     size = 1
     for v in s:
         size *= 1 if v == 0 else 2 ** v
@@ -144,9 +140,8 @@ def dyadic_block(s) -> FrequencySet:
 
 def dyadic_level_index(k) -> tuple:
     """The unique block index s with k in the block ``dyadic_block(s)``."""
-    if isinstance(k, int):
-        k = (k,)
-    return tuple(0 if kj == 0 else abs(int(kj)).bit_length() for kj in k)
+    return tuple(abs(_integer_argument("k", kj)).bit_length()
+                 for kj in (k if np.ndim(k) else (k,)))
 
 
 def level_of(k) -> int:
@@ -154,7 +149,7 @@ def level_of(k) -> int:
     return sum(dyadic_level_index(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a bool is checked, not read as 1
 def level_size(j: int, d: int) -> int:
     """Cardinality of the level ``{k in Z^d : level_of(k) = j}``.
 
@@ -162,8 +157,7 @@ def level_size(j: int, d: int) -> int:
     first coordinate lies in annulus s (2^s values for s >= 1, one for
     s = 0) and the tail is a level ``j - s`` frequency in dimension d - 1.
     """
-    if j < 0 or d < 0:
-        raise ValueError("level and dimension must be >= 0")
+    j, d = _integer_argument("j", j, 0), _integer_argument("d", d, 0)
     if d == 0:
         return 1 if j == 0 else 0
     return level_size(j, d - 1) + sum(2 ** s * level_size(j - s, d - 1)
@@ -171,8 +165,6 @@ def level_size(j: int, d: int) -> int:
 
 
 def _checked_level_size(j: int, d: int) -> int:
-    if j < 0 or d < 1:
-        raise ValueError("level must be >= 0 and d >= 1")
     size = level_size(j, d)
     _refuse_above_cap(size, f"level {j} in dimension {d}")
     return size
@@ -188,7 +180,11 @@ def unrank_level(j: int, d: int, ranks) -> np.ndarray:
     and the remainder of the rank is unranked on the tail.  Ranks must lie
     in ``[0, level_size(j, d))``.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
+    j, d = _integer_argument("j", j, 0), _integer_argument("d", d, 0)
+    ranks, size = np.asarray(ranks), level_size(j, d)
+    if ranks.size and (ranks.dtype.kind not in "iu" or ranks.min() < 0 or ranks.max() >= size):
+        raise ValueError(f"ranks must be integers in [0, {size}) at level {j} in dimension {d}")
+    ranks = ranks.astype(np.int64, copy=False)
     out = np.empty((ranks.size, d), dtype=np.int64)
     if d == 0 or ranks.size == 0:
         return out
@@ -230,6 +226,7 @@ def level_frequencies(j: int, d: int) -> FrequencySet:
     Every rank of the level is unranked by :func:`unrank_level`, the one
     source of the level's lexicographic order.
     """
+    j, d = _integer_argument("j", j, 0), _integer_argument("d", d, 1)
     size = _checked_level_size(j, d)
     indices = unrank_level(j, d, np.arange(size)).tolist()
     return FrequencySet(tuple(map(tuple, indices)), d)

@@ -19,6 +19,8 @@ import json
 import math
 import re
 
+import numpy as np
+
 
 def format_float(x):
     """Render one float with 17 significant digits."""
@@ -115,7 +117,9 @@ def _row_block(seq, inner):
 
 
 def _write(obj, out, level):
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes, dict, list, tuple)):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif hasattr(obj, "item") and not isinstance(obj, (str, bytes, dict, list, tuple)):
         obj = obj.item()  # numpy scalar
     pad = "  " * level
     inner = pad + "  "
@@ -149,11 +153,6 @@ def _write(obj, out, level):
             return
         # rows of numbers, such as a certificate's subsets: one line each
         block = _row_block(seq, inner)
-        if block is None:
-            lines = [_number_line(v) if isinstance(v, (list, tuple)) else None
-                     for v in seq]
-            if None not in lines:
-                block = ",\n".join(inner + x for x in lines)
         if block is not None:
             out.append("[\n" + block + "\n" + pad + "]")
             return
@@ -164,11 +163,4 @@ def _write(obj, out, level):
             out.append(",\n" if i < len(seq) - 1 else "\n")
         out.append(pad + "]")
     else:
-        try:
-            import numpy as np
-            if isinstance(obj, np.ndarray):
-                _write(obj.tolist(), out, level)
-                return
-        except ImportError:
-            pass
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -28,12 +29,20 @@ def _integer_argument(name, value, least=None) -> int:
     return whole
 
 
-def _real_argument(name, value) -> float:
+def _real_argument(name, value, least=None, strict=False) -> float:
     """``value`` as a float; a bool or anything but a real number raises
-    ``ValueError`` naming ``name``."""
+    ``ValueError`` naming ``name``, and so, when ``least`` is given, does
+    a value that is not finite or lies below ``least`` (at it, if
+    ``strict``)."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    real = float(value)
+    if least is not None and not (math.isfinite(real) and (real > least if strict
+                                                           else real >= least)):
+        bound = (("positive" if strict else "non-negative") if least == 0
+                 else f"{'>' if strict else '>='} {least}")
+        raise ValueError(f"{name} must be finite and {bound}, got {real}")
+    return real
 
 
 def tensor_grid_points(n: int, d: int) -> np.ndarray:

@@ -89,10 +89,7 @@ class DiscreteInstance:
                 raise ValueError(f"{name} must be finite")
         if not (np.isfinite(self.weights).all() and (self.weights >= 0).all()):
             raise ValueError("weights must be finite and non-negative")
-        self.p = _real_argument("p", self.p)
-        if not (math.isfinite(self.p) and self.p > 1):
-            raise ValueError(
-                f"p must be finite and > 1 for the projection machinery, got {self.p}")
+        self.p = _real_argument("p", self.p, 1, strict=True)
 
     @property
     def n_elements(self) -> int:
@@ -325,9 +322,7 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, max_iter: int = 100,
     onto everything selected so far.
     """
     max_iter = _integer_argument("max_iter", max_iter, 0)
-    stop_tol = _real_argument("stop_tol", stop_tol)
-    if not (math.isfinite(stop_tol) and stop_tol >= 0):
-        raise ValueError(f"stop_tol must be finite and non-negative, got {stop_tol}")
+    stop_tol = _real_argument("stop_tol", stop_tol, 0)
     b = inst.f_values
     weights = inst.weights
     support: list = []
@@ -475,9 +470,9 @@ def best_v_term_oracle(inst: DiscreteInstance, v: int) -> SparseApproximant:
     the lexicographically first one, whether or not it could win.
     Refuses when the subset count C(N, v) exceeds ``ORACLE_SUBSET_CAP``.
     """
-    n, v = inst.n_elements, _integer_argument("v", v)
-    if v < 0 or v > n:
-        raise ValueError("sparsity v must satisfy 0 <= v <= N")
+    n, v = inst.n_elements, _integer_argument("v", v, 0)
+    if v > n:
+        raise ValueError(f"v must be at most the dictionary size {n}, got {v}")
     if v == 0:
         return SparseApproximant((), np.zeros(0, dtype=complex),
                                  inst.norm(inst.f_values), [], True,
@@ -520,10 +515,8 @@ def block_term_schedule(n: int, beta: float, d: int) -> list:
 
     The count at level j is ``floor(2^{n - beta (j - n)} max(j,1)^{d-1})``.
     """
-    n, d = _integer_argument("n", n), _integer_argument("d", d, 1)
-    beta = _real_argument("beta", beta)
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"beta must be finite and positive, got {beta}")
+    n, d = _integer_argument("n", n, 0), _integer_argument("d", d, 1)
+    beta = _real_argument("beta", beta, 0, strict=True)
     out = []
     j = n
     prev = math.inf

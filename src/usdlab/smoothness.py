@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequencies import _checked_level_size, frequency_levels, unrank_level
+from .points import _integer_argument, _real_argument
 from .trigpoly import TrigPolynomial, _unique_rows
 
 DEFAULT_KERNEL_TRUNCATION = 4096
@@ -32,6 +33,10 @@ def kernel_coefficient(k: int, r: float) -> complex:
     Negative frequencies carry the conjugate phase, which makes the kernel
     real valued.
     """
+    return _kernel_coefficient(_integer_argument("k", k), _real_argument("r", r, 0, strict=True))
+
+
+def _kernel_coefficient(k: int, r: float) -> complex:
     if k == 0:
         return 1.0 + 0.0j
     sign = 1.0 if k > 0 else -1.0
@@ -45,17 +50,17 @@ def bernoulli_kernel(r: float, max_freq: int = DEFAULT_KERNEL_TRUNCATION) -> Tri
     ``max_freq``).  For r > 1 the dropped tail is bounded by
     :func:`bernoulli_kernel_tail_bound`.
     """
-    if r <= 0:
-        raise ValueError("decay exponent r must be positive")
-    if max_freq < 1:
-        raise ValueError("truncation must keep at least |k| <= 1")
+    r = _real_argument("r", r, 0, strict=True)
+    max_freq = _integer_argument("max_freq", max_freq, 1)
     ks = range(-max_freq, max_freq + 1)
     return TrigPolynomial.from_arrays(np.array(ks)[:, None],
-                                      [kernel_coefficient(k, r) for k in ks], 1)
+                                      [_kernel_coefficient(k, r) for k in ks], 1)
 
 
 def bernoulli_kernel_tail_bound(r: float, max_freq: int) -> float:
     """Upper bound 2*K^(1-r)/(r-1) on the dropped coefficient mass, r > 1."""
+    r = _real_argument("r", r, 0, strict=True)
+    max_freq = _integer_argument("max_freq", max_freq, 1)
     if r <= 1:
         return math.inf
     return 2.0 * max_freq ** (1.0 - r) / (r - 1.0)
@@ -71,12 +76,10 @@ class SmoothnessBudget:
     max_level: int
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError("a must be >= 0")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.max_level < 0:
-            raise ValueError("max_level must be >= 0")
+        for name, least in (("a", 0), ("b", -math.inf)):
+            object.__setattr__(self, name, _real_argument(name, getattr(self, name), least))
+        for name, least in (("d", 1), ("max_level", 0)):
+            object.__setattr__(self, name, _integer_argument(name, getattr(self, name), least))
 
     def level_budget(self, j: int) -> float:
         return 2.0 ** (-self.a * j) * max(j, 1) ** ((self.d - 1) * self.b)
@@ -102,9 +105,10 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
                 and not isinstance(support_rule, bool) and support_rule >= 0)):
         raise ValueError("support_rule must be None, a callable or an "
                          f"integer >= 0, got {support_rule!r}")
+    rng_seed = _integer_argument("rng_seed", rng_seed, 0)
     kept = [(np.zeros((0, budget.d), dtype=np.int64), np.zeros(0))]
     for j in range(budget.max_level + 1):
-        rng = np.random.default_rng([int(rng_seed), j])
+        rng = np.random.default_rng([rng_seed, j])
         size = _checked_level_size(j, budget.d)
         if support_rule is None or callable(support_rule):
             ranks = np.arange(size)

@@ -139,15 +139,6 @@ class TrigPolynomial:
                    dimension=obj["dimension"])
 
 
-def _check_exponent(p) -> float:
-    """``p`` as a float; a bool, a non-number or anything but a finite
-    p >= 1 raises ``ValueError``."""
-    p = _real_argument("p", p)
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"exponent p must be finite and >= 1, got {p}")
-    return p
-
-
 def _unique_rows(rows):
     """The distinct rows of the (n, w) integer array ``rows`` in lexicographic
     order and the index of each row among them, as ``np.unique(axis=0,
@@ -250,7 +241,7 @@ def lp_norm(f: TrigPolynomial, p: float, grid_level: int = DEFAULT_GRID_LEVEL) -
     real number >= 1, or a ``grid_level`` that is not an integer >= 0 (at
     p = 2 too), raises ``ValueError``.
     """
-    p = _check_exponent(p)
+    p = _real_argument("p", p, 1)
     grid_level = _integer_argument("grid_level", grid_level, 0)
     if p == 2:
         return f.coefficient_l2()
