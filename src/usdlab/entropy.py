@@ -335,6 +335,7 @@ def entropy_numbers(sampled: SampledClass, n_max: int) -> EntropyProfile:
 
 def entropy_sum_flat(profile: EntropyProfile, theta: float, m: int) -> float:
     """``sum_{n=0}^{m} (n+1)^{-1/2} eps_n^theta``."""
+    theta, m = _real_argument("theta", theta, 0), _integer_argument("m", m, 0)
     total = 0.0
     for n in range(m + 1):
         total += (n + 1) ** (-0.5) * profile.eps_at(n) ** theta
@@ -343,6 +344,7 @@ def entropy_sum_flat(profile: EntropyProfile, theta: float, m: int) -> float:
 
 def entropy_sum_dyadic(profile: EntropyProfile, theta: float, m: int) -> float:
     """``sum_{k=0}^{floor(log2 m)} 2^{k/2} e_k^theta``."""
+    theta, m = _real_argument("theta", theta, 0), _integer_argument("m", m, 1)
     total = 0.0
     for k in range(int(math.floor(math.log2(m))) + 1):
         total += 2.0 ** (k / 2.0) * profile.e_at(k) ** theta

@@ -35,6 +35,7 @@ from .entropy import (SampledClass, chaining_bound, entropy_numbers,
 from .errors import ConfigError
 from .points import PointSet
 from .recovery import block_greedy_approximant
+from .schema import Schema
 from .smoothness import SmoothnessBudget, level_budget_element
 from .trigpoly import lp_norm
 
@@ -51,13 +52,12 @@ class ExperimentConfig:
 
 @functools.cache
 def _schema():
-    """The shipped config schema, compiled once per process.
+    """The shipped config schema, loaded and checked once per process.
 
     Also returns each kind's sweep params, those whose schema is
     ``$defs/sweep``: that a sweep strictly increases is the one rule JSON
     Schema cannot state.
     """
-    import jsonschema
     schema = json.loads(resources.files(__package__).joinpath(
         "config_schema.json").read_text(encoding="utf-8"))
     sweeps = {}
@@ -66,7 +66,7 @@ def _schema():
         sweeps[block["if"]["properties"]["kind"]["const"]] = [
             name for name, spec in params.items()
             if spec.get("$ref") == "#/$defs/sweep"]
-    return jsonschema.Draft202012Validator(schema), sweeps
+    return Schema(schema), sweeps
 
 
 def _non_finite_path(obj, path=()):
@@ -92,16 +92,15 @@ def validate_config(obj) -> ExperimentConfig:
     Numbers must be finite anywhere in the config: JSON Schema bounds
     compare false against NaN, so the schema alone would let it through.
     """
-    from jsonschema.exceptions import best_match
     bad = _non_finite_path(obj)
     if bad is not None:
         path = ".".join(str(p) for p in bad)
         raise ConfigError(f"{path or '<root>'}: must be a finite number", path=path)
-    validator, sweeps = _schema()
-    error = best_match(validator.iter_errors(obj))
+    schema, sweeps = _schema()
+    error = schema.first_error(obj)
     if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path)
-        raise ConfigError(f"{path or '<root>'}: {error.message}", path=path)
+        path = ".".join(str(p) for p in error[0])
+        raise ConfigError(f"{path or '<root>'}: {error[1]}", path=path)
     for name in sweeps[obj["kind"]]:
         sweep = obj["params"].get(name, [])
         if any(b <= a for a, b in zip(sweep, sweep[1:])):

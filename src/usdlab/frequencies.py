@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionMismatchError
 from .points import _integer_argument
-from .trigpoly import _unique_rows
+from .trigpoly import _frequency_argument, _unique_rows
 
 DEFAULT_FREQUENCY_CAP = 10**7
 
@@ -41,11 +41,7 @@ class FrequencySet:
 
     @classmethod
     def from_indices(cls, indices, dimension=None):
-        norm = []
-        for k in indices:
-            if isinstance(k, int):
-                k = (k,)
-            norm.append(tuple(int(v) for v in k))
+        norm = [_frequency_argument(k) for k in indices]
         if dimension is None:
             if not norm:
                 raise ValueError("dimension required for an empty set")

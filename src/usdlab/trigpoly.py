@@ -14,6 +14,7 @@ torus [0, 2*pi)^d, so the L2 norm equals the l2 norm of the coefficients
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -26,6 +27,13 @@ DEFAULT_GRID_LEVEL = 10
 _EVAL_CHUNK = 8192
 
 
+def _frequency_argument(k) -> tuple:
+    """A frequency, an integer or a sequence of them, as a tuple of ints; a
+    bool or non-integral component raises ``ValueError``."""
+    return tuple(_integer_argument("frequency", v)
+                 for v in ((k,) if isinstance(k, numbers.Number) else k))
+
+
 class TrigPolynomial:
     """Finite trigonometric polynomial ``sum_k coeffs[k] e^{i<k,x>}``."""
 
@@ -33,8 +41,7 @@ class TrigPolynomial:
 
     def __init__(self, coeffs, dimension=None):
         items = list(coeffs.items() if hasattr(coeffs, "items") else coeffs)
-        keys = [(int(k),) if isinstance(k, (int, np.integer))
-                else tuple(int(v) for v in k) for k, _ in items]
+        keys = [_frequency_argument(k) for k, _ in items]
         if dimension is None and not keys:
             raise ValueError("dimension required for the zero polynomial")
         dimension = len(keys[0]) if dimension is None else dimension

@@ -15,8 +15,9 @@ from usdlab.discretization import (check_usd, discretization_error_trials,
                                    expected_sup_estimate, find_usd_points)
 from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
                             chaining_bound_dyadic, double_exponential_tail_constant,
-                            double_exponential_tail_sum, greedy_cover)
-from usdlab.frequencies import (dyadic_annulus, dyadic_block, dyadic_level_index,
+                            double_exponential_tail_sum, entropy_sum_dyadic,
+                            entropy_sum_flat, greedy_cover)
+from usdlab.frequencies import (FrequencySet, dyadic_annulus, dyadic_block, dyadic_level_index,
                                 hyperbolic_cross, hyperbolic_cross_size,
                                 level_frequencies, level_of, level_size, unrank_level)
 from usdlab.points import PointSet
@@ -102,6 +103,14 @@ CASES = [
      "subset index must be an integer, got 0.7"),
     ("gram_bool_index", lambda: _band().continuous_gram([True]),
      "subset index must be an integer, got True"),
+    ("polynomial_fractional_frequency", lambda: TrigPolynomial({(1.7,): 1.0}),
+     "frequency must be an integer, got 1.7"),
+    ("polynomial_fractional_scalar_frequency", lambda: TrigPolynomial({1.7: 1.0}),
+     "frequency must be an integer, got 1.7"),
+    ("frequency_set_fractional", lambda: FrequencySet.from_indices([(1.5,), (-2.7,)]),
+     "frequency must be an integer, got 1.5"),
+    ("frequency_set_bool", lambda: FrequencySet.from_indices([(True,)]),
+     "frequency must be an integer, got True"),
     ("dyadic_block_fractional", lambda: dyadic_block(1.5), "s must be an integer, got 1.5"),
     ("dyadic_block_fractional_entry", lambda: dyadic_block((1, 2.5)),
      "s must be an integer, got 2.5"),
@@ -174,6 +183,18 @@ CASES = [
      "ranks must be integers in [0, 4) at level 2 in dimension 1"),
     ("profile_eps_nan", lambda: EntropyProfile.from_values([math.nan, 0.5]),
      "eps must be finite and non-negative"),
+    ("entropy_sum_flat_fractional_m", lambda: entropy_sum_flat(_profile(), 0.5, 2.5),
+     "m must be an integer, got 2.5"),
+    ("entropy_sum_flat_negative_m", lambda: entropy_sum_flat(_profile(), 0.5, -1),
+     "m must be at least 0, got -1"),
+    ("entropy_sum_flat_theta_negative", lambda: entropy_sum_flat(_profile(), -0.5, 2),
+     "theta must be finite and non-negative, got -0.5"),
+    ("entropy_sum_dyadic_m_zero", lambda: entropy_sum_dyadic(_profile(), 0.5, 0),
+     "m must be at least 1, got 0"),
+    ("entropy_sum_dyadic_theta_nan", lambda: entropy_sum_dyadic(_profile(), math.nan, 2),
+     "theta must be finite and non-negative, got nan"),
+    ("entropy_sum_dyadic_theta_string", lambda: entropy_sum_dyadic(_profile(), "1", 2),
+     "theta must be a real number, got '1'"),
     ("schedule_n_negative", lambda: block_term_schedule(-1, 0.5, 1),
      "n must be at least 0, got -1"),
 ]

@@ -618,8 +618,15 @@ def test_import_loads_no_scipy_module(tmp_path):
     # nor numpy.ma, a 25 ms import that np.unique makes on first use unless
     # it returns an inverse; d > 1 level unranking, level norms and p = 2
     # gap trials all call np.unique.  Rate fits take their t-quantile from
-    # the package, so a fit and a whole er-rate job load neither.
+    # the package, so a fit and a whole er-rate job load neither.  Nor do
+    # they load jsonschema and its dependencies (configs are checked by the
+    # package's own schema reader) or the p != 2 multistart, which a p = 4
+    # certificate then loads on first use.
     config = write_config(tmp_path, er_config(tmp_path / "out"))
+    verify = verify_config(tmp_path / "verify")
+    verify["params"].update(p=4, opts={"starts": 2, "max_iters": 5})
+    verify = write_config(tmp_path, verify, "verify.json")
+    unused = ("jsonschema", "referencing", "rpds", "attr", "attrs")
     code = "\n".join([
         "import sys, numpy as np, usdlab, usdlab.cli",
         "from usdlab.discretization import discretization_error_trials",
@@ -628,12 +635,17 @@ def test_import_loads_no_scipy_module(tmp_path):
         "discretization_error_trials([usdlab.TrigPolynomial({1: 1.0, -2: 0.5})], 2, 8, 3)",
         "usdlab.fit_rate([(1, 1.0), (2, 0.6), (4, 0.4), (8, 0.2)])",
         f"assert usdlab.cli.main(['er-rate', '--config', {config!r}]) == 0",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
-        "             or m.split('.')[:2] == ['numpy', 'ma']))",
+        "print('after er-rate:', sorted(m for m in sys.modules",
+        "      if m.split('.')[0] == 'scipy' or m.split('.')[:2] == ['numpy', 'ma']",
+        f"      or m.split('.')[0] in {unused!r} or m == 'usdlab.multistart'))",
+        f"usdlab.cli.main(['usd-verify', '--config', {verify!r}])",
+        "print('after p = 4:', 'usdlab.multistart' in sys.modules)",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "[]"  # after the job's own report
+    lines = proc.stdout.splitlines()   # each job prints its own report
+    assert "after er-rate: []" in lines
+    assert lines[-1] == "after p = 4: True"
 
 
 @pytest.mark.parametrize("config, subcommand, expected", [
