@@ -39,7 +39,8 @@ from .trigpoly import (DEFAULT_GRID_LEVEL, _union_coefficients,
                        _unique_rows, _values_on, lp_norm)
 
 DEFAULT_SUBSET_CAP = 10**6
-_MOMENT_CHUNK_VALUES = 1 << 16   # complex node powers held per chunk of p = 2 gap-trial nodes
+_MOMENT_CHUNK_VALUES = 1 << 16   # table values and chunk sums held per p = 2 gap-trial pass
+_GEMM_NODES = 32   # nodes summed by one product of the p = 2 power tables
 _MOMENT_SPREAD_PER_FREQUENCY = 8    # p = 2 gap trials take the moments while J <= this * F
 
 
@@ -99,6 +100,16 @@ class SubspaceRatios:
     outer_max_ratio: float | None = None
 
 
+def _checked_options(opts) -> RatioOptions:
+    """``opts`` itself, or the defaults for None; anything else raises
+    ``ValueError``."""
+    if opts is None:
+        return RatioOptions()
+    if not isinstance(opts, RatioOptions):
+        raise ValueError(f"opts must be a RatioOptions, got {opts!r}")
+    return opts
+
+
 def _method(p, opts: RatioOptions) -> dict:
     """How the ratios are bounded: exact eigenvalues at p = 2, else multistart."""
     if p == 2:
@@ -144,7 +155,7 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     window ``outer_min_ratio``/``outer_max_ratio`` of the lifted Gram.
     """
     p = _real_argument("p", p, 1)
-    opts = opts or RatioOptions()
+    opts = _checked_options(opts)
     subset = tuple(dictionary._checked_indices(subset))
     if not subset:
         raise ValueError("a subset needs at least one index")
@@ -253,7 +264,7 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     epsilon = _real_argument("epsilon", epsilon, 0, strict=True)
     if epsilon >= 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    opts = opts or RatioOptions()
+    opts = _checked_options(opts)
     count = coll.count()
     if count > DEFAULT_SUBSET_CAP:
         raise CapExceededError(
@@ -341,7 +352,7 @@ def find_usd_points(coll: SubspaceCollection, p: float, m: int,
     p = _real_argument("p", p, 1)
     m = _integer_argument("m", m, 1)
     max_trials = _integer_argument("max_trials", max_trials, 1)
-    opts = opts or RatioOptions()
+    opts = _checked_options(opts)
     d = coll.dictionary.dimension
     draws, best = [], None
     for draw in range(max_trials):
@@ -372,14 +383,31 @@ def _difference_correlations(k, coeffs):
     return diffs, corr
 
 
-def _run(idx):
-    """``idx`` as a slice when it steps by +1 or -1 throughout, else as is."""
-    if len(idx) > 1:
-        step = int(idx[1] - idx[0])
-        if abs(step) == 1 and (np.diff(idx) == step).all():
-            stop = int(idx[-1]) + step
-            return slice(int(idx[0]), stop if stop >= 0 else None, step)
-    return idx
+def _power_steps(order):
+    """The baby and giant step counts (B, A) for powers up to ``order``:
+    ``B = isqrt(order) + 1`` and ``A = order // B + 1``, so A B > order."""
+    baby = math.isqrt(order) + 1
+    return baby, order // baby + 1
+
+
+def _node_chunk(order, m):
+    """The GEMM width w and the nodes per trial per pass (a multiple of w)
+    of the p = 2 power tables for powers up to ``order`` over m nodes."""
+    baby, giant = _power_steps(order)
+    width = min(_GEMM_NODES, m)
+    per_chunk = (baby + giant) * width + baby * giant
+    return width, max(1, _MOMENT_CHUNK_VALUES // per_chunk) * width
+
+
+def _fill_powers(rows):
+    """Rows 2, 3, ... of ``rows`` as powers of row 1: row n + i is row i
+    times row n for n = 1, 2, 4, ..., so row j is a product of j rounded
+    factors."""
+    n, top = 1, len(rows) - 1
+    while n < top:
+        take = min(n, top - n)
+        np.multiply(rows[1:1 + take], rows[n], out=rows[n + 1:n + 1 + take])
+        n += take
 
 
 def _power_sums(theta, powers):
@@ -387,37 +415,49 @@ def _power_sums(theta, powers):
     row of ``theta`` (one trial's nodes per row), for each j of the sorted
     distinct positive ``powers``: a (len(theta), len(powers)) array.
 
-    One ``exp`` per node; row n + i of the power buffer is row i times row
-    n for n = 1, 2, 4, ..., so ``z^j`` is a product of j rounded factors.
-    Each trial's nodes go in chunks of ``_MOMENT_CHUNK_VALUES // max(powers)``
-    and the trials' chunks run together through one (max(powers), trials,
-    width) buffer, which the caller keeps within ``_MOMENT_CHUNK_VALUES``
-    values; each power is summed pairwise along one trial's chunk, as a 1-D
-    row would be, and the chunk sums are added in order.
+    Baby-step/giant-step, with (B, A) = ``_power_steps(max(powers))``: one
+    ``exp`` per node, then its baby powers ``z^0 .. z^(B-1)`` and its giant
+    powers ``z^0, z^B, .., z^((A-1) B)`` by doubling products (about A + B
+    of them), so ``z^b`` and ``z^(aB)`` are products of b and aB rounded
+    factors; ``s_(aB+b)`` is entry (a, b) of giant times baby.  Each trial's
+    nodes go in chunks of w nodes (``_node_chunk``), the last one padded
+    with nodes whose powers past ``z^0`` are zero (so only ``s_0`` sees
+    them); one stacked matmul takes every chunk of every trial in a pass as
+    its own (A, w) (w, B) product, the shape it has when the trial runs
+    alone.  A trial's chunk sums in a pass are added pairwise, and the
+    passes in order.  A pass holds as many of a trial's chunks as keep its
+    tables and products within ``_MOMENT_CHUNK_VALUES`` values; the caller
+    sizes its blocks of trials to one pass.
     """
     trials, m = theta.shape
-    sums = np.zeros((trials, len(powers)), dtype=complex)
     if not len(powers):
-        return sums
+        return np.zeros((trials, 0), dtype=complex)
     order = int(powers[-1])
-    rows = _run(powers - 1)
-    step = _node_chunk(order)
-    buf = np.empty((order, trials, min(step, m)), dtype=complex)
+    nb, ng = _power_steps(order)
+    width, step = _node_chunk(order, m)
+    most = -(-min(step, m) // width)
+    baby = np.empty((nb, trials, most, width), dtype=complex)
+    giant = np.empty((ng, trials, most, width), dtype=complex)
+    baby[0] = giant[0] = 1.0
+    nodes = baby[1].reshape(trials, most * width)
+    sums = np.zeros((trials, ng * nb), dtype=complex)
     for lo in range(0, m, step):
-        z = buf[:, :, :min(step, m - lo)]
-        np.exp(1j * theta[:, lo:lo + step], out=z[0])
-        n = 1
-        while n < order:
-            take = min(n, order - n)
-            np.multiply(z[:take], z[n - 1], out=z[n:n + take])
-            n += take
-        sums += z[rows].sum(axis=-1).T
-    return sums
-
-
-def _node_chunk(order):
-    """Nodes per chunk of the p = 2 power buffer for powers up to ``order``."""
-    return max(1, _MOMENT_CHUNK_VALUES // max(1, order))
+        n = min(step, m - lo)
+        c = -(-n // width)
+        np.exp(1j * theta[:, lo:lo + n], out=nodes[:, :n])
+        nodes[:, n:c * width] = 0.0
+        b, g = baby[:, :, :c], giant[:, :, :c]
+        _fill_powers(b)
+        if ng > 1:
+            np.multiply(b[nb - 1], b[1], out=g[1])
+            _fill_powers(g)
+        chunks = np.matmul(g.transpose(1, 2, 0, 3), b.transpose(1, 2, 3, 0))
+        while c > 1:
+            half = c // 2
+            chunks[:, :half] += chunks[:, c - half:c]
+            c -= half
+        sums += chunks[:, 0].reshape(trials, ng * nb)
+    return sums.take(powers, axis=1)
 
 
 def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
@@ -433,13 +473,13 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     when p = 2, d = 1 and the spread J = max k - min k of the union's F
     frequencies satisfies J <= ``_MOMENT_SPREAD_PER_FREQUENCY`` F (8 F);
     every other call takes the values path and its bits.  The moment path
-    costs J m products a trial, the values path F m exponentials.  Over m
-    in {256, 1024, 4096} and F in {2, 8, 32, 128}, in two in-process runs,
-    the moment path took less time per trial in 11 of the 12 cases at
-    J/F = 8, in 6 at J/F = 12, in 7 at J/F = 16 and in none at J/F = 32.
-    The rule sits at the largest ratio where it clearly won; between 8 and
-    16 either path may be faster, and a wide sparse union such as
-    {0, 30000} takes the values path.
+    costs about 2 sqrt(J) m products and J m multiply-adds a trial, the
+    values path F m exponentials.  Over m in {256, 1024, 4096} and F in
+    {2, 8, 32, 128}, in two in-process runs (24 cases a ratio), the moment
+    path took less time per trial in 23 cases at J/F = 8, 23 at 12, 22 at
+    16, 20 at 32, 19 at 48, 20 at 64 and 5 at 128; it lost mostly at F = 2.
+    The rule keeps the moment path well inside the range where it wins, and
+    a wide sparse union such as {0, 30000} takes the values path.
 
     On the moment path no node values are formed.  With the empirical
     moments ``s_j = (1/m) sum_x e^{ijx}`` (from ``_power_sums``), the
@@ -447,28 +487,36 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     ``T[a, b] = s_{k_b - k_a}``; its diagonal is ``s_0 = 1``, so the gap is
     ``2 Re sum_j s_j R_j`` summed along the diagonals of T, with the
     correlations ``R_j`` of ``_difference_correlations`` computed once per
-    call.  A trial costs J m complex products for J = max k - min k, and
-    |D| n more for the |D| distinct differences and n functions.
+    call.  That sum is one real (1, 2 |D|) (2 |D|, n) product per trial, of
+    the interleaved real and imaginary parts of the sums against the rows
+    ``Re R_j`` and ``-Im R_j``, for the |D| distinct differences and n
+    functions.
 
     The trials run in blocks.  Each trial draws its nodes from its own seed
-    and keeps its own chunks of ``_MOMENT_CHUNK_VALUES // J`` nodes; a block
-    of trials runs the ``exp``, the power products and the node sums
-    together on one (J, trials, chunk) buffer, then reduces the gaps over
-    the differences in one pass.  A block holds as many trials as keep that
-    buffer and the (trials, |D|, n) gap products within
-    ``_MOMENT_CHUNK_VALUES`` values, and one trial when a chunk is one node.
-    A trial still costs J m products; the fixed cost of the numpy calls is
-    paid once per block.  Each trial's sums and gaps have the bits of the
-    trial run alone, so the bound below holds whatever the blocks.
+    and keeps its own chunks of w = ``_GEMM_NODES`` nodes (32, or m when m
+    is smaller) and its own passes of as many chunks as keep the power
+    tables and chunk sums within ``_MOMENT_CHUNK_VALUES`` values (see
+    ``_power_sums``); a block holds as many trials as fit one pass, and one
+    trial when a chunk is one node.  The fixed cost of the numpy calls is
+    paid once per block and pass.  Each trial's sums and gaps have the bits
+    of the trial run alone, for any BLAS thread count, so the bound below
+    holds whatever the blocks.
 
     Rounding on that path, with u = 2^-53: ``exp`` is within u of
     ``e^{ix}`` per component and a complex product adds a relative error of
-    at most 2 sqrt(2) u, so ``z^j`` is within 4 j u of ``e^{ijx}``.  The
-    phase error of ``e^{ix}`` grows j-fold in ``z^j``, as the rounded phase
-    ``j x`` does in a direct ``exp``.  With the node sums (pairwise within
-    each of the c node chunks), every gap is within ``(6 J + 2 log2 m +
-    2 c + 40) u ||c||_1^2`` of the exact gap at the drawn nodes, where
-    ``||c||_1`` is the l1 norm of the function's coefficients.
+    at most 2 sqrt(2) u, so ``z^(aB) z^b`` is within 4 j u of ``e^{ijx}``
+    for j = aB + b.  The phase error of ``e^{ix}`` grows j-fold in ``z^j``,
+    as the rounded phase ``j x`` does in a direct ``exp``.  The GEMM adds
+    each chunk's 2 w real products per component in an order BLAS chooses,
+    within 2 w u of their absolute sum (recursive summation, worst case),
+    which is 2 sqrt(2) w u <= 3 w u a node in modulus; the chunk sums of a
+    pass are added pairwise (at most log2 m levels) and the q passes of a
+    trial in order.  The gap product adds 2 |D| <= 2 J terms in an order
+    BLAS chooses, and each ``R_j`` sums at most F - 1 <= J pairs.  So every
+    gap is within ``(8 J + 3 w + 2 log2 m + 2 q + 40) u ||c||_1^2`` of the
+    exact gap at the drawn nodes, where ``||c||_1`` is the l1 norm of the
+    function's coefficients; at the profile band (J = 32) the chunk term
+    3 w = 96 stays below the 8 J = 256 of the powers and the reductions.
 
     The values path evaluates every function at the nodes (``_values_on``)
     one trial at a time and takes the continuous norm from ``lp_norm``.
@@ -490,13 +538,15 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
     block = 1
     if moments:
         diffs, corr = _difference_correlations(karr[:, 0], coeff)
-        step = _node_chunk(int(diffs[-1]) if len(diffs) else 0)
+        step = _node_chunk(int(diffs[-1]) if len(diffs) else 0, m)[1]
         # one-node chunks keep one trial per block: a lone trial's first
         # power product is then one broadcast element, which numpy rounds
         # otherwise than the same product along a row of trials
         if m > 1:
-            block = max(1, min(step // m, _MOMENT_CHUNK_VALUES // max(1, corr.size),
-                               mc_trials))
+            block = max(1, min(step // m, mc_trials))
+        # Re(s_j R_j) = Re s_j Re R_j - Im s_j Im R_j: rows [Re R_j, -Im R_j]
+        # against the interleaved real and imaginary parts of the sums
+        parts = np.stack([corr.real, -corr.imag], axis=1).reshape(-1, corr.shape[1])
     else:
         cont = np.array([lp_norm(f, p, grid_level) ** p for f in functions])
     errs = np.empty(mc_trials)
@@ -507,12 +557,9 @@ def discretization_error_trials(functions, p: float, m: int, mc_trials: int,
             rng = np.random.default_rng(base + [t0 + i])
             xs[i] = rng.uniform(0.0, 2.0 * np.pi, size=(m, d))
         if moments:
-            sums = _power_sums(xs[:, :, 0], diffs)[:, :, None]
-            # corr[None] matches the shapes, so a block of one trial, one
-            # difference and one function takes numpy's same-shape loop, as
-            # a lone trial did; the broadcasting loop rounds one element
-            # otherwise
-            gaps = (corr[None] * sums).real.sum(axis=1) * (2.0 / m)
+            sums = _power_sums(xs[:, :, 0], diffs).view(float)
+            # one (1, 2 |D|) (2 |D|, n) product per trial, as a lone trial
+            gaps = np.matmul(sums[:, None], parts)[:, 0] * (2.0 / m)
         else:
             # one contiguous row per function, so each mean sums its nodes
             # pairwise (down the columns of the (m, n) values it would add

@@ -8,7 +8,7 @@ sorted index list, so all downstream arithmetic has a deterministic order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +26,7 @@ class FrequencySet:
 
     indices: tuple
     dimension: int
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -38,6 +39,7 @@ class FrequencySet:
             if k in seen:
                 raise ValueError(f"duplicate frequency index {k}")
             seen.add(k)
+        object.__setattr__(self, "_members", frozenset(seen))
 
     @classmethod
     def from_indices(cls, indices, dimension=None):
@@ -56,9 +58,9 @@ class FrequencySet:
         return iter(self.indices)
 
     def __contains__(self, k):
-        if isinstance(k, int):
-            k = (k,)
-        return tuple(k) in set(self.indices)
+        """Membership of ``k`` as ``from_indices`` reads it: an integer or a
+        sequence of them; a bool or non-integral entry raises ``ValueError``."""
+        return _frequency_argument(k) in self._members
 
     def to_json(self):
         return {

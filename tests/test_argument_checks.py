@@ -56,6 +56,11 @@ CASES = [
     ("find_usd_m", lambda: find_usd_points(_pairs(), 2, 0), "m must be at least 1, got 0"),
     ("find_usd_max_trials", lambda: find_usd_points(_pairs(), 2, 16, max_trials=0),
      "max_trials must be at least 1, got 0"),
+    ("check_usd_opts_float",
+     lambda: check_usd(PointSet.random_uniform(8, 1, 0), _pairs(), 2.0, 0.5),
+     "opts must be a RatioOptions, got 0.5"),
+    ("find_usd_opts_dict", lambda: find_usd_points(_pairs(), 4, 16, opts={"starts": 2}),
+     "opts must be a RatioOptions, got {'starts': 2}"),
     ("trials_mc_trials", lambda: discretization_error_trials(_WAVE, 2, 8, 0),
      "mc_trials must be at least 1, got 0"),
     ("trials_m", lambda: discretization_error_trials(_WAVE, 2, 0, 3),
@@ -111,6 +116,10 @@ CASES = [
      "frequency must be an integer, got 1.5"),
     ("frequency_set_bool", lambda: FrequencySet.from_indices([(True,)]),
      "frequency must be an integer, got True"),
+    ("frequency_set_contains_bool", lambda: (True,) in FrequencySet.from_indices([(1,)]),
+     "frequency must be an integer, got True"),
+    ("frequency_set_contains_fractional", lambda: 1.5 in FrequencySet.from_indices([(1,)]),
+     "frequency must be an integer, got 1.5"),
     ("dyadic_block_fractional", lambda: dyadic_block(1.5), "s must be an integer, got 1.5"),
     ("dyadic_block_fractional_entry", lambda: dyadic_block((1, 2.5)),
      "s must be an integer, got 2.5"),
@@ -215,3 +224,6 @@ def test_integral_arguments_of_any_numeric_type_give_the_same_results():
     assert Dictionary.exponential_band(-2.0, np.int64(2)).size == 5
     assert unrank_level(2, 1, np.array([0, 3], dtype=np.uint8)).tolist() == [[-3], [3]]
     assert chaining_bound(_profile(), 2, 1, 2) == chaining_bound(_profile(), 2.0, 1.0, 2.0)
+    fs = FrequencySet.from_indices([(1,), (-2,)])
+    assert 1.0 in fs and np.int64(-2) in fs and (np.int8(1),) in fs and [1] in fs
+    assert 2 not in fs and (1, 0) not in fs

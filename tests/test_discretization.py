@@ -613,11 +613,12 @@ def test_p2_certificate_holds_one_chunk_of_subsets_at_a_time():
 
 @pytest.mark.parametrize("m, cap", [(4096, 5 * 2 ** 18), (16, 6 * 2 ** 18)])
 def test_p2_gap_trials_hold_one_block_of_nodes_at_a_time(m, cap):
-    # the er-rate shape of the profile benchmark: spread 32, so a chunk is
-    # 2048 nodes and one block's powers take 2^16 values or 1 MiB.  At m = 4096
-    # a block is one trial, with 32 KiB of nodes; the 200 trials' nodes at
-    # once would take 6.25 MiB.  At m = 16 a block of 102 trials takes 1 MiB
-    # of powers, then 1 MiB of (trials, differences, functions) gap products
+    # the er-rate shape of the profile benchmark: spread 32, so each node
+    # holds 6 + 6 power-table values and each chunk of 32 nodes (16 at
+    # m = 16) 6 x 6 sums, and a pass stays within 2^16 values or 1 MiB.  At
+    # m = 4096 a block is one trial, with 0.75 MiB of tables and 32 KiB of
+    # nodes; the 200 trials' nodes at once would take 6.25 MiB.  At m = 16
+    # one block takes all 200 trials, with 0.7 MiB of tables and sums
     rng = np.random.default_rng(38)
     fs = [TrigPolynomial({(j,): complex(*rng.standard_normal(2)) for j in range(-16, 17)})
           for _ in range(20)]
@@ -634,8 +635,9 @@ def test_p2_gap_trials_hold_one_block_of_nodes_at_a_time(m, cap):
 
 def test_p2_gap_trials_hold_one_chunk_of_powers_at_a_time(monkeypatch):
     # a spread of 3000 at m = 4096: every power at every node would take
-    # 188 MiB; a chunk holds 21 nodes' powers, 2^16 values or 1 MiB, so a
-    # chunk twice as wide fails the 2 MiB bound.  The path rule sends so
+    # 188 MiB; a pass holds 10 chunks of 32 nodes, with 55 + 55 power-table
+    # values a node and 55 x 55 sums a chunk, 65450 values or 1 MiB, so a
+    # pass twice as wide fails the 2 MiB bound.  The path rule sends so
     # wide a union to the values path, so the rule is lifted here and the
     # test checks that the moment kernel ran
     monkeypatch.setattr(discretization, "_MOMENT_SPREAD_PER_FREQUENCY", math.inf)

@@ -293,6 +293,31 @@ def test_usd_verify_bytes_do_not_depend_on_threads(tmp_path):
                                   "usd_verify.csv"]
 
 
+def test_p2_er_rate_bytes_do_not_depend_on_blas_or_sweep_threads(tmp_path):
+    # the p = 2 gap trials sum their power tables and reduce their gaps by
+    # BLAS products; the sweep points cover a padded chunk (40 nodes), a
+    # block of several trials (700) and two passes a trial (5000).  OpenBLAS
+    # reads its thread count when it loads, so each run is its own process
+    cfg = {"kind": "er_rate", "seed": 8, "out": "unused",
+           "params": {"max_abs_freq": 40, "n_functions": 3, "p": 2,
+                      "m_sweep": [40, 700, 5000], "mc_trials": 3},
+           "assertions": {"slope_range": [-100, 100]}}
+    path = write_config(tmp_path, cfg)
+    written = []
+    for blas, threads in ((None, "1"), ("1", "1"), (None, "4")):
+        out = tmp_path / f"{blas}-{threads}"
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if blas is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas
+        subprocess.run([sys.executable, "-m", "usdlab", "er-rate", "--config", path,
+                        "--out", str(out), "--threads", threads],
+                       env=env, capture_output=True, check=True)
+        written.append({name: (out / name).read_bytes()
+                        for name in ("er_rate.csv", "summary.json")})
+    assert written[0] == written[1] == written[2]
+
+
 def test_svg_emission(tmp_path):
     cfg = er_config(tmp_path / "svg")
     cfg["svg"] = True
@@ -661,20 +686,23 @@ def test_import_loads_no_scipy_module(tmp_path):
     }),
     ("chaining_compare.json", "chaining-compare", {
         "chaining_compare.csv":
-            "900e05d7f5634e817be724e9e5862b27428380bf6b309f539c0760ba5a21548b",
+            "659d13aa6fbbaec9bcdc693d34b4a4aa6501dae14d1d5e4e360df199f641d26d",
         "profile.json":
             "65ab336e333572d8038c1da55d979b582e50084866e3b980d8b841f4e8977428",
         "summary.json":
-            "50f298537a4110fe857bd9138503a6d8abbf76291cafc985d8f4d1ff5b8295ae",
+            "a6da20a1a4e3fa440dabf5eef972d3f14b7873121f297f37a24809a7b1cfe2ed",
     }),
 ], ids=["entropy_profile", "chaining_compare"])
 def test_shipped_traversal_config_outputs_are_byte_stable(tmp_path, config,
                                                           subcommand, expected):
     # digests recorded from the fixed 64-column filter-and-refine traversal;
     # any exact pruning of the traversal must reproduce them.  The gap columns
-    # of chaining_compare come from the p = 2 moment path of the gap trials.
-    # entropy_profile's summary since from the package's own t-quantile,
-    # which moved the fit's half_width in its last bits.
+    # of chaining_compare come from the p = 2 moment path of the gap trials,
+    # and its CSV and summary since from the baby-step/giant-step power
+    # tables summed by GEMM chunks (means within 7e-18 of the repeated
+    # products summed pairwise).  entropy_profile's summary since from the
+    # package's own t-quantile, which moved the fit's half_width in its last
+    # bits.
     assert _output_digests(tmp_path, config, subcommand) == expected
 
 
@@ -712,18 +740,20 @@ def _output_digests(tmp_path, config, subcommand):
     }),
     ("er_rate_sweep.json", "er-rate", {
         "er_rate.csv":
-            "b7a7fc52e111debbc8f40b4483daf1ccf397650444691e9ccdd3a41957647643",
+            "59d4dcd94f3f4acc5e761fd2d03701483669378325d4b5b8ac85d681c0a7d1a3",
         "er_rate.svg":
             "270c1a36cc0e17c3770a05bf308bfbb6935b7bac28139db2da59a126fcd61a98",
         "summary.json":
-            "0463d1bc4572c40bc7a7d8997b48c1e87c79cfefe16b37e16da3845b297de70e",
+            "0a1303bad0c455f2d67e295c211b8f7483888764065a7894904df413053649c8",
     }),
 ], ids=["usd_verify_equispaced", "usd_search_band7", "er_rate_sweep"])
 def test_shipped_dictionary_config_outputs_are_byte_stable(tmp_path, config,
                                                            subcommand, expected):
     # digests recorded from the element-list Dictionary, before the
     # dictionary became one stored coefficient matrix; er_rate_sweep's CSV and
-    # summary since from the p = 2 moment path of the gap trials, and its
+    # summary since from the p = 2 moment path of the gap trials, as summed
+    # since by GEMM chunks of the baby-step/giant-step power tables (every
+    # gap within 7e-17 of the repeated products summed pairwise), and its
     # summary (half_width) since from the package's own t-quantile; the
     # usd_verify and usd_search ratios since from the moment Grams of the
     # translation classes (at most 6.7e-16 from the stacked Gram products)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from usdlab import discretization
-from usdlab.discretization import (_MOMENT_CHUNK_VALUES, _difference_correlations,
-                                   _run, discretization_error_trials)
+from usdlab.discretization import (_difference_correlations, _node_chunk,
+                                   _power_sums, discretization_error_trials)
 from usdlab.experiments import run
 from usdlab.trigpoly import TrigPolynomial, _union_coefficients, lp_norm
 
@@ -79,44 +79,29 @@ def test_moment_gaps_match_the_direct_values_within_the_stated_bound(
     got = moment_trials(fs, 2, m, 2, rng_seed=[seed, 1])
     ref, l1 = direct_gaps(fs, freqs, m, 2, [seed, 1])
     spread = max(freqs) - min(freqs)
-    chunks = math.ceil(m / max(1, _MOMENT_CHUNK_VALUES // spread)) if spread else 0
-    moments = 6 * spread + 2 * math.log2(m) + 2 * chunks + 40
+    width, step = _node_chunk(spread, m)
+    moments = 8 * spread + 3 * width + 2 * math.log2(m) + 2 * math.ceil(m / step) + 40
     direct = 4 * math.pi * max(abs(j) for j in freqs) + 4 * len(freqs) + 16
     assert np.all(np.abs(got - ref) <= (moments + direct) * U * l1 ** 2)
 
 
 def one_trial_power_sums(theta, powers):
     """``sum_x z^j`` over the nodes ``theta`` of one trial, for each of the
-    sorted distinct positive ``powers``: the moment kernel as it ran before
-    trials ran in blocks, one chunk of one trial's nodes at a time."""
-    sums = np.zeros(len(powers), dtype=complex)
-    if not len(powers):
-        return sums
-    order = int(powers[-1])
-    rows = _run(powers - 1)
-    step = max(1, _MOMENT_CHUNK_VALUES // order)
-    buf = np.empty((order, min(step, len(theta))), dtype=complex)
-    for lo in range(0, len(theta), step):
-        z = buf[:, :min(step, len(theta) - lo)]
-        np.exp(1j * theta[lo:lo + step], out=z[0])
-        n = 1
-        while n < order:
-            take = min(n, order - n)
-            np.multiply(z[:take], z[n - 1], out=z[n:n + take])
-            n += take
-        sums += z[rows].sum(axis=1)
-    return sums
+    sorted distinct positive ``powers``: one call of the moment kernel on
+    that trial alone."""
+    return _power_sums(theta[None], powers)[0]
 
 
 def one_trial_gaps(functions, m, trials, seed):
     """The p = 2 gaps with one kernel call per trial."""
     karr, coeff = _union_coefficients(functions, 1)
     diffs, corr = _difference_correlations(karr[:, 0], coeff)
+    parts = np.stack([corr.real, -corr.imag], axis=1).reshape(-1, corr.shape[1])
     errs = np.empty(trials)
     for t in range(trials):
         x = np.random.default_rng(seed + [t]).uniform(0.0, 2.0 * np.pi, size=(m, 1))
         sums = one_trial_power_sums(x[:, 0], diffs)
-        gaps = (corr * sums[:, None]).real.sum(axis=0) * (2.0 / m)
+        gaps = (sums.view(float) @ parts) * (2.0 / m)
         errs[t] = np.max(np.abs(gaps))
     return errs
 
@@ -127,8 +112,7 @@ def block_shapes(draw):
     5000 nodes) or small, and a trial count that is rarely a whole number of
     blocks."""
     freqs = draw(UNIONS)
-    spread = max(freqs) - min(freqs)
-    step = max(1, _MOMENT_CHUNK_VALUES // max(1, spread))
+    step = _node_chunk(max(freqs) - min(freqs), 5000)[1]
     edges = [1, 2] + [e for c in (step, 2 * step) for e in (c - 1, c, c + 1) if e <= 5000]
     m = draw(st.one_of(st.sampled_from(edges), st.integers(1, 70)))
     trials = draw(st.integers(1, 300 if m <= 70 else 12))

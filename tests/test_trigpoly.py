@@ -211,14 +211,15 @@ def test_er_rate_band_exponentiates_each_frequency_once_per_node(monkeypatch):
     assert shapes == [(1024, 33)] * 20 + [(300, 33)] * 3
     # p = 2 forms no node values, no (m, 33) or (m, 20) matrix: one exp per
     # node, then products of powers.  At m = 300 the 3 trials share one
-    # block and one (trials, nodes) exp; at m = 4096 a chunk holds
-    # 2^16 // 32 = 2048 nodes, so each trial is a block with two chunks
+    # block and one (trials, nodes) exp; at m = 4096 a pass holds
+    # 2^16 // 420 = 156 chunks of 32 nodes (6 + 6 power-table values a node
+    # and 6 x 6 sums a chunk), so each trial is a block of one pass
     shapes.clear()
     discretization_error_trials(fs, 2.0, 300, 3, rng_seed=5)
     assert shapes == [(3, 300)]
     shapes.clear()
     discretization_error_trials(fs, 2.0, 4096, 3, rng_seed=5)
-    assert shapes == [(1, 2048)] * 6
+    assert shapes == [(1, 4096)] * 3
 
 
 def test_values_on_takes_the_plain_product_for_several_dimensions():
