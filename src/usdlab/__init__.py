@@ -14,8 +14,7 @@ from .discretization import (RatioOptions, UsdCertificate, UsdSearchResult,
                              usd_sample_budget)
 from .entropy import (EntropyProfile, SampledClass, chaining_bound,
                       chaining_bound_dyadic, double_exponential_tail_constant,
-                      double_exponential_tail_sum, entropy_numbers,
-                      greedy_cover)
+                      double_exponential_tail_sum, entropy_numbers)
 from .errors import (CapExceededError, ConfigError, DimensionMismatchError,
                      GridTooCoarseError, NormBudgetError, ProfileTooShortError,
                      RankDeficiencyError, UsdlabError, ZeroResidualError)

@@ -110,15 +110,6 @@ def _checked_options(opts) -> RatioOptions:
     return opts
 
 
-def _method(p, opts: RatioOptions) -> dict:
-    """How the ratios are bounded: exact eigenvalues at p = 2, else multistart."""
-    if p == 2:
-        return {"kind": "eigen_exact"}
-    from .multistart import MULTISTART_GRAD_TOL
-    return {"kind": "multistart", "starts": opts.starts,
-            "grad_tol": MULTISTART_GRAD_TOL, "max_iters": opts.max_iters}
-
-
 def _p2_family(dictionary: Dictionary, xi: PointSet, index, p, vectors):
     """The p = 2 extremes of each row of the (S, v) index array ``index``
     (as ``_pencil_family`` returns them) and the (m, N) node values, or None
@@ -143,6 +134,29 @@ def _p2_family(dictionary: Dictionary, xi: PointSet, index, p, vectors):
     return values, _pencil_family(values, index, dictionary.continuous_gram(), vectors)
 
 
+def _ratio_family(dictionary: Dictionary, xi: PointSet, index, p, opts, keys, vectors):
+    """The (S, 2) lowest and highest ratios at the nodes ``xi`` over each row
+    of the (S, v) index array ``index``, their (S, 2, v) vectors (at p = 2
+    only if ``vectors``, else None), the (S,) converged flags, the (2, S)
+    outer windows at even p > 2 (else None) and the method record: exact
+    pencils at p = 2 (``_p2_family``), else the stacked multistart seeded by
+    ``keys`` (one per row) from the p = 2 extreme vectors.  Nodes of another
+    dimension than the dictionary's raise ``DimensionMismatchError``."""
+    if xi.dimension != dictionary.dimension:
+        raise DimensionMismatchError(
+            f"{xi.dimension}-d nodes for a {dictionary.dimension}-d dictionary")
+    values, (lo, hi, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, vectors or p != 2)
+    if p == 2:
+        return (np.stack([lo, hi], axis=1),
+                np.stack([vec_lo, vec_hi], axis=1) if vectors else None,
+                np.ones(len(index), dtype=bool), None, {"kind": "eigen_exact"})
+    from .multistart import MULTISTART_GRAD_TOL, _subset_ratios
+    method = {"kind": "multistart", "starts": opts.starts,
+              "grad_tol": MULTISTART_GRAD_TOL, "max_iters": opts.max_iters}
+    return (*_subset_ratios(values, xi.points, index, dictionary, p, opts, keys,
+                            np.stack([vec_lo, vec_hi], axis=1)), method)
+
+
 def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
                           p: float, opts: RatioOptions | None = None,
                           seed_key=None) -> SubspaceRatios:
@@ -153,6 +167,8 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     warm-started from the p = 2 extremal coefficient vectors and flagged
     heuristic.  At even p > 2 the result also carries the rigorous outer
     window ``outer_min_ratio``/``outer_max_ratio`` of the lifted Gram.
+    Nodes of another dimension than the dictionary's raise
+    ``DimensionMismatchError``.
     """
     p = _real_argument("p", p, 1)
     opts = _checked_options(opts)
@@ -160,17 +176,10 @@ def subspace_ratio_bounds(subset, dictionary: Dictionary, xi: PointSet,
     if not subset:
         raise ValueError("a subset needs at least one index")
     key = list(seed_key) if seed_key is not None else [opts.seed, 0]
-    index = np.array([subset], dtype=np.intp)
-    values, (lo, hi, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, True)
-    if p == 2:
-        return SubspaceRatios(float(lo[0]), float(hi[0]), _method(p, opts), False,
-                              True, vec_lo[0], vec_hi[0])
-    from .multistart import _subset_ratios
-    ratios, vectors, converged, outer = _subset_ratios(
-        values, xi.points, index, dictionary, p, opts, [key],
-        np.stack([vec_lo, vec_hi], axis=1))
-    return SubspaceRatios(float(ratios[0, 0]), float(ratios[0, 1]), _method(p, opts),
-                          True, bool(converged[0]), vectors[0, 0], vectors[0, 1],
+    ratios, vectors, converged, outer, method = _ratio_family(
+        dictionary, xi, np.array([subset], dtype=np.intp), p, opts, [key], True)
+    return SubspaceRatios(float(ratios[0, 0]), float(ratios[0, 1]), method, p != 2,
+                          bool(converged[0]), vectors[0, 0], vectors[0, 1],
                           *((None, None) if outer is None else outer[:, 0].tolist()))
 
 
@@ -258,7 +267,8 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     The certificate passes when every subspace ratio pair lies inside
     ``[1 - epsilon, 1 + epsilon]``.  It also records the one-sided
     constant ``max_J min_ratio(J)^(-1/p)`` that converts the lower window
-    side into a norm domination statement.
+    side into a norm domination statement.  Nodes of another dimension
+    than the dictionary's raise ``DimensionMismatchError``.
     """
     p = _real_argument("p", p, 1)
     epsilon = _real_argument("epsilon", epsilon, 0, strict=True)
@@ -275,22 +285,15 @@ def check_usd(xi: PointSet, coll: SubspaceCollection, p: float,
     subsets = list(coll.iter_subsets())
     index = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp,
                         count=count * coll.v).reshape(count, coll.v)
-    values, (lo2, hi2, vec_lo, vec_hi) = _p2_family(dictionary, xi, index, p, p != 2)
-    converged, outer = True, None
-    if p == 2:
-        mins, maxs = lo2.tolist(), hi2.tolist()
-    else:
-        from .multistart import _subset_ratios
-        ratios, _, flags, outer = _subset_ratios(
-            values, xi.points, index, dictionary, p, opts,
-            [prefix + [i] for i in range(count)], np.stack([vec_lo, vec_hi], axis=1))
-        mins, maxs = ratios[:, 0].tolist(), ratios[:, 1].tolist()
-        converged = bool(flags.all())
+    ratios, _, flags, outer, method = _ratio_family(
+        dictionary, xi, index, p, opts, [prefix + [i] for i in range(count)], False)
+    mins, maxs = ratios[:, 0].tolist(), ratios[:, 1].tolist()
+    converged = bool(flags.all())
     lo, hi = 1.0 - epsilon, 1.0 + epsilon
     passed = all(lo <= a and b <= hi for a, b in zip(mins, maxs))
     one_sided = _one_sided_constant(mins, p)
     notes = [] if converged else ["some sphere optimizations hit the iteration limit"]
-    cert = UsdCertificate(p, epsilon, subsets, mins, maxs, _method(p, opts),
+    cert = UsdCertificate(p, epsilon, subsets, mins, maxs, method,
                           p != 2, passed, one_sided, converged, notes)
     if outer is not None:
         outer_mins, outer_maxs = outer.tolist()

@@ -71,7 +71,7 @@ class SampledClass:
                    grid, metadata)
 
     def _fill(self, shape, rows, grid, metadata):
-        """Cast the complex blocks ``rows(lo, hi)`` into the planes; reset the cache."""
+        """Cast the complex blocks ``rows(lo, hi)`` into the planes."""
         self.planes = re, im = np.empty((2, *shape), dtype=np.float32)
         with np.errstate(over="ignore"):  # overflow is rejected just below
             for lo in range(0, shape[0], _CAST_ROWS):
@@ -83,10 +83,6 @@ class SampledClass:
         self.count, self.grid_size = shape
         self.grid = grid
         self.metadata = dict(metadata or {})
-        self._radii = np.zeros(0)
-        self._centers = np.zeros(0, dtype=np.intp)
-        self._dmin2 = np.full(self.count, np.inf, dtype=np.float32)
-        self._ladder = None
         return self
 
     @classmethod
@@ -128,29 +124,6 @@ class SampledClass:
                                       lambda lo, hi: _drawn_block(basis, draws, lo, hi), grid, meta)
 
 
-def greedy_cover(sampled: SampledClass, eps: float) -> list:
-    """Greedy farthest-point cover of the sample at radius ``eps``.
-
-    The centers are the shortest prefix of the :func:`farthest_point_radii`
-    traversal whose covering radius is at most ``eps``, so a cover and the
-    entropy profile read the same numbers: at the profile's radius after t
-    centers the cover has at most t centers.  Each new center is a
-    representative at maximal distance from the chosen ones, ties resolved
-    to the lowest index.  Distances are single precision (relative error
-    near 1e-7), so the values must be finite in single precision.  When the
-    cached traversal is too short, its length is doubled until the radius
-    is reached; each doubling resumes the cached traversal, so no center
-    step runs twice and the traversal ends shorter than twice the cover.
-    """
-    eps = _real_argument("eps", eps, 0, strict=True)
-    t = max(1, len(sampled._radii))
-    while True:
-        hit = np.flatnonzero(farthest_point_radii(sampled, t) <= eps)
-        if hit.size:  # the full traversal ends at radius 0
-            return sampled._centers[:hit[0] + 1].tolist()
-        t *= 2
-
-
 def _squared_moduli(re, im, c_re, c_im, out, scratch):
     """Write ``(re - c_re)^2 + (im - c_im)^2`` into ``out``; ``scratch`` is clobbered."""
     np.subtract(re, c_re, out=out)
@@ -183,11 +156,12 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     """Covering radius after t greedy centers, for t = 1..t_max.
 
     The greedy selection order does not depend on any target radius, so
-    this single traversal answers every cover-size query.  The radii, the
-    center order and the nearest-center distances are cached on the sample,
-    and a longer request resumes the traversal where the cache ends.
-    Distances run in single precision on squared moduli (relative error
-    near 1e-7), so the values must be finite in single precision.
+    one traversal answers every cover-size query: the first center is
+    representative 0, and each next one is a representative at maximal
+    distance from the chosen ones, ties resolved to the lowest index.  The
+    call keeps nothing on the sample; each call traverses from the first
+    center.  Distances run in single precision on squared moduli (relative
+    error near 1e-7), so the values must be finite in single precision.
 
     Each new center runs a ladder of strided column subsets (about
     ``_LADDER_POINTS`` columns each, then the full grid).  The first level
@@ -202,24 +176,17 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     unpruned traversal.
     """
     t_max = min(_integer_argument("t_max", t_max, 0), sampled.count)
-    done = len(sampled._radii)
-    if done >= t_max:
-        return sampled._radii[:t_max]
-    if sampled._ladder is None:
-        sampled._ladder = _ladder_levels(*sampled.planes)
-    (first_re, first_im), later = sampled._ladder[0], sampled._ladder[1:]
+    (first_re, first_im), *later = _ladder_levels(*sampled.planes)
     n = sampled.count
-    dmin2 = sampled._dmin2.copy()  # the cache moves only once the steps are done
-    radii2 = np.empty(t_max - done, dtype=np.float32)
-    centers = np.empty(t_max - done, dtype=np.intp)
+    dmin2 = np.full(n, np.inf, dtype=np.float32)
+    radii2 = np.empty(t_max, dtype=np.float32)
     first_a, first_b = np.empty_like(first_re), np.empty_like(first_im)
     bufs = []  # per later level: two (chunk rows, columns) gather buffers
     for re, _ in later:
         chunk = min(n, max(1, _REFINE_ELEMS // re.shape[1]))
         bufs.append(np.empty((2, chunk, re.shape[1]), dtype=np.float32))
-    c_next = int(np.argmax(dmin2))  # one argmax a step: next center and radius
-    for t in range(t_max - done):
-        c = centers[t] = c_next
+    c = 0  # one argmax a step: next center and radius
+    for t in range(t_max):
         sq = _squared_moduli(first_re, first_im, first_re[:, c, None],
                              first_im[:, c, None], first_a, first_b)
         part = np.maximum.reduce(sq, axis=0)
@@ -239,12 +206,9 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
             keep = part < dmin2[live]
             live, part = live[keep], part[keep]
         dmin2[live] = part
-        c_next = int(np.argmax(dmin2))
-        radii2[t] = dmin2[c_next]
-    sampled._radii = np.concatenate([sampled._radii, np.sqrt(radii2.astype(float))])
-    sampled._centers = np.concatenate([sampled._centers, centers])
-    sampled._dmin2 = dmin2
-    return sampled._radii
+        c = int(np.argmax(dmin2))
+        radii2[t] = dmin2[c]
+    return np.sqrt(radii2.astype(float))
 
 
 @dataclass
@@ -306,27 +270,20 @@ class EntropyProfile:
         return cls(np.asarray(eps, dtype=float), zero_from, dict(metadata or {}))
 
 
-def _eps_for_budget(sampled, budget):
-    """Covering radius of the greedy cover with at most ``budget`` centers."""
-    if budget >= sampled.count:
-        return 0.0
-    return float(farthest_point_radii(sampled, budget)[budget - 1])
-
-
 def entropy_numbers(sampled: SampledClass, n_max: int) -> EntropyProfile:
     """Estimate eps_n for n = 0..n_max as greedy covering radii.
 
     ``eps_n`` is the covering radius after ``2^n`` farthest-point centers,
-    read off one cached traversal, which is exactly the greedy cover run
-    at every radius simultaneously.  Budgets of at least the sample size
-    give radius zero outright.
+    ``radii[2^n - 1]`` of one :func:`farthest_point_radii` traversal as
+    long as the largest budget below the sample size, which is exactly the
+    greedy cover run at every radius simultaneously.  Budgets of at least
+    the sample size give radius zero outright.
     """
     n_max = _integer_argument("n_max", n_max, 0)
     n_reps = sampled.count
-    finite = [2 ** k for k in range(n_max + 1) if 2 ** k < n_reps]
-    if finite:
-        farthest_point_radii(sampled, max(finite))  # one traversal, cached
-    eps = np.array([_eps_for_budget(sampled, 2 ** n) for n in range(n_max + 1)])
+    finite = [2 ** n for n in range(n_max + 1) if 2 ** n < n_reps]
+    radii = farthest_point_radii(sampled, finite[-1] if finite else 0)
+    eps = np.array([radii[b - 1] for b in finite] + [0.0] * (n_max + 1 - len(finite)))
     zero_from = math.ceil(math.log2(n_reps)) if n_reps > 1 else 0
     meta = dict(sampled.metadata)
     meta.update({"estimator": "greedy farthest-point radii", "n_max": int(n_max)})

@@ -192,21 +192,24 @@ def _t_quantile_975(nu: int) -> float:
 
 
 def fit_rate(points) -> RateFit:
-    """Fit ``log2 y = slope * log2 x + intercept`` by ordinary least squares."""
+    """Fit ``log2 y = slope * log2 x + intercept`` by ordinary least squares
+    through at least 3 finite positive points with two or more x values."""
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points for a rate fit")
-    if any(x <= 0 or y <= 0 for x, y in pts):
-        raise ValueError("rate fits need strictly positive coordinates")
+    if not all(0 < x < math.inf and 0 < y < math.inf for x, y in pts):
+        raise ValueError("rate fits need finite, strictly positive coordinates")
     lx = np.log2([x for x, _ in pts])
     ly = np.log2([y for _, y in pts])
+    if lx.min() == lx.max():
+        raise ValueError("rate fits need at least two distinct x values")
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     n = len(pts)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     sxx = float(np.sum((lx - lx.mean()) ** 2))
     s2 = float(np.sum(resid ** 2) / (n - 2))
-    se = math.sqrt(s2 / sxx) if sxx > 0 else math.inf
+    se = math.sqrt(s2 / sxx)
     return RateFit(float(slope), float(intercept), rms, _t_quantile_975(n - 2) * se, n)
 
 
@@ -295,15 +298,25 @@ def _strict_checks(strict, results):
                        {"reason": "certificate is heuristic at p != 2"})]
 
 
+def _fit_or_reason(pts):
+    """``(fit_rate(pts), None)``, or ``(None, reason)`` when the points give no fit."""
+    if len(pts) < 3:
+        return None, "fewer than 3 positive points"
+    try:
+        return fit_rate(pts), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
 def _slope_fit(cfg, pts, name, results):
-    """Fit ``results["fit"]`` on at least 3 points; check ``slope_range`` if set."""
-    fit = fit_rate(pts) if len(pts) >= 3 else None
+    """Fit ``results["fit"]``; check ``slope_range`` if set (no fit fails it)."""
+    fit, reason = _fit_or_reason(pts)
     results["fit"] = None if fit is None else fit.to_json()
     rng = cfg.assertions.get("slope_range")
     if rng is None:
         return []
     if fit is None:
-        return [_assertion(name, False, {"reason": "fewer than 3 positive points"})]
+        return [_assertion(name, False, {"reason": reason})]
     return [_assertion(name, rng[0] <= fit.slope <= rng[1],
                        {"slope": fit.slope, "range": rng})]
 
@@ -365,13 +378,16 @@ def _points_from_config(spec, dimension, seed):
                                        int(s.get("seed", seed)),
                                        int(s.get("draw_index", 0)))
     try:
-        return PointSet.load(spec["file"])
+        xi = PointSet.load(spec["file"])
     except FileNotFoundError:
         raise ConfigError(f"params.points.file: no such file {spec['file']}",
                           path="params.points.file") from None
     except (KeyError, TypeError):
         raise ConfigError(f"params.points.file: {spec['file']} is not an object "
                           'with a "points" list', path="params.points.file") from None
+    if xi.dimension != dimension:
+        raise ValueError(f"{spec['file']} holds {xi.dimension}-d points, not {dimension}-d")
+    return xi
 
 
 def _run_usd_verify(cfg: ExperimentConfig):
@@ -506,18 +522,16 @@ def _summarize_recovery_rate(cfg, header, rows, strict):
     checks = []
     for a, pts in sorted(by_a.items()):
         pts = [(t, e) for t, e in pts if e > 0]
-        entry = {"a": a, "target_slope": -(a + 0.5)}
-        if len(pts) >= 3:
-            fit = fit_rate(pts)
-            entry["fit"] = fit.to_json()
+        fit, reason = _fit_or_reason(pts)
+        entry = {"a": a, "target_slope": -(a + 0.5),
+                 "fit": None if fit is None else fit.to_json()}
+        if fit is None:
+            checks.append(_assertion(f"recovery_slope_a_{a}", False, {"reason": reason}))
+        else:
             ok = abs(fit.slope - (-(a + 0.5))) <= tol
             checks.append(_assertion(f"recovery_slope_a_{a}", ok,
                                      {"slope": fit.slope,
                                       "target": -(a + 0.5), "tolerance": tol}))
-        else:
-            entry["fit"] = None
-            checks.append(_assertion(f"recovery_slope_a_{a}", False,
-                                     {"reason": "fewer than 3 positive points"}))
         results["per_a"].append(entry)
     return results, checks
 
@@ -606,7 +620,7 @@ def _svg_mean_by_m(rows, summary):
 
 
 def _svg_positive_pairs(rows, summary):
-    pts = [(x, y) for x, y in rows if x > 0 and y > 0]
+    pts = [(x, y) for x, y in rows if 0 < x < math.inf and 0 < y < math.inf]
     return ([x for x, _ in pts], [y for _, y in pts])
 
 

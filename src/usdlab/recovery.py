@@ -248,15 +248,9 @@ def _newton_direction(a, r, weights, p, phi):
     return u[:v, keep] @ ((u[:, keep].conj().T @ rhs) / lam[keep])
 
 
-def _dual_vector(residual, p, weights):
-    a = np.abs(residual)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(a > 0.0, a ** (p - 2.0), 0.0)
-    return weights * scale * np.conj(residual)
-
-
-def norming_functional_action(residual, g, p: float, weights=None) -> complex:
-    """Action of the residual's norming functional on one value vector.
+def norming_functional_action(residual, g, p: float, weights=None):
+    """Action of the residual's norming functional on a value vector g (a
+    complex number), or on each column of an (m, n) value matrix g (an array).
 
     ``F(g) = ||r||^(1-p) sum_i w_i |r_i|^(p-1) sign*(r_i) g_i`` with
     ``sign*(z) = conj(z)/|z|`` (0 at z = 0), so F(r) equals ||r|| and
@@ -266,10 +260,14 @@ def norming_functional_action(residual, g, p: float, weights=None) -> complex:
     g = np.asarray(g, dtype=complex)
     if weights is None:
         weights = np.full(residual.size, 1.0 / residual.size)
-    norm = float((weights @ np.abs(residual) ** p) ** (1.0 / p))
+    a = np.abs(residual)
+    norm = float((weights @ a ** p) ** (1.0 / p))
     if norm == 0.0:
         raise ZeroResidualError("norming functional of a zero residual")
-    return complex(norm ** (1.0 - p) * (_dual_vector(residual, p, weights) @ g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(a > 0.0, a ** (p - 2.0), 0.0)
+    action = norm ** (1.0 - p) * (weights * scale * np.conj(residual) @ g)
+    return complex(action) if g.ndim == 1 else action
 
 
 _NON_FINITE = ("inf", "-inf", "nan")   # jsonio's text for non-finite floats
@@ -323,18 +321,16 @@ def weak_chebyshev_greedy(inst: DiscreteInstance, max_iter: int = 100,
     """
     max_iter = _integer_argument("max_iter", max_iter, 0)
     stop_tol = _real_argument("stop_tol", stop_tol, 0)
-    b = inst.f_values
-    weights = inst.weights
     support: list = []
     coeffs = np.zeros(0, dtype=complex)
-    residual = b.copy()
+    residual = inst.f_values.copy()
     res_norm = inst.norm(residual)
     trace = []
     for it in range(1, max_iter + 1):
         if res_norm <= stop_tol:
             break
-        scores = np.abs(res_norm ** (1.0 - inst.p)
-                        * (_dual_vector(residual, inst.p, weights) @ inst.dict_values))
+        scores = np.abs(norming_functional_action(residual, inst.dict_values, inst.p,
+                                                  inst.weights))
         if support:
             scores[np.asarray(support)] = -1.0
         pick = int(np.argmax(scores))

@@ -90,35 +90,30 @@ def level_budget_element(budget: SmoothnessBudget, support_rule=None,
     """Random element whose level blocks saturate their Wiener budgets.
 
     ``support_rule`` selects the frequencies used within each level:
-    ``None`` keeps the whole level, a nonnegative integer keeps that many
-    chosen uniformly at random, and a callable ``rule(candidates, level,
-    rng)`` receives the whole level as a list of tuples and returns the
-    list to keep.  Every rule picks lexicographic ranks below
-    :func:`level_size` and unranks only those with :func:`unrank_level`;
-    an integer rule draws its ranks, so it never builds a level.
+    ``None`` keeps the whole level, and a nonnegative integer keeps that
+    many chosen uniformly at random.  Either rule picks lexicographic ranks
+    below :func:`level_size` and unranks only those with
+    :func:`unrank_level`; an integer rule draws its ranks, so it never
+    builds a level.
     Magnitudes are scaled so the sum of coefficient moduli on every level
     equals the level budget exactly; phases are uniform.  A level whose
     selected support is empty is reported through a warning and skipped.
     """
-    if not (support_rule is None or callable(support_rule)
+    if not (support_rule is None
             or (isinstance(support_rule, numbers.Integral)
                 and not isinstance(support_rule, bool) and support_rule >= 0)):
-        raise ValueError("support_rule must be None, a callable or an "
-                         f"integer >= 0, got {support_rule!r}")
+        raise ValueError(f"support_rule must be None or an integer >= 0, got {support_rule!r}")
     rng_seed = _integer_argument("rng_seed", rng_seed, 0)
     kept = [(np.zeros((0, budget.d), dtype=np.int64), np.zeros(0))]
     for j in range(budget.max_level + 1):
         rng = np.random.default_rng([rng_seed, j])
         size = _checked_level_size(j, budget.d)
-        if support_rule is None or callable(support_rule):
+        if support_rule is None:
             ranks = np.arange(size)
         else:
             ranks = np.sort(rng.choice(size, size=min(support_rule, size),
                                        replace=False))
         selected = unrank_level(j, budget.d, ranks)
-        if callable(support_rule):
-            chosen = list(support_rule(list(map(tuple, selected.tolist())), j, rng))
-            selected = np.array(chosen, dtype=np.int64).reshape(len(chosen), budget.d)
         if not len(selected):
             warnings.warn(f"level {j} has an empty support; level skipped")
             continue

@@ -53,7 +53,8 @@ class TrigPolynomial:
     @classmethod
     def from_arrays(cls, freqs, coeffs, dimension) -> "TrigPolynomial":
         """Polynomial from (n, d) integer frequencies and n coefficients,
-        sorted into copies; a repeated frequency raises ``ValueError``."""
+        sorted into copies; a repeated frequency or a coefficient that is not
+        finite raises ``ValueError``."""
         out = cls.__new__(cls)
         out._store(freqs, coeffs, dimension)
         return out
@@ -66,6 +67,8 @@ class TrigPolynomial:
                 f"frequency array of shape {freqs.shape} is not (n, {dimension}), d >= 1")
         if coeffs.shape != freqs.shape[:1]:
             raise ValueError("one coefficient per frequency row expected")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         if len(freqs) > 1:
             order = np.lexsort(freqs.T[::-1])
             freqs, coeffs = freqs[order], coeffs[order]

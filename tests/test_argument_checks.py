@@ -13,10 +13,10 @@ import pytest
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (check_usd, discretization_error_trials,
                                    expected_sup_estimate, find_usd_points)
-from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
+from usdlab.entropy import (EntropyProfile, chaining_bound,
                             chaining_bound_dyadic, double_exponential_tail_constant,
                             double_exponential_tail_sum, entropy_sum_dyadic,
-                            entropy_sum_flat, greedy_cover)
+                            entropy_sum_flat)
 from usdlab.frequencies import (FrequencySet, dyadic_annulus, dyadic_block, dyadic_level_index,
                                 hyperbolic_cross, hyperbolic_cross_size,
                                 level_frequencies, level_of, level_size, unrank_level)
@@ -45,10 +45,6 @@ def _profile():
 
 def _instance(p=2.0):
     return DiscreteInstance(np.eye(3, dtype=complex), np.ones(3), np.ones(3), p)
-
-
-def _sample():
-    return SampledClass(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
 CASES = [
@@ -81,10 +77,6 @@ CASES = [
     ("check_usd_epsilon_nan",
      lambda: check_usd(PointSet.equispaced(16), _pairs(), 2, epsilon=math.nan),
      "epsilon must be finite and positive, got nan"),
-    ("greedy_cover_eps_nan", lambda: greedy_cover(_sample(), math.nan),
-     "eps must be finite and positive, got nan"),
-    ("greedy_cover_eps_inf", lambda: greedy_cover(_sample(), math.inf),
-     "eps must be finite and positive, got inf"),
     # conversions with float(x), float(x).is_integer() or int(x)
     ("dictionary_bound_string", lambda: Dictionary(_WAVE, "1.5"),
      "uniform_bound must be a real number, got '1.5'"),
@@ -112,6 +104,13 @@ CASES = [
      "frequency must be an integer, got 1.7"),
     ("polynomial_fractional_scalar_frequency", lambda: TrigPolynomial({1.7: 1.0}),
      "frequency must be an integer, got 1.7"),
+    ("polynomial_nan_coefficient", lambda: TrigPolynomial({(1,): math.nan}),
+     "coefficients must be finite"),
+    ("polynomial_inf_coefficient", lambda: TrigPolynomial({(1,): math.inf}),
+     "coefficients must be finite"),
+    ("polynomial_complex_inf_coefficient",
+     lambda: TrigPolynomial.from_arrays([[0], [2]], [1.0, complex(0.0, -math.inf)], 1),
+     "coefficients must be finite"),
     ("frequency_set_fractional", lambda: FrequencySet.from_indices([(1.5,), (-2.7,)]),
      "frequency must be an integer, got 1.5"),
     ("frequency_set_bool", lambda: FrequencySet.from_indices([(True,)]),

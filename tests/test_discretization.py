@@ -690,3 +690,20 @@ def test_multistart_cut_after_one_iteration_is_not_converged():
                      RatioOptions(max_iters=1))
     assert not cert.converged
     assert cert.notes == ["some sphere optimizations hit the iteration limit"]
+
+
+_PLANE = Dictionary([TrigPolynomial({(k, 0): 1.0}) for k in range(3)], uniform_bound=1.0)
+
+
+@pytest.mark.parametrize("dictionary, dim, p", [
+    (Dictionary.exponential_band(-2, 2), 2, 2),   # the p = 2 moment path
+    (Dictionary.exponential_band(-2, 2), 2, 4),
+    (_PLANE, 1, 2),
+], ids=["band_2d_nodes_p2", "band_2d_nodes_p4", "plane_1d_nodes_p2"])
+def test_nodes_of_another_dimension_than_the_dictionary_are_refused(dictionary, dim, p):
+    xi = PointSet.random_uniform(32, dim, seed=1)
+    opts = RatioOptions(starts=2, max_iters=5)
+    with pytest.raises(DimensionMismatchError, match=f"{dim}-d nodes"):
+        check_usd(xi, SubspaceCollection.all_subsets(dictionary, 2), p, opts)
+    with pytest.raises(DimensionMismatchError, match=f"{dim}-d nodes"):
+        subspace_ratio_bounds((0, 1), dictionary, xi, p, opts)

@@ -13,7 +13,7 @@ from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
                             chaining_bound_dyadic,
                             double_exponential_tail_constant,
                             double_exponential_tail_sum, entropy_numbers,
-                            farthest_point_radii, greedy_cover, l1_ball_draws)
+                            farthest_point_radii, l1_ball_draws)
 from usdlab.experiments import random_l1_ball_elements
 from usdlab.errors import ProfileTooShortError
 from usdlab.points import PointSet
@@ -31,31 +31,23 @@ def single_rows(sampled):
     return re + 1j * im
 
 
-def test_greedy_cover_one_center_when_radius_dominates():
+def test_one_center_covers_when_the_radius_dominates():
+    # center 0 leaves [1, 0] at distance 1 and [0, 0.5] at distance 0.5
     s = cls_from_rows([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]])
-    centers = greedy_cover(s, eps=5.0)
-    assert centers == [0]
+    assert farthest_point_radii(s, 3).tolist() == [1.0, 0.5, 0.0]
 
 
-def test_greedy_cover_two_points_at_distance_one():
+def test_two_points_at_distance_one():
+    # a cover at radius 0.4 needs both centers, at radius 1.0 one
     s = cls_from_rows([[0.0], [1.0]])
-    assert len(greedy_cover(s, eps=0.4)) == 2
-    assert len(greedy_cover(s, eps=1.0)) == 1
+    assert farthest_point_radii(s, 2).tolist() == [1.0, 0.0]
 
 
-def test_greedy_cover_three_collinear_points_hand_covering():
-    # points 0, 1/2, 1 on a line; radius 0.6 covers with centers {0, 1}:
+def test_three_collinear_points_hand_covering():
+    # points 0, 1/2, 1 on a line: centers {0, 1} cover at radius 1/2, since
     # the middle point sits within 1/2 of either end
     s = cls_from_rows([[0.0], [0.5], [1.0]])
-    centers = greedy_cover(s, eps=0.6)
-    assert centers == [0, 2]
-
-
-def test_greedy_cover_tie_goes_to_lowest_index():
-    s = cls_from_rows([[0.0], [1.0], [-1.0]])
-    centers = greedy_cover(s, eps=0.5)
-    assert centers[0] == 0
-    assert centers[1] == 1  # both remaining sit at distance 1; lowest wins
+    assert farthest_point_radii(s, 3).tolist() == [1.0, 0.5, 0.0]
 
 
 def exhaustive_min_cover(sampled, eps):
@@ -71,51 +63,39 @@ def exhaustive_min_cover(sampled, eps):
     return n
 
 
-def test_greedy_cover_within_log_factor_of_optimum():
+def test_greedy_cover_size_within_log_factor_of_optimum():
     rng = np.random.default_rng(23)
     for trial in range(5):
         rows = rng.normal(size=(10, 3)) + 1j * rng.normal(size=(10, 3))
         s = SampledClass(rows)
         eps = float(rng.uniform(0.8, 2.0))
-        greedy_size = len(greedy_cover(s, eps))
+        # the fewest traversal centers whose covering radius is at most eps
+        greedy_size = 1 + int(np.argmax(farthest_point_radii(s, 10) <= eps))
         opt = exhaustive_min_cover(s, eps)
         assert greedy_size <= math.ceil((math.log(10) + 1) * opt)
 
 
-def test_farthest_point_radii_monotone_and_consistent():
+def test_farthest_point_radii_monotone_down_to_zero():
     rng = np.random.default_rng(3)
     s = SampledClass(rng.normal(size=(40, 8)))
     radii = farthest_point_radii(s, 40)
     assert np.all(np.diff(radii) <= 1e-12)
     assert radii[-1] == pytest.approx(0.0, abs=1e-12)
-    # radius after t centers equals the worst distance the literal greedy
-    # cover leaves at that budget
-    for t in (1, 3, 7):
-        centers = greedy_cover(s, eps=radii[t - 1] + 1e-5)
-        assert len(centers) <= t
 
 
-def unpruned_traversal(values, t_max):
-    """Reference traversal: every row is updated on the full grid per center.
-
-    Returns the radii after t = 1..t_max centers and the center order.
-    """
+def unpruned_radii(values, t_max):
+    """Reference traversal: every row is updated on the full grid per center,
+    the lowest-index farthest row; the radii after t = 1..t_max centers."""
     v32 = np.asarray(values).astype(np.complex64)
     re, im = v32.real, v32.imag
     dmin2 = np.full(len(v32), np.inf, dtype=np.float32)
     radii2 = np.empty(t_max, dtype=np.float32)
-    centers = []
     for t in range(t_max):
         c = int(np.argmax(dmin2))
-        centers.append(c)
         d2 = (re - re[c]) ** 2 + (im - im[c]) ** 2
         dmin2 = np.minimum(dmin2, d2.max(axis=1))
         radii2[t] = dmin2.max()
-    return np.sqrt(radii2.astype(float)), centers
-
-
-def unpruned_radii(values, t_max):
-    return unpruned_traversal(values, t_max)[0]
+    return np.sqrt(radii2.astype(float))
 
 
 def test_farthest_point_radii_equal_the_unpruned_traversal():
@@ -123,32 +103,10 @@ def test_farthest_point_radii_equal_the_unpruned_traversal():
     d = Dictionary.exponential_band(-16, 15)
     s = SampledClass.from_l1_ball(d, n_representatives=1024, grid_level=10, seed=17)
     ref = unpruned_radii(single_rows(s), 256)
+    # each call traverses from the first center, whatever ran before
     assert np.array_equal(farthest_point_radii(s, 32), ref[:32])
-    assert np.array_equal(farthest_point_radii(s, 256), ref)  # longer than the cache
-    assert np.array_equal(farthest_point_radii(s, 100), ref[:100])  # from the cache
-
-
-@pytest.mark.parametrize("seed", [3, 4])
-def test_greedy_cover_at_profile_radius_is_a_traversal_prefix(seed):
-    # near-ties are frequent here, so a cover computed apart from the
-    # traversal could need more than t centers at the radius after t
-    d = Dictionary.exponential_band(-16, 15)
-    s = SampledClass.from_l1_ball(d, n_representatives=512, grid_level=8, seed=seed)
-    radii, order = unpruned_traversal(single_rows(s), s.count)
-    fresh = SampledClass(single_rows(s))  # no cached traversal: the cover grows its own
-    assert greedy_cover(fresh, radii[40]) == order[:41]
-    for t in range(1, s.count + 1):
-        if radii[t - 1] == 0.0:  # a cover radius must be positive
-            break
-        centers = greedy_cover(s, radii[t - 1])
-        assert len(centers) <= t
-        assert centers == order[:len(centers)]
-
-
-@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan])
-def test_greedy_cover_rejects_radii_that_are_not_positive(eps):
-    with pytest.raises(ValueError, match="positive"):
-        greedy_cover(cls_from_rows([[0.0], [1.0]]), eps)
+    assert np.array_equal(farthest_point_radii(s, 256), ref)
+    assert np.array_equal(farthest_point_radii(s, 100), ref[:100])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
@@ -281,35 +239,22 @@ def test_double_exponential_tail_bounded_by_constant():
         assert total <= c * m ** (a * b)
 
 
-def test_longer_traversal_resumes_from_the_cache(monkeypatch):
-    # extending t to 2t runs only the t new center steps, and gives the very
-    # radii and centers of one traversal of 2t centers
-    d = Dictionary.exponential_band(-16, 15)
-    values = single_rows(SampledClass.from_l1_ball(d, n_representatives=512,
-                                                   grid_level=8, seed=5))
-    calls = []
-    original = entropy._squared_moduli
+def test_entropy_numbers_runs_one_traversal_and_leaves_the_sample_as_it_was(monkeypatch):
+    s = SampledClass.from_l1_ball(_BAND, n_representatives=40, grid_level=5, seed=3)
+    before = dict(vars(s))
+    lengths = []
+    original = entropy.farthest_point_radii
 
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
+    def counted(sampled, t_max):
+        lengths.append(t_max)
+        return original(sampled, t_max)
 
-    monkeypatch.setattr(entropy, "_squared_moduli", counted)
-
-    def traverse(*lengths):
-        s = SampledClass(values)
-        del calls[:]
-        for t in lengths:
-            farthest_point_radii(s, t)
-        return s, len(calls)
-
-    _, first = traverse(64)
-    resumed, both = traverse(64, 128)
-    whole, once = traverse(128)
-    assert both == once and both - first < once
-    assert np.array_equal(resumed._radii, whole._radii)
-    assert np.array_equal(resumed._centers, whole._centers)
-    assert greedy_cover(resumed, whole._radii[99]) == whole._centers[:100].tolist()
+    monkeypatch.setattr(entropy, "farthest_point_radii", counted)
+    profile = entropy_numbers(s, 7)
+    assert lengths == [32]   # the largest budget 2^n below the 40 representatives
+    assert vars(s).keys() == before.keys()
+    assert all(vars(s)[key] is value for key, value in before.items())
+    assert profile.eps.tolist() == [*original(s, 32)[[0, 1, 3, 7, 15, 31]], 0.0, 0.0]
 
 
 def one_shot_values(d, n_representatives, grid_level, seed):
@@ -344,11 +289,11 @@ def test_sampled_class_planes_equal_the_single_precision_values(count, order):
 def test_sample_is_held_once_as_c_ordered_single_precision_planes():
     s = SampledClass.from_l1_ball(Dictionary.exponential_band(-8, 7),
                                   n_representatives=96, grid_level=7, seed=2)
-    farthest_point_radii(s, 8)
     re, im = s.planes
-    held = [*vars(s).values(), *itertools.chain(*s._ladder)]
+    ladder = entropy._ladder_levels(re, im)
+    held = [*vars(s).values(), *itertools.chain(*ladder)]
     assert not any(isinstance(a, np.ndarray) and np.iscomplexobj(a) for a in held)
-    (first_re, first_im), *later = s._ladder
+    (first_re, first_im), *later = ladder
     stride = s.grid_size // entropy._LADDER_POINTS[0]
     assert first_re.shape == (s.grid_size // stride, s.count)
     assert np.array_equal(first_re, re[:, ::stride].T)
@@ -399,12 +344,10 @@ def test_l1_ball_coefficients_are_built_one_block_at_a_time():
      "t_max must be an integer"),
     (lambda: farthest_point_radii(cls_from_rows([[0.0], [1.0]]), -1),
      "t_max must be at least 0"),
-    (lambda: greedy_cover(cls_from_rows([[0.0], [1.0]]), "x"), "eps must be a real number"),
-    (lambda: greedy_cover(cls_from_rows([[0.0], [1.0]]), True), "eps must be a real number"),
     (lambda: entropy_numbers(cls_from_rows([[0.0]]), -1), "n_max must be at least 0"),
 ], ids=["reps_fractional", "reps_string", "reps_bool", "reps_negative", "reps_zero",
         "seed_fractional", "seed_negative", "draws_seed_string", "elements_seed_fractional",
-        "t_max_fractional", "t_max_negative", "eps_string", "eps_bool", "n_max_negative"])
+        "t_max_fractional", "t_max_negative", "n_max_negative"])
 def test_entropy_arguments_are_checked_at_the_api_boundary(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()

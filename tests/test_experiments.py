@@ -17,6 +17,7 @@ from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (RatioOptions, expected_sup_estimate,
                                    find_usd_points)
 from usdlab.errors import ConfigError
+from usdlab.points import PointSet
 from usdlab.experiments import (KINDS, _t_quantile_975, fit_rate,
                                 random_l1_ball_elements, read_csv, resummarize, run,
                                 validate_config, write_csv)
@@ -67,11 +68,37 @@ def test_t_quantile_at_one_degree_of_freedom_is_the_cauchy_quantile():
     assert abs(_t_quantile_975(1) - exact) <= 2 * math.ulp(exact)
 
 
-def test_fit_rate_input_validation():
-    with pytest.raises(ValueError):
-        fit_rate([(1.0, 1.0), (2.0, 0.5)])
-    with pytest.raises(ValueError):
-        fit_rate([(1.0, 1.0), (2.0, -0.5), (4.0, 0.2)])
+@pytest.mark.parametrize("pts, message", [
+    ([(1.0, 1.0), (2.0, 0.5)], "need at least 3 points"),
+    ([(1.0, 1.0), (2.0, -0.5), (4.0, 0.2)], "strictly positive"),
+    # no NaN slope from a non-finite point, no rank warning from one x value
+    ([(1, 1), (2, math.inf), (4, 3)], "finite"),
+    ([(1, 1), (2, math.nan), (4, 3)], "finite"),
+    ([(math.inf, 1), (2, 2), (4, 3)], "finite"),
+    ([(2, 1), (2, 2), (2, 3)], "two distinct x values"),
+], ids=["two_points", "negative_y", "inf_y", "nan_y", "inf_x", "one_x_value"])
+def test_fit_rate_input_validation(pts, message):
+    with pytest.raises(ValueError, match=message):
+        fit_rate(pts)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("m,error\n8,1\n16,inf\n32,0.25\n", "finite"),
+    ("m,error\n8,1\n8,0.5\n8,0.25\n", "two distinct x values"),
+], ids=["inf", "one_x_value"])
+def test_fit_kind_reports_a_csv_without_a_fit_as_a_failed_assertion(tmp_path, text, reason):
+    src = tmp_path / "data.csv"
+    src.write_text(text)
+    cfg = {"kind": "fit", "seed": 0, "out": str(tmp_path / "f"), "svg": True,
+           "params": {"input_csv": str(src), "x_column": "m", "y_column": "error"},
+           "assertions": {"slope_range": [-1.0, 0.0]}}
+    assert main(["fit", "--config", write_config(tmp_path, cfg)]) == 1
+    summary = json.loads((tmp_path / "f" / "summary.json").read_text())
+    assert summary["results"]["fit"] is None
+    [check] = summary["assertions"]
+    assert not check["passed"] and reason in check["detail"]["reason"]
+    # the chart plots the finite points only
+    assert "nan" not in (tmp_path / "f" / "fit.svg").read_text()
 
 
 def test_validate_config_reports_field_paths():
@@ -531,6 +558,22 @@ def test_malformed_points_files_are_config_errors(tmp_path):
             run(validate_config(cfg))
         assert exc.value.path == "params.points.file"
         assert main(["usd-verify", "--config", path]) == 2
+
+
+def test_points_file_of_another_dimension_is_a_config_error(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(PointSet.random_uniform(16, 2, 0).to_json()))
+    cfg = {
+        "kind": "usd_verify", "seed": 1, "out": str(tmp_path / "v"),
+        "params": {"max_abs_freq": 1, "v": 1, "p": 2,
+                   "points": {"file": str(points)}},
+    }
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError, match="holds 2-d points, not 1-d") as exc:
+        run(validate_config(cfg))
+    assert exc.value.path == "params.points"
+    assert main(["usd-verify", "--config", path]) == 2
+    assert not (tmp_path / "v").exists()
 
 
 def test_usd_verify_with_explicit_subsets(tmp_path):
