@@ -24,8 +24,13 @@ from .points import PointSet, _integer_argument, _real_argument
 
 # Pruning ladder of the farthest-point traversal: about this many strided
 # grid columns per level, coarsest first (the full grid is the last level),
-# and the most values a level after the first gathers at once.
-_LADDER_POINTS = (8, 64)
+# and the most values a level gathers at once.  Before the ladder, each new
+# center screens every row on the _SCREEN_COLUMNS columns of the first level
+# where the center's own modulus is largest; any columns would be exact, so
+# how they are chosen (ties included) changes no bit, only how many rows the
+# ladder recomputes.
+_LADDER_POINTS = (64,)
+_SCREEN_COLUMNS = 4
 _REFINE_ELEMS = 1 << 16
 # rows per block of the single-precision cast of a sample's values
 _CAST_ROWS = 64
@@ -65,7 +70,7 @@ class SampledClass:
 
     def __init__(self, values, grid=None, metadata=None):
         values = np.asarray(values)
-        if values.ndim != 2 or values.shape[0] < 1:
+        if values.ndim != 2 or min(values.shape) < 1:
             raise ValueError("expected a (representatives, grid) value matrix")
         self._fill(values.shape, lambda lo, hi: values[lo:hi].astype(complex, copy=False),
                    grid, metadata)
@@ -135,21 +140,20 @@ def _squared_moduli(re, im, c_re, c_im, out, scratch):
 
 
 def _ladder_levels(re, im):
-    """Float32 real and imaginary planes of every level of the pruning ladder.
+    """Float32 planes of the screen and of every level of the pruning ladder.
 
     Level i keeps every ``max(1, g // _LADDER_POINTS[i])``-th column of the
-    sample's g-column planes, and the ladder ends with the planes themselves,
-    no copy (or at the first level that already keeps every column).  The
-    first level is stored column-major, shape (columns, rows), so its row
-    maxima are one reduction across a few rows; the later ones row-major,
-    so surviving rows gather contiguously.
+    sample's g-column planes, row-major, so surviving rows gather
+    contiguously; the ladder ends with the planes themselves, no copy (or
+    at the first level that already keeps every column).  The screen is the
+    first level again, column-major, shape (columns, rows), so one column
+    of every row is one contiguous gather.  Returns ``(screen, levels)``.
     """
     strides = [max(1, re.shape[1] // w) for w in _LADDER_POINTS]
     strides = strides[:strides.index(1) + 1] if 1 in strides else strides + [1]
     levels = [(np.ascontiguousarray(re[:, ::s]), np.ascontiguousarray(im[:, ::s]))
               for s in strides]
-    levels[0] = tuple(np.ascontiguousarray(plane.T) for plane in levels[0])
-    return levels
+    return tuple(np.ascontiguousarray(plane.T) for plane in levels[0]), levels
 
 
 def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
@@ -163,42 +167,54 @@ def farthest_point_radii(sampled: SampledClass, t_max: int) -> np.ndarray:
     center.  Distances run in single precision on squared moduli (relative
     error near 1e-7), so the values must be finite in single precision.
 
-    Each new center runs a ladder of strided column subsets (about
-    ``_LADDER_POINTS`` columns each, then the full grid).  The first level
-    updates every row; each later level recomputes only the rows that
-    survived the level before it, in chunks of at most ``_REFINE_ELEMS``
-    values.  Every level's values are the very float32 squared moduli the
-    full row holds, so a partial maximum cannot exceed the full-row
-    maximum: a row whose partial maximum already reaches its current
-    ``dmin2`` keeps ``dmin2`` unchanged, which is what the full update
-    would give, whether or not the levels' columns nest.  Radii, center
-    order and the lowest-index tie rule are therefore bit-identical to an
-    unpruned traversal.
+    Each new center c first screens every row on the ``_SCREEN_COLUMNS``
+    columns of the first ladder level where c's own modulus is largest
+    (one ``argpartition`` of the first level's moduli at the start of the
+    call picks them for every row).  Only the rows whose screened maximum
+    stays below their current ``dmin2`` run the ladder of strided column
+    subsets (about ``_LADDER_POINTS`` columns each, then the full grid);
+    each level recomputes only the rows that survived the one before it,
+    in chunks of at most ``_REFINE_ELEMS`` values.  The screen's and every
+    level's values are the very float32 squared moduli the full row holds,
+    so a partial maximum cannot exceed the full-row maximum: a row whose
+    partial maximum already reaches its current ``dmin2`` keeps ``dmin2``
+    unchanged, which is what the full update would give, whatever columns
+    the screen picks and whether or not the levels' columns nest.  Radii,
+    center order and the lowest-index tie rule are therefore bit-identical
+    to an unpruned traversal.
     """
     t_max = min(_integer_argument("t_max", t_max, 0), sampled.count)
-    (first_re, first_im), *later = _ladder_levels(*sampled.planes)
-    n = sampled.count
+    (screen_re, screen_im), levels = _ladder_levels(*sampled.planes)
+    first_re, first_im = levels[0]
+    n, width = first_re.shape
+    k = min(_SCREEN_COLUMNS, width)
+    # each row's k strongest first-level columns, copied out of the
+    # (n, width) partition so it is not kept
+    top = np.argpartition(first_re * first_re + first_im * first_im, width - k,
+                          axis=1)[:, width - k:].astype(np.int32)
     dmin2 = np.full(n, np.inf, dtype=np.float32)
     radii2 = np.empty(t_max, dtype=np.float32)
-    first_a, first_b = np.empty_like(first_re), np.empty_like(first_im)
-    bufs = []  # per later level: two (chunk rows, columns) gather buffers
-    for re, _ in later:
+    screen = np.empty((2, k, n), dtype=np.float32)
+    bufs = []  # per level: two (chunk rows, columns) gather buffers
+    for re, _ in levels:
         chunk = min(n, max(1, _REFINE_ELEMS // re.shape[1]))
         bufs.append(np.empty((2, chunk, re.shape[1]), dtype=np.float32))
     c = 0  # one argmax a step: next center and radius
     for t in range(t_max):
-        sq = _squared_moduli(first_re, first_im, first_re[:, c, None],
-                             first_im[:, c, None], first_a, first_b)
+        cols = top[c]
+        # "clip": indices are in range, and "raise" would copy through a buffer
+        np.take(screen_re, cols, axis=0, out=screen[0], mode="clip")
+        np.take(screen_im, cols, axis=0, out=screen[1], mode="clip")
+        sq = _squared_moduli(screen[0], screen[1], first_re[c, cols, None],
+                             first_im[c, cols, None], screen[0], screen[1])
         part = np.maximum.reduce(sq, axis=0)
         live = np.flatnonzero(part < dmin2)
-        part = part if later else part[live]  # a later level rebuilds part
-        for (re, im), buf in zip(later, bufs):
+        for (re, im), buf in zip(levels, bufs):
             chunk = buf.shape[1]
             part = np.empty(live.size, dtype=np.float32)
             for lo in range(0, live.size, chunk):
                 rows = live[lo:lo + chunk]
                 a, b = buf[0, :rows.size], buf[1, :rows.size]
-                # "clip": rows are in range, and "raise" would copy through a buffer
                 np.take(re, rows, axis=0, out=a, mode="clip")
                 np.take(im, rows, axis=0, out=b, mode="clip")
                 sq = _squared_moduli(a, b, re[c], im[c], a, b)
@@ -280,11 +296,11 @@ def entropy_numbers(sampled: SampledClass, n_max: int) -> EntropyProfile:
     the sample size give radius zero outright.
     """
     n_max = _integer_argument("n_max", n_max, 0)
-    n_reps = sampled.count
-    finite = [2 ** n for n in range(n_max + 1) if 2 ** n < n_reps]
+    zero_from = (sampled.count - 1).bit_length()  # the least n with 2^n >= count
+    finite = [2 ** n for n in range(min(n_max + 1, zero_from))]
     radii = farthest_point_radii(sampled, finite[-1] if finite else 0)
-    eps = np.array([radii[b - 1] for b in finite] + [0.0] * (n_max + 1 - len(finite)))
-    zero_from = math.ceil(math.log2(n_reps)) if n_reps > 1 else 0
+    eps = np.zeros(n_max + 1)
+    eps[:len(finite)] = [radii[b - 1] for b in finite]
     meta = dict(sampled.metadata)
     meta.update({"estimator": "greedy farthest-point radii", "n_max": int(n_max)})
     return EntropyProfile(eps, zero_from, meta)

@@ -13,7 +13,7 @@ import pytest
 from usdlab.dictionary import Dictionary, SubspaceCollection
 from usdlab.discretization import (check_usd, discretization_error_trials,
                                    expected_sup_estimate, find_usd_points)
-from usdlab.entropy import (EntropyProfile, chaining_bound,
+from usdlab.entropy import (EntropyProfile, SampledClass, chaining_bound,
                             chaining_bound_dyadic, double_exponential_tail_constant,
                             double_exponential_tail_sum, entropy_sum_dyadic,
                             entropy_sum_flat)
@@ -191,6 +191,8 @@ CASES = [
      "ranks must be integers in [0, 4) at level 2 in dimension 1"),
     ("profile_eps_nan", lambda: EntropyProfile.from_values([math.nan, 0.5]),
      "eps must be finite and non-negative"),
+    ("sampled_class_no_grid_columns", lambda: SampledClass(np.zeros((3, 0))),
+     "expected a (representatives, grid) value matrix"),
     ("entropy_sum_flat_fractional_m", lambda: entropy_sum_flat(_profile(), 0.5, 2.5),
      "m must be an integer, got 2.5"),
     ("entropy_sum_flat_negative_m", lambda: entropy_sum_flat(_profile(), 0.5, -1),

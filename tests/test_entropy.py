@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -132,6 +133,17 @@ def test_entropy_numbers_monotone_and_zero_when_budget_covers():
         else:
             assert profile.eps[n] > 0.0
     assert profile.zero_from == math.ceil(math.log2(30))
+
+
+def test_entropy_numbers_stop_at_the_first_budget_that_covers_the_sample():
+    # budgets 2^n >= count are never built, so a huge n_max only fills zeros
+    s = SampledClass(np.random.default_rng(5).normal(size=(8, 3)))
+    start = time.perf_counter()
+    profile = entropy_numbers(s, 100_000)
+    assert time.perf_counter() - start < 1.0
+    assert profile.eps.size == 100_001 and profile.zero_from == 3
+    assert np.all(profile.eps[:3] > 0.0) and not profile.eps[3:].any()
+    assert np.array_equal(profile.eps[:3], entropy_numbers(s, 2).eps)
 
 
 def test_entropy_numbers_match_traversal_radii():
@@ -290,16 +302,18 @@ def test_sample_is_held_once_as_c_ordered_single_precision_planes():
     s = SampledClass.from_l1_ball(Dictionary.exponential_band(-8, 7),
                                   n_representatives=96, grid_level=7, seed=2)
     re, im = s.planes
-    ladder = entropy._ladder_levels(re, im)
-    held = [*vars(s).values(), *itertools.chain(*ladder)]
+    (screen_re, screen_im), levels = entropy._ladder_levels(re, im)
+    held = [*vars(s).values(), screen_re, screen_im, *itertools.chain(*levels)]
     assert not any(isinstance(a, np.ndarray) and np.iscomplexobj(a) for a in held)
-    (first_re, first_im), *later = ladder
     stride = s.grid_size // entropy._LADDER_POINTS[0]
-    assert first_re.shape == (s.grid_size // stride, s.count)
-    assert np.array_equal(first_re, re[:, ::stride].T)
-    assert np.array_equal(first_im, im[:, ::stride].T)
-    assert np.shares_memory(later[-1][0], re) and np.shares_memory(later[-1][1], im)
-    for plane in (first_re, first_im, *itertools.chain(*later)):
+    assert [level[0].shape for level in levels] == [
+        (s.count, s.grid_size // stride), (s.count, s.grid_size)]
+    assert np.array_equal(levels[0][0], re[:, ::stride])
+    assert np.array_equal(levels[0][1], im[:, ::stride])
+    assert np.array_equal(screen_re, re[:, ::stride].T)
+    assert np.array_equal(screen_im, im[:, ::stride].T)
+    assert np.shares_memory(levels[-1][0], re) and np.shares_memory(levels[-1][1], im)
+    for plane in (screen_re, screen_im, *itertools.chain(*levels)):
         assert plane.dtype == np.float32 and plane.flags.c_contiguous
 
 

@@ -19,18 +19,21 @@ def traversals(draw):
             draw(st.integers(first, count)))
 
 
-# Small integer entries make many exact ties.  Ladders of one to three
+# Small integer entries make many exact ties, in the distances and in the
+# moduli that pick each center's screened columns.  Ladders of one to three
 # widths, in any order, put the grid width below the first level, between
 # levels and above the last, with strides that need not divide the width or
-# nest; small refine chunks cross chunk edges.
+# nest; screens of one column up to one more than the widest grid drawn;
+# small refine chunks cross chunk edges.
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=traversals(),
        ladder=st.one_of(st.just(entropy._LADDER_POINTS),
                         st.lists(st.integers(1, 96), min_size=1,
                                  max_size=3).map(tuple)),
+       screen=st.integers(1, 201),
        refine_elems=st.integers(1, 1 << 10), seed=st.integers(0, 2 ** 32 - 1))
-def test_pruned_radii_equal_the_unpruned_reference(case, ladder, refine_elems,
-                                                   seed):
+def test_pruned_radii_equal_the_unpruned_reference(case, ladder, screen,
+                                                   refine_elems, seed):
     count, width, spread, first, t_max = case
     rng = np.random.default_rng(seed)
     values = (rng.integers(-spread, spread + 1, size=(count, width))
@@ -38,7 +41,8 @@ def test_pruned_radii_equal_the_unpruned_reference(case, ladder, refine_elems,
     ref = unpruned_radii(values, t_max)
     sampled = entropy.SampledClass(values)
     with mock.patch.object(entropy, "_REFINE_ELEMS", refine_elems), \
-            mock.patch.object(entropy, "_LADDER_POINTS", ladder):
+            mock.patch.object(entropy, "_LADDER_POINTS", ladder), \
+            mock.patch.object(entropy, "_SCREEN_COLUMNS", screen):
         assert np.array_equal(entropy.farthest_point_radii(sampled, first),
                               ref[:first])
         assert np.array_equal(entropy.farthest_point_radii(sampled, t_max), ref)
